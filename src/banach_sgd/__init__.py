@@ -35,7 +35,6 @@ from .solver import (
     ConstantSchedule,
     ConstantsConfig,
     IterationState,
-    MaxEpochs,
     PolynomialSchedule,
     RunResult,
     SlowDecaySchedule,

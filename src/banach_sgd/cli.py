@@ -13,8 +13,6 @@ Exit codes: 0 success, 1 configuration/validation failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import dataclasses
 import json
 import sys
 import time
@@ -25,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._svg import line_chart
+from .diagnostics import ensemble_stats
 from .exceptions import (
     ConfigurationError,
     DimensionMismatchError,
@@ -40,6 +39,7 @@ from .operators import (
     build_radon_operator,
     exact_sparse_signal,
     load_matrix_csv,
+    max_block_norm,
     partition_rows,
     sparse_disk_phantom,
 )
@@ -87,7 +87,6 @@ _COMMON_DEFAULTS = {
     "method": "sgd",
     "seed": 0,
     "seeds": 1,
-    "jobs": 1,
     "noise": {"kind": "none"},
     "stopping": {"kind": "max_epochs"},
     "out_dir": "out",
@@ -95,7 +94,7 @@ _COMMON_DEFAULTS = {
 
 _ALLOWED_KEYS = {
     "preset", "r_x", "p", "r_y", "q", "method", "n", "n_batches", "epochs",
-    "seed", "seeds", "jobs", "schedule", "noise", "stopping", "out_dir",
+    "seed", "seeds", "schedule", "noise", "stopping", "out_dir",
     "grid_side", "n_angles", "angle_step", "n_detectors", "pixel_size",
     "phantom_noise", "matrix_csv", "signal_csv", "data_csv", "midpoint_columns",
 }
@@ -131,7 +130,6 @@ class ExperimentConfig:
     epochs: int
     seed: int
     seeds: int
-    jobs: int
     schedule_spec: dict
     noise_spec: dict
     stopping_spec: dict
@@ -214,10 +212,8 @@ def build_config(raw: dict) -> ExperimentConfig:
     if phantom_noise is not None:
         phantom_noise = _validated_sub("phantom_noise", phantom_noise, _NOISE_KEYS)
 
-    if int(merged["seeds"]) < 1:
-        raise ConfigurationError("seeds must be >= 1")
-    if int(merged["jobs"]) < 1:
-        raise ConfigurationError("jobs must be >= 1")
+    if int(merged["epochs"]) < 1 or int(merged["seeds"]) < 1:
+        raise ConfigurationError("epochs and seeds must be >= 1")
 
     return ExperimentConfig(
         preset=preset,
@@ -230,7 +226,6 @@ def build_config(raw: dict) -> ExperimentConfig:
         epochs=int(merged["epochs"]),
         seed=int(merged["seed"]),
         seeds=int(merged["seeds"]),
-        jobs=int(merged["jobs"]),
         schedule_spec=schedule,
         noise_spec=noise,
         stopping_spec=stopping,
@@ -331,23 +326,17 @@ def _build_problem(cfg: ExperimentConfig):
     return A, None
 
 
-def _write_mean_csv(path, records):
-    cols = ("objective", "residual", "bregman", "delta1", "delta2", "step")
-    epoch = records[0].epoch
-    data = {c: np.vstack([r.column(c) for r in records]) for c in cols}
-    n = len(records)
+def _write_mean_csv(path, epoch, stats):
+    """stats maps each column name to its (mean, standard error) arrays."""
     with open(path, "w", encoding="ascii") as f:
         header = ["epoch"]
-        for c in cols:
+        for c in stats:
             header += [c + "_mean", c + "_se"]
         f.write(",".join(header) + "\n")
         for i in range(epoch.size):
             row = [format(epoch[i], ".17g")]
-            for c in cols:
-                vals = data[c][:, i]
-                mean = float(np.mean(vals))
-                se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-                row += [format(mean, ".17g"), format(se, ".17g")]
+            for mean, se in stats.values():
+                row += [format(mean[i], ".17g"), format(se[i], ".17g")]
             f.write(",".join(row) + "\n")
 
 
@@ -382,10 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     l_max = None
     if _schedule_needs_norm(cfg.schedule_spec):
-        l_max = max(
-            boyd_operator_norm(b, cfg.x_space.r, cfg.y_space.r, tol=1e-8, max_iter=500).value
-            for b in op.blocks
-        )
+        l_max = max_block_norm(op, cfg.x_space.r, tol=1e-8, max_iter=500)
     schedule = _resolve_schedule(cfg.schedule_spec, l_max, cfg.n_batches, cfg.x_space.p_conj)
 
     stopping = None
@@ -412,22 +398,20 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         epochs=cfg.epochs,
     )
 
-    def one(seed):
-        return run(op, obs, with_seed(base, seed), x_true=x_true, x_ref=x_true)
-
     seeds = [cfg.seed + j for j in range(cfg.seeds)]
-    if cfg.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
+    results = [run(op, obs, with_seed(base, s), x_true=x_true, x_ref=x_true) for s in seeds]
 
     artifacts = []
-    for j, result in enumerate(results):
-        name = f"trace_seed{seeds[j]:04d}.csv"
+    for s, result in zip(seeds, results):
+        name = f"trace_seed{s:04d}.csv"
         result.record.to_csv(out / name)
         artifacts.append(name)
-    _write_mean_csv(out / "trace_mean.csv", [r.record for r in results])
+    epoch = results[0].record.epoch
+    stats = {
+        c: ensemble_stats([r.record.column(c) for r in results])
+        for c in ("objective", "residual", "bregman", "delta1", "delta2", "step")
+    }
+    _write_mean_csv(out / "trace_mean.csv", epoch, stats)
     artifacts.append("trace_mean.csv")
 
     x_final = results[0].state.x
@@ -440,12 +424,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         write_pgm(out / "reconstruction.pgm", x_final.reshape(g, g))
         artifacts.append("reconstruction.pgm")
 
-    epoch = results[0].record.epoch
-    mean_obj = np.mean(np.vstack([r.record.objective for r in results]), axis=0)
-    series = [("objective", epoch, mean_obj)]
+    series = [("objective", epoch, stats["objective"][0])]
     if x_true is not None:
-        mean_breg = np.mean(np.vstack([r.record.bregman for r in results]), axis=0)
-        series.append(("bregman", epoch, mean_breg))
+        series.append(("bregman", epoch, stats["bregman"][0]))
     line_chart(out / "plot.svg", series, title=f"{cfg.preset} experiment", x_label="epoch")
     artifacts.append("plot.svg")
 
@@ -496,25 +477,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "epochs", None) is not None:
-        updates["epochs"] = args.epochs
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "seeds", None) is not None:
-        updates["seeds"] = args.seeds
-    if getattr(args, "jobs", None) is not None:
-        updates["jobs"] = args.jobs
-    if getattr(args, "out_dir", None) is not None:
-        updates["out_dir"] = args.out_dir
-    if not updates:
-        return cfg
-    echo = dict(cfg.echo)
-    echo.update(updates)
-    new = dataclasses.replace(cfg, echo=echo, **updates)
-    if new.seeds < 1 or new.jobs < 1 or new.epochs < 1:
-        raise ConfigurationError("epochs, seeds and jobs must be >= 1")
-    return new
+    """Re-validate the configuration with the run flags that were given."""
+    updates = {key: getattr(args, key) for key in ("epochs", "seed", "seeds", "out_dir")
+               if getattr(args, key, None) is not None}
+    return build_config({**cfg.echo, **updates}) if updates else cfg
 
 
 def _cmd_norm_estimate(args) -> int:
@@ -542,7 +508,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=None, help="override epoch count")
         p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
         p.add_argument("--seeds", type=int, default=None, help="ensemble size (default 1)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel seed workers (default 1)")
         p.add_argument("--out-dir", default=None, help="artifact directory (default 'out')")
 
     p_solve = sub.add_parser("solve", help="run an experiment from a JSON config")

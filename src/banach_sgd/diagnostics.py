@@ -16,10 +16,12 @@ __all__ = [
     "EnsembleTrace",
     "StabilityResult",
     "objective",
+    "residual_objective",
     "delta_metrics",
     "support_f1",
     "polyak_bound",
     "rate_envelope",
+    "ensemble_stats",
     "monte_carlo_mean",
     "stability_probe",
     "minimum_norm_solution",
@@ -90,11 +92,24 @@ def objective(x, op: BlockOperator, obs: ObservationSet, exponent: float) -> flo
     """(1/N) sum_i (1/exponent) ||A_i x - y_i||^exponent in the output norm."""
     if exponent <= 1.0:
         raise ConfigurationError("objective exponent must be > 1")
+    residual = op.apply_all(x) - obs.concatenated
+    if not np.isfinite(residual).all():
+        raise InvalidInputError("residual contains non-finite entries")
+    return residual_objective(residual, op, exponent)
+
+
+def residual_objective(residual: np.ndarray, op: BlockOperator, exponent: float) -> float:
+    """The objective from a block-ordered full residual A x - y, one segment per block.
+
+    Each block norm is scaled by the block's max |r_j| like lr_norm, so large
+    output exponents stay stable; an all-zero block keeps the scale 1.
+    """
     ry = op.output_space.r
-    total = 0.0
-    for i in range(op.n_blocks):
-        total += lr_norm(op.apply(i, x) - obs.blocks[i], ry) ** exponent / exponent
-    return total / op.n_blocks
+    a = np.abs(residual)
+    m = np.maximum.reduceat(a, op.block_starts)
+    m[m == 0.0] = 1.0
+    norms = m * np.add.reduceat((a / np.repeat(m, op.block_sizes)) ** ry, op.block_starts) ** (1.0 / ry)
+    return float(np.sum(norms ** exponent)) / (exponent * op.n_blocks)
 
 
 def delta_metrics(x, x_true):
@@ -176,6 +191,19 @@ class EnsembleTrace:
     n_seeds: int
 
 
+def ensemble_stats(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise sample mean and standard error over the rows (one per seed).
+
+    The standard error of a single row is 0.
+    """
+    data = np.vstack(samples)
+    n = data.shape[0]
+    mean = data.mean(axis=0)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, data.std(axis=0, ddof=1) / math.sqrt(n)
+
+
 def monte_carlo_mean(op, obs, cfg, n_seeds: int, field_name: str = "bregman",
                      x_true=None, x_ref=None) -> EnsembleTrace:
     """Run the solver with seeds cfg.seed .. cfg.seed + n_seeds - 1 and average.
@@ -188,18 +216,12 @@ def monte_carlo_mean(op, obs, cfg, n_seeds: int, field_name: str = "bregman",
 
     if n_seeds < 2:
         raise ConfigurationError("need at least 2 seeds for a standard error")
-    traces = []
-    epochs = None
-    for j in range(n_seeds):
-        cfg_j = solver.with_seed(cfg, cfg.seed + j)
-        result = solver.run(op, obs, cfg_j, x_true=x_true, x_ref=x_ref)
-        traces.append(result.record.column(field_name))
-        if epochs is None:
-            epochs = result.record.epoch
-    data = np.vstack(traces)
-    mean = data.mean(axis=0)
-    stderr = data.std(axis=0, ddof=1) / math.sqrt(n_seeds)
-    return EnsembleTrace(epochs, mean, stderr, n_seeds)
+    records = [
+        solver.run(op, obs, solver.with_seed(cfg, cfg.seed + j), x_true=x_true, x_ref=x_ref).record
+        for j in range(n_seeds)
+    ]
+    mean, stderr = ensemble_stats([r.column(field_name) for r in records])
+    return EnsembleTrace(records[0].epoch, mean, stderr, n_seeds)
 
 
 @dataclass

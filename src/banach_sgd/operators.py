@@ -58,10 +58,16 @@ class BlockOperator:
                 raise DimensionMismatchError(
                     f"block {i} has {b.shape[1]} columns, expected {n}"
                 )
+            if b.shape[0] == 0:
+                raise DimensionMismatchError(f"block {i} has no rows")
             if not np.isfinite(b).all():
                 raise InvalidInputError(f"block {i} contains non-finite entries")
+        offsets = np.cumsum([0] + [b.shape[0] for b in self.blocks])
+        # Segment boundaries of a block-ordered row vector (see apply_all), for
+        # per-block reductions with np.ufunc.reduceat.
+        self.block_starts = offsets[:-1]
+        self.block_sizes = np.diff(offsets)
         if self.row_maps is None:
-            offsets = np.cumsum([0] + [b.shape[0] for b in self.blocks])
             self.row_maps = [np.arange(offsets[i], offsets[i + 1]) for i in range(len(self.blocks))]
         self._full = None
 

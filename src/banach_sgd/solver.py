@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import ConvergenceRecord, delta_metrics, objective
+from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
 from .exceptions import ConfigurationError, IterationInvariantError
 from .operators import BlockOperator, ObservationSet
 from .spaces import (
@@ -33,7 +33,6 @@ __all__ = [
     "PolynomialSchedule",
     "SlowDecaySchedule",
     "ConstantSchedule",
-    "MaxEpochs",
     "APrioriStop",
     "SolverConfig",
     "IterationState",
@@ -115,15 +114,6 @@ def step_size(schedule: StepSchedule, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class MaxEpochs:
-    epochs: int
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigurationError("epoch count must be >= 0")
-
-
-@dataclass(frozen=True)
 class APrioriStop:
     """Noise-adapted early stopping: k(delta) = ceil(delta^(-theta*power/(1-beta))).
 
@@ -142,14 +132,11 @@ class APrioriStop:
         if not 0.0 < self.theta < 1.0:
             raise ConfigurationError("safety factor theta must lie in (0, 1)")
         if self.beta >= 1.0:
-            raise ConfigurationError("beta = 1 leaves the stop index undefined; use MaxEpochs")
+            raise ConfigurationError("beta = 1 leaves the stop index undefined; use a fixed epoch count")
         if self.beta < 0.0:
             raise ConfigurationError("beta must be >= 0")
         if self.power <= 1.0:
             raise ConfigurationError("power must be > 1")
-
-
-StoppingRule = MaxEpochs | APrioriStop
 
 
 def a_priori_stop_index(rule: APrioriStop) -> int:
@@ -172,7 +159,7 @@ class SolverConfig:
     schedule: StepSchedule
     method: str = "sgd"
     q: float | None = None
-    stopping: StoppingRule | None = None
+    stopping: APrioriStop | None = None
     seed: int = 0
     epochs: int = 1
 
@@ -186,8 +173,8 @@ class SolverConfig:
                 )
         elif self.q is not None:
             raise ConfigurationError("q is only meaningful for generalized_kaczmarz")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+        if self.epochs < 0:
+            raise ConfigurationError("epochs must be >= 0")
         if isinstance(self.schedule, PolynomialSchedule):
             if self.schedule.beta <= 1.0 / self.x_space.p_conj:
                 raise ConfigurationError(
@@ -232,40 +219,55 @@ def stochastic_gradient(x, obs: ObservationSet, op: BlockOperator, i: int,
     return op.apply_adjoint(i, jres)
 
 
+def _full_gradient(x, obs: ObservationSet, op: BlockOperator, exponent: float) -> np.ndarray:
+    """A^T applied to the output-space duality map of the full residual A x - y."""
+    residual = op.apply_all(x) - obs.concatenated
+    jres = duality_map(residual, SpaceDescriptor(op.output_space.r, exponent))
+    return op.full_matrix.T @ jres
+
+
+def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, gradient, *args) -> IterationState:
+    """The step of every method: z <- z - mu * gradient(*args), then x = J_p^{-1}(z)."""
+    try:
+        dual = state.dual_x - mu * gradient(*args)
+        x = inverse_duality_map(dual, cfg.x_space)
+    except OverflowError as exc:
+        raise IterationInvariantError(
+            f"overflow at iteration {state.k + 1} (step size mu = {mu:.3g}); reduce the step size"
+        ) from exc
+    return IterationState(x, dual, state.k + 1, state.rng)
+
+
 def sgd_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
              cfg: SolverConfig, mu: float) -> IterationState:
     """One stochastic step: draw a block uniformly, move in the dual, remap."""
     i = int(state.rng.integers(op.n_blocks))
-    g = stochastic_gradient(state.x, obs, op, i, cfg.gradient_exponent)
-    dual = state.dual_x - mu * g
-    x = inverse_duality_map(dual, cfg.x_space)
-    return IterationState(x, dual, state.k + 1, state.rng)
+    return _dual_step(state, cfg, mu, stochastic_gradient, state.x, obs, op, i, cfg.gradient_exponent)
 
 
 def landweber_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
                    cfg: SolverConfig, mu: float) -> IterationState:
     """One deterministic step using the full concatenated residual."""
-    residual = op.apply_all(state.x) - obs.concatenated
-    jres = duality_map(residual, SpaceDescriptor(op.output_space.r, cfg.gradient_exponent))
-    g = op.full_matrix.T @ jres
-    dual = state.dual_x - mu * g
-    x = inverse_duality_map(dual, cfg.x_space)
-    return IterationState(x, dual, state.k + 1, state.rng)
+    return _dual_step(state, cfg, mu, _full_gradient, state.x, obs, op, cfg.gradient_exponent)
 
 
-def _stepper(cfg: SolverConfig):
-    return landweber_step if cfg.method == "landweber" else sgd_step
+def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
+             cfg: SolverConfig, until: int) -> IterationState:
+    """Step until iteration `until` with mu_k from the schedule.
+
+    Every step goes through the module-level sgd_step / landweber_step, so a
+    wrapper bound to those names sees each one.
+    """
+    step = landweber_step if cfg.method == "landweber" else sgd_step
+    while state.k < until:
+        state = step(state, op, obs, cfg, step_size(cfg.schedule, state.k + 1))
+    return state
 
 
 def iterate_n(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
               n_iterations: int) -> IterationState:
     """Advance n_iterations from the zero start and return the final state."""
-    state = initial_state(op, cfg)
-    step = _stepper(cfg)
-    for _ in range(n_iterations):
-        mu = step_size(cfg.schedule, state.k + 1)
-        state = step(state, op, obs, cfg, mu)
-    return state
+    return _advance(initial_state(op, cfg), op, obs, cfg, n_iterations)
 
 
 @dataclass(frozen=True)
@@ -328,17 +330,6 @@ class RunResult:
     state: IterationState
 
 
-def _iteration_budget(op: BlockOperator, cfg: SolverConfig):
-    per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
-    if isinstance(cfg.stopping, APrioriStop):
-        total = a_priori_stop_index(cfg.stopping)
-    elif isinstance(cfg.stopping, MaxEpochs):
-        total = cfg.stopping.epochs * per_epoch
-    else:
-        total = cfg.epochs * per_epoch
-    return total, per_epoch
-
-
 def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
         x_true=None, x_ref=None) -> RunResult:
     """Run the configured iteration from zero and record per-epoch diagnostics.
@@ -348,49 +339,43 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
     optional, leaving NaN columns.  The run is fully determined by
     (cfg.seed, op, obs).
     """
-    state = initial_state(op, cfg)
-    step = _stepper(cfg)
-    total, per_epoch = _iteration_budget(op, cfg)
+    per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
+    if cfg.stopping is not None:
+        total = a_priori_stop_index(cfg.stopping)
+    else:
+        total = cfg.epochs * per_epoch
     exponent = cfg.gradient_exponent
     y_full = obs.concatenated
     ry = op.output_space.r
-    sizes = {b.shape[0] for b in op.blocks}
-    block_rows = sizes.pop() if len(sizes) == 1 else None
 
-    def snapshot(mu):
+    def snapshot(state, mu):
         x = state.x
         if not np.isfinite(x).all():
             raise IterationInvariantError(f"non-finite iterate at iteration {state.k}")
-        # One full pass gives both the residual norm and the objective; for
-        # equisized blocks the per-block norms vectorise over a reshape.
+        # One full pass gives both the residual norm and the objective.
         # Overflow is silenced here and reported as a divergence error below.
         full_res = op.apply_all(x) - y_full
         with np.errstate(over="ignore", invalid="ignore"):
             res = lr_norm(full_res, ry)
-            if block_rows is not None:
-                rows = np.abs(full_res.reshape(op.n_blocks, block_rows))
-                m = rows.max(axis=1)
-                safe = np.where(m > 0, m, 1.0)
-                norms = safe * np.sum((rows / safe[:, None]) ** ry, axis=1) ** (1.0 / ry)
-                norms[m == 0] = 0.0
-                obj = float(np.sum(norms ** exponent)) / (exponent * op.n_blocks)
-            else:
-                obj = objective(x, op, obs, exponent)
-        if not (math.isfinite(obj) and math.isfinite(res)):
+            obj = residual_objective(full_res, op, exponent)
+        try:
+            breg = bregman_distance(x, x_ref, cfg.x_space) if x_ref is not None else math.nan
+        except OverflowError:
+            breg = math.inf
+        if not (math.isfinite(obj) and math.isfinite(res)) or math.isinf(breg):
             raise IterationInvariantError(
-                f"diverged at iteration {state.k} (objective {obj:.3g}); reduce the step size"
+                f"diverged at iteration {state.k} (objective {obj:.3g}, Bregman distance {breg:.3g}, "
+                f"step size mu = {mu:.3g}); reduce the step size"
             )
-        breg = bregman_distance(x, x_ref, cfg.x_space) if x_ref is not None else math.nan
         if x_true is not None:
             d1, d2 = delta_metrics(x, x_true)
         else:
             d1 = d2 = math.nan
         return (state.k / per_epoch, obj, res, breg, d1, d2, mu)
 
-    rows = [snapshot(step_size(cfg.schedule, 1))]
-    for k in range(1, total + 1):
-        mu = step_size(cfg.schedule, k)
-        state = step(state, op, obs, cfg, mu)
-        if state.k % per_epoch == 0 or state.k == total:
-            rows.append(snapshot(mu))
+    state = initial_state(op, cfg)
+    rows = [snapshot(state, step_size(cfg.schedule, 1))]
+    for until in range(per_epoch, total + per_epoch, per_epoch):
+        state = _advance(state, op, obs, cfg, min(until, total))
+        rows.append(snapshot(state, step_size(cfg.schedule, state.k)))
     return RunResult(ConvergenceRecord.from_rows(rows), state)

@@ -35,6 +35,7 @@ from banach_sgd import (
     exact_sparse_signal,
     initial_state,
     inverse_duality_map,
+    iterate_n,
     lr_norm,
     max_block_norm,
     minimum_norm_solution,
@@ -354,11 +355,7 @@ def test_criterion_10_ct_desk_run():
     d2 = {k: [] for k in arms}
     for seed in range(10):
         for key, (op, obs, cfg) in arms.items():
-            cfg_s = with_seed(cfg, seed)
-            state = initial_state(op, cfg_s)
-            for k in range(epochs * nb):
-                mu = bs.step_size(cfg_s.schedule, state.k + 1)
-                state = sgd_step(state, op, obs, cfg_s, mu)
+            state = iterate_n(op, obs, with_seed(cfg, seed), epochs * nb)
             a, b = delta_metrics(state.x, phantom)
             d1[key].append(a)
             d2[key].append(b)

@@ -68,6 +68,17 @@ class TestParseConfig:
         path = _write_config(tmp_path, schedule={"kind": "warmup"})
         assert main(["solve", str(path)]) == 1
 
+    def test_zero_epochs_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        import banach_sgd.cli as cli
+
+        def no_build(cfg):
+            raise AssertionError("problem built despite an invalid epoch count")
+
+        monkeypatch.setattr(cli, "_build_problem", no_build)
+        assert main(["solve", str(_write_config(tmp_path, epochs=0))]) == 1
+        assert main(["solve", str(_write_config(tmp_path)), "--epochs", "0"]) == 1
+        assert "epochs" in capsys.readouterr().err
+
 
 class TestRunExperiment:
     def test_integral_artifact_set(self, tmp_path):
@@ -131,13 +142,25 @@ class TestRunExperiment:
         assert manifest["config"]["n"] == 120
         assert "timestamp" in manifest
 
-    def test_jobs_flag_gives_same_traces(self, tmp_path):
+    def test_seed_ensemble_traces_match_single_seed_runs(self, tmp_path):
         path = _write_config(tmp_path, seeds=3)
         assert main(["solve", str(path)]) == 0
-        serial = {p.name: _digest(p) for p in (tmp_path / "out").glob("trace_*.csv")}
-        assert main(["solve", str(path), "--jobs", "3"]) == 0
-        threaded = {p.name: _digest(p) for p in (tmp_path / "out").glob("trace_*.csv")}
-        assert serial == threaded
+        ensemble = {p.name: _digest(p) for p in (tmp_path / "out").glob("trace_seed*.csv")}
+        singles = {}
+        for s in range(3):
+            out = tmp_path / f"single{s}"
+            assert main(["solve", str(path), "--seeds", "1", "--seed", str(s), "--out-dir", str(out)]) == 0
+            singles.update({p.name: _digest(p) for p in out.glob("trace_seed*.csv")})
+        assert len(ensemble) == 3
+        assert ensemble == singles
+
+    def test_overflowing_step_exits_2_naming_the_iteration(self, tmp_path, capsys):
+        path = _write_config(tmp_path, n=100, n_batches=10, r_x=1.5, p=1.5,
+                             schedule={"kind": "constant", "mu0": 1e200})
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "iteration 1" in err and "mu = 1e+200" in err
+        assert "Traceback" not in err
 
     def test_a_priori_stopping_runs(self, tmp_path):
         path = _write_config(
@@ -171,6 +194,17 @@ class TestCustomPreset:
         )
         assert run_experiment(cfg) == 0
         assert (tmp_path / "out" / "reconstruction.csv").exists()
+
+    def test_non_finite_data_is_a_validation_error(self, tmp_path):
+        save_matrix_csv(tmp_path / "A.csv", np.eye(4))
+        (tmp_path / "y.csv").write_text("1\nnan\n2\n3\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "preset": "custom", "matrix_csv": str(tmp_path / "A.csv"),
+            "data_csv": str(tmp_path / "y.csv"), "n_batches": 2, "epochs": 2,
+            "schedule": {"kind": "constant", "mu0": 0.5}, "out_dir": str(tmp_path / "out"),
+        }))
+        assert main(["solve", str(path)]) == 1
 
     def test_custom_without_matrix_rejected(self, tmp_path):
         assert main(["solve", str(_write_config(tmp_path, preset="custom"))]) == 1

@@ -56,6 +56,18 @@ class TestObjective:
                 total += (np.sum(np.abs(r) ** ry) ** (1 / ry)) ** exponent / exponent
             assert objective(x, op, obs, exponent) == pytest.approx(total / 3, rel=1e-12)
 
+    @pytest.mark.parametrize("ry,exponent", [(2.0, 2.0), (1.1, 1.1), (3.0, 1.5), (50.0, 2.0)])
+    def test_unequal_blocks_match_per_block_lr_norm_oracle(self, ry, exponent):
+        rng = np.random.Generator(np.random.Philox(key=4))
+        blocks = [rng.normal(size=(m, 5)) for m in (1, 7, 3, 12)]
+        op = BlockOperator(blocks, SpaceDescriptor(ry, 2.0))
+        x = rng.normal(size=5)
+        obs = ObservationSet([rng.normal(size=b.shape[0]) for b in blocks])
+        obs.blocks[2] = blocks[2] @ x  # one block with zero residual
+        oracle = sum(lr_norm(b @ x - y, ry) ** exponent / exponent
+                     for b, y in zip(blocks, obs.blocks)) / len(blocks)
+        assert objective(x, op, obs, exponent) == pytest.approx(oracle, rel=1e-12)
+
     def test_full_residual_lower_bound_hilbert(self):
         # Psi(x) >= (C_N / p) ||Ax - y||^p with C_N = 1/N, exact for r = 2
         rng = np.random.Generator(np.random.Philox(key=3))

@@ -7,7 +7,6 @@ from banach_sgd import (
     ConfigurationError,
     ConstantSchedule,
     ConstantsConfig,
-    MaxEpochs,
     ObservationSet,
     PolynomialSchedule,
     SlowDecaySchedule,
@@ -19,6 +18,7 @@ from banach_sgd import (
     duality_map,
     estimate_constants,
     initial_state,
+    iterate_n,
     landweber_step,
     lr_norm,
     objective,
@@ -296,7 +296,7 @@ class TestRun:
     def test_zero_epochs_returns_initial_state(self):
         _, _, op, obs = hilbert_problem(6, 3, seed=71)
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1),
-                           stopping=MaxEpochs(0), epochs=1)
+                           epochs=0)
         result = run(op, obs, cfg)
         assert result.state.k == 0
         assert np.all(result.state.x == 0.0)
@@ -343,6 +343,39 @@ class TestRun:
         assert result.record.objective[-1] == pytest.approx(
             objective(result.state.x, op, obs, 2.0), rel=1e-12, abs=1e-300
         )
+
+
+    @pytest.mark.parametrize("method", ["sgd", "landweber"])
+    def test_final_state_matches_iterate_n(self, method):
+        _, x_true, op, obs = hilbert_problem(8, 4, seed=113)
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT,
+                           schedule=ConstantSchedule(0.1), method=method, epochs=6, seed=5)
+        result = run(op, obs, cfg, x_true=x_true, x_ref=x_true)
+        state = iterate_n(op, obs, cfg, result.state.k)
+        assert result.state.k == (6 if method == "landweber" else 24)
+        assert np.array_equal(result.state.x, state.x)
+        assert np.array_equal(result.state.dual_x, state.dual_x)
+
+    def test_every_step_goes_through_the_public_step_names(self, monkeypatch):
+        import banach_sgd.solver as solver
+
+        calls = []
+        for name in ("sgd_step", "landweber_step"):
+            original = getattr(solver, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        _, _, op, obs = hilbert_problem(8, 4, seed=117)
+        for method, steps in (("sgd", "sgd_step"), ("landweber", "landweber_step")):
+            calls.clear()
+            cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1),
+                               method=method, epochs=3)
+            result = run(op, obs, cfg)
+            assert result.state.k > 0
+            assert calls == [steps] * result.state.k
 
 
 class TestHilbertReduction:
@@ -436,4 +469,4 @@ class TestConfigValidation:
 
     def test_epochs_positive(self):
         with pytest.raises(ConfigurationError):
-            SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=0)
+            SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=-1)
