@@ -41,6 +41,7 @@ from .operators import (
     load_matrix_csv,
     max_block_norm,
     partition_rows,
+    save_matrix_csv,
     sparse_disk_phantom,
 )
 from .solver import (
@@ -326,20 +327,6 @@ def _build_problem(cfg: ExperimentConfig):
     return A, None
 
 
-def _write_mean_csv(path, epoch, stats):
-    """stats maps each column name to its (mean, standard error) arrays."""
-    with open(path, "w", encoding="ascii") as f:
-        header = ["epoch"]
-        for c in stats:
-            header += [c + "_mean", c + "_se"]
-        f.write(",".join(header) + "\n")
-        for i in range(epoch.size):
-            row = [format(epoch[i], ".17g")]
-            for mean, se in stats.values():
-                row += [format(mean[i], ".17g"), format(se[i], ".17g")]
-            f.write(",".join(row) + "\n")
-
-
 def write_pgm(path, image: np.ndarray):
     """8-bit binary PGM, min-max scaled."""
     img = np.asarray(image, dtype=float)
@@ -411,13 +398,15 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         c: ensemble_stats([r.record.column(c) for r in results])
         for c in ("objective", "residual", "bregman", "delta1", "delta2", "step")
     }
-    _write_mean_csv(out / "trace_mean.csv", epoch, stats)
+    header, columns = ["epoch"], [epoch]
+    for c, (mean, se) in stats.items():
+        header += [c + "_mean", c + "_se"]
+        columns += [mean, se]
+    save_matrix_csv(out / "trace_mean.csv", np.column_stack(columns), ",".join(header))
     artifacts.append("trace_mean.csv")
 
     x_final = results[0].state.x
-    with open(out / "reconstruction.csv", "w", encoding="ascii") as f:
-        for v in x_final:
-            f.write(format(v, ".17g") + "\n")
+    save_matrix_csv(out / "reconstruction.csv", x_final[:, None])
     artifacts.append("reconstruction.csv")
     if cfg.preset == "ct":
         g = cfg.geometry.grid_side

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
-from .operators import BlockOperator, ObservationSet
+from .operators import BlockOperator, ObservationSet, save_matrix_csv
 from .spaces import SpaceDescriptor, bregman_distance, lr_norm
 
 __all__ = [
@@ -72,15 +72,7 @@ class ConvergenceRecord:
         return getattr(self, name)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="ascii") as f:
-            f.write(CSV_HEADER + "\n")
-            for i in range(self.epoch.size):
-                f.write(
-                    ",".join(
-                        format(getattr(self, c)[i], ".17g") for c in self._COLUMNS
-                    )
-                )
-                f.write("\n")
+        save_matrix_csv(path, np.column_stack([getattr(self, c) for c in self._COLUMNS]), CSV_HEADER)
 
     @classmethod
     def from_rows(cls, rows) -> "ConvergenceRecord":
@@ -253,9 +245,11 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     breg = np.zeros(deltas.size)
     primal = np.zeros(deltas.size)
     dual = np.zeros(deltas.size)
+    cfgs = [solver.with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
+    clean_runs = [solver.iterate_n(op, obs_clean, cfg_j, k_fixed) for cfg_j in cfgs]
     for di, delta in enumerate(deltas):
         acc = np.zeros(3)
-        for j in range(n_seeds):
+        for j, cfg_j in enumerate(cfgs):
             if delta > 0:
                 rng = np.random.Generator(np.random.Philox(key=noise_seed + j))
                 direction = rng.normal(size=y_clean.size)
@@ -263,12 +257,10 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
             else:
                 xi = np.zeros_like(y_clean)
             obs_noisy = ObservationSet.from_full(y_clean + xi, op, noise_level=float(delta))
-            cfg_j = solver.with_seed(cfg, cfg.seed + j)
-            clean = solver.iterate_n(op, obs_clean, cfg_j, k_fixed)
             noisy = solver.iterate_n(op, obs_noisy, cfg_j, k_fixed)
-            acc[0] += bregman_distance(noisy.x, clean.x, cfg.x_space)
-            acc[1] += lr_norm(noisy.x - clean.x, cfg.x_space.r)
-            acc[2] += lr_norm(noisy.dual_x - clean.dual_x, rx_conj)
+            acc[0] += bregman_distance(noisy.x, clean_runs[j].x, cfg.x_space)
+            acc[1] += lr_norm(noisy.x - clean_runs[j].x, cfg.x_space.r)
+            acc[2] += lr_norm(noisy.dual_x - clean_runs[j].dual_x, rx_conj)
         breg[di], primal[di], dual[di] = acc / n_seeds
     return StabilityResult(deltas, breg, primal, dual)
 

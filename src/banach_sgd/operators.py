@@ -35,11 +35,12 @@ __all__ = [
 
 @dataclass
 class BlockOperator:
-    """A forward operator stored as an ordered list of dense row blocks.
+    """A forward operator stored once, as one matrix whose rows are in block order.
 
-    Stacking the blocks reconstructs the full matrix; ``row_maps[i]`` records
-    which rows of the original matrix block i holds, so the original row
-    order can be recovered after an interleaved partition.
+    ``full_matrix`` stacks the blocks; ``blocks[i]`` is the row-slice view of
+    it that block i covers, so the two cannot disagree.  ``row_maps[i]``
+    records which rows of the original matrix block i holds, so the original
+    row order can be recovered after an interleaved partition.
     """
 
     blocks: list
@@ -49,27 +50,27 @@ class BlockOperator:
     def __post_init__(self):
         if not self.blocks:
             raise ConfigurationError("operator needs at least one block")
-        self.blocks = [np.ascontiguousarray(b, dtype=float) for b in self.blocks]
-        n = self.blocks[0].shape[1]
-        for i, b in enumerate(self.blocks):
+        blocks = [np.asarray(b, dtype=float) for b in self.blocks]
+        for i, b in enumerate(blocks):
             if b.ndim != 2:
                 raise DimensionMismatchError(f"block {i} is not a matrix")
-            if b.shape[1] != n:
+            if b.shape[1] != blocks[0].shape[1]:
                 raise DimensionMismatchError(
-                    f"block {i} has {b.shape[1]} columns, expected {n}"
+                    f"block {i} has {b.shape[1]} columns, expected {blocks[0].shape[1]}"
                 )
             if b.shape[0] == 0:
                 raise DimensionMismatchError(f"block {i} has no rows")
             if not np.isfinite(b).all():
                 raise InvalidInputError(f"block {i} contains non-finite entries")
-        offsets = np.cumsum([0] + [b.shape[0] for b in self.blocks])
+        self.full_matrix = np.concatenate(blocks)
+        offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+        self.blocks = np.split(self.full_matrix, offsets[1:-1])
         # Segment boundaries of a block-ordered row vector (see apply_all), for
         # per-block reductions with np.ufunc.reduceat.
         self.block_starts = offsets[:-1]
         self.block_sizes = np.diff(offsets)
         if self.row_maps is None:
-            self.row_maps = [np.arange(offsets[i], offsets[i + 1]) for i in range(len(self.blocks))]
-        self._full = None
+            self.row_maps = np.split(np.arange(offsets[-1]), offsets[1:-1])
 
     @property
     def n_blocks(self) -> int:
@@ -77,18 +78,11 @@ class BlockOperator:
 
     @property
     def input_dim(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.full_matrix.shape[1]
 
     @property
     def total_rows(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
-
-    @property
-    def full_matrix(self) -> np.ndarray:
-        """Blocks stacked in block order (cached)."""
-        if self._full is None:
-            self._full = np.vstack(self.blocks)
-        return self._full
+        return self.full_matrix.shape[0]
 
     def apply(self, i: int, x) -> np.ndarray:
         """A_i x."""
@@ -119,15 +113,22 @@ class BlockOperator:
 
 @dataclass
 class ObservationSet:
-    """Per-block data vectors plus the noise level of the whole data set."""
+    """Block-ordered data stored once in ``concatenated``, with ``blocks[i]`` as
+    views of it, plus the noise level of the whole data set."""
 
     blocks: list
     noise_level: float = 0.0
 
     def __post_init__(self):
-        self.blocks = [np.asarray(b, dtype=float).ravel() for b in self.blocks]
         if self.noise_level < 0:
             raise ConfigurationError("noise level must be >= 0")
+        if not self.blocks:
+            raise ConfigurationError("data needs at least one block")
+        parts = [np.asarray(b, dtype=float).ravel() for b in self.blocks]
+        self.concatenated = np.concatenate(parts)
+        if not np.isfinite(self.concatenated).all():
+            raise InvalidInputError("data contains non-finite entries")
+        self.blocks = np.split(self.concatenated, np.cumsum([b.size for b in parts[:-1]]))
 
     @classmethod
     def from_full(cls, y_full, op: BlockOperator, noise_level: float = 0.0) -> "ObservationSet":
@@ -136,10 +137,6 @@ class ObservationSet:
         if y.size != op.total_rows:
             raise DimensionMismatchError(f"data length {y.size} != operator rows {op.total_rows}")
         return cls([y[idx] for idx in op.row_maps], noise_level)
-
-    @property
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
 
 
 def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = None) -> BlockOperator:
@@ -157,7 +154,7 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
             f"number of batches ({n_batches}) must divide the row count ({n_rows})"
         )
     maps = [np.arange(j, n_rows, n_batches) for j in range(n_batches)]
-    blocks = [A[idx] for idx in maps]
+    blocks = [A[j::n_batches] for j in range(n_batches)]
     if output_space is None:
         output_space = SpaceDescriptor.hilbert()
     return BlockOperator(blocks, output_space, maps)
@@ -429,10 +426,12 @@ def max_block_norm(op: BlockOperator, rx: float, ry: float | None = None, **kwar
     return max(boyd_operator_norm(b, rx, ry, **kwargs).value for b in op.blocks)
 
 
-def save_matrix_csv(path, M):
-    """Row-major CSV, one matrix row per line, '.' decimal separator."""
+def save_matrix_csv(path, M, header: str | None = None):
+    """Row-major CSV, one matrix row per line in '.17g', after an optional header line."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w", encoding="ascii") as f:
+        if header is not None:
+            f.write(header + "\n")
         for row in M:
             f.write(",".join(format(v, ".17g") for v in row))
             f.write("\n")

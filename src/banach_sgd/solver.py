@@ -345,17 +345,22 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
     else:
         total = cfg.epochs * per_epoch
     exponent = cfg.gradient_exponent
-    y_full = obs.concatenated
     ry = op.output_space.r
 
     def snapshot(state, mu):
         x = state.x
         if not np.isfinite(x).all():
             raise IterationInvariantError(f"non-finite iterate at iteration {state.k}")
-        # One full pass gives both the residual norm and the objective.
-        # Overflow is silenced here and reported as a divergence error below.
-        full_res = op.apply_all(x) - y_full
+        # One full pass gives both the residual norm and the objective.  The
+        # data is finite, so a non-finite residual means the iterate diverged;
+        # overflow is silenced here and reported as a divergence error.
         with np.errstate(over="ignore", invalid="ignore"):
+            full_res = op.apply_all(x) - obs.concatenated
+            if not np.isfinite(full_res).all():
+                raise IterationInvariantError(
+                    f"diverged at iteration {state.k} (non-finite residual, step size mu = {mu:.3g}); "
+                    "reduce the step size"
+                )
             res = lr_norm(full_res, ry)
             obj = residual_objective(full_res, op, exponent)
         try:

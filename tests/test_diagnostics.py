@@ -62,8 +62,9 @@ class TestObjective:
         blocks = [rng.normal(size=(m, 5)) for m in (1, 7, 3, 12)]
         op = BlockOperator(blocks, SpaceDescriptor(ry, 2.0))
         x = rng.normal(size=5)
-        obs = ObservationSet([rng.normal(size=b.shape[0]) for b in blocks])
-        obs.blocks[2] = blocks[2] @ x  # one block with zero residual
+        data = [rng.normal(size=b.shape[0]) for b in blocks]
+        data[2] = blocks[2] @ x  # one block with zero residual
+        obs = ObservationSet(data)
         oracle = sum(lr_norm(b @ x - y, ry) ** exponent / exponent
                      for b, y in zip(blocks, obs.blocks)) / len(blocks)
         assert objective(x, op, obs, exponent) == pytest.approx(oracle, rel=1e-12)
@@ -254,6 +255,25 @@ class TestStabilityProbe:
         assert not np.allclose(a.primal_gap, b.primal_gap)
         assert a.primal_gap[0] > a.primal_gap[1]
         assert b.primal_gap[0] > b.primal_gap[1]
+
+    def test_each_clean_run_is_computed_once(self, monkeypatch):
+        import banach_sgd.solver as solver
+
+        calls = []
+        original = solver.iterate_n
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "iterate_n", counted)
+        A = build_integral_operator(60)
+        y = A @ exact_sparse_signal(60)
+        op = partition_rows(A, 6, HILBERT)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=1)
+        deltas = [1e-1, 1e-2, 1e-3]
+        stability_probe(op, y, cfg, k_fixed=5, deltas=deltas, n_seeds=4)
+        assert len(calls) == 4 * (len(deltas) + 1)
 
 
 class TestMinimumNormSolution:

@@ -8,6 +8,7 @@ from banach_sgd import (
     BlockOperator,
     ConfigurationError,
     DimensionMismatchError,
+    InvalidInputError,
     ObservationSet,
     RadonGeometry,
     SpaceDescriptor,
@@ -73,6 +74,43 @@ class TestBlockOperator:
             op.apply(0, np.zeros(2))
         with pytest.raises(DimensionMismatchError):
             BlockOperator([np.ones((2, 3)), np.ones((2, 4))])
+        with pytest.raises(DimensionMismatchError):
+            BlockOperator([np.ones(3)])
+
+    def test_ragged_blocks_are_views_of_one_matrix(self):
+        rng = np.random.Generator(np.random.Philox(key=6))
+        blocks = [rng.normal(size=(m, 4)) for m in (1, 5, 2)]
+        op = BlockOperator(blocks)
+        assert np.array_equal(op.full_matrix, np.vstack(blocks))
+        assert op.total_rows == 8 and op.input_dim == 4
+        for i, b in enumerate(blocks):
+            assert np.shares_memory(op.blocks[i], op.full_matrix)
+            assert np.array_equal(op.blocks[i], b)
+        obs = ObservationSet([rng.normal(size=m) for m in (1, 5, 2)])
+        assert obs.concatenated.shape == (8,)
+        for i in range(3):
+            assert np.shares_memory(obs.blocks[i], obs.concatenated)
+
+    def test_block_edit_is_seen_by_apply_all(self):
+        op = partition_rows(np.arange(12.0).reshape(6, 2), 2)
+        x = np.array([1.0, 0.0])
+        before = op.apply_all(x)
+        op.blocks[1][0, 0] += 100.0
+        after = op.apply_all(x)
+        assert after[3] == before[3] + 100.0
+        assert np.array_equal(np.delete(after, 3), np.delete(before, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            ObservationSet([np.array([1.0, bad])])
+        op = partition_rows(np.eye(4), 2)
+        with pytest.raises(InvalidInputError):
+            ObservationSet.from_full(np.array([0.0, 1.0, bad, 2.0]), op)
+
+    def test_empty_data_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ObservationSet([])
 
 
 class TestPartitionRows:
@@ -104,6 +142,18 @@ class TestPartitionRows:
         for block, rows in zip(op.blocks, op.row_maps):
             rebuilt[rows] = block
         assert np.array_equal(rebuilt, full)
+
+    def test_blocks_share_one_stacked_matrix(self):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        full = rng.normal(size=(12, 3))
+        y = rng.normal(size=12)
+        op = partition_rows(full, 3)
+        obs = ObservationSet.from_full(y, op)
+        assert np.array_equal(op.full_matrix, np.vstack([full[j::3] for j in range(3)]))
+        assert not np.shares_memory(op.full_matrix, full)
+        for i in range(op.n_blocks):
+            assert np.shares_memory(op.blocks[i], op.full_matrix)
+            assert np.shares_memory(obs.blocks[i], obs.concatenated)
 
     def test_observation_split_matches_operator(self):
         rng = np.random.Generator(np.random.Philox(key=4))
@@ -350,6 +400,11 @@ class TestCsvRoundTrip:
         save_matrix_csv(path, M)
         back = load_matrix_csv(path)
         assert np.array_equal(back, M)
+
+    def test_header_line_then_rows(self, tmp_path):
+        path = tmp_path / "h.csv"
+        save_matrix_csv(path, np.array([[0.1, 2.0], [3.0, np.nan]]), "a,b")
+        assert path.read_text() == "a,b\n0.10000000000000001,2\n3,nan\n"
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from banach_sgd import (
     ConfigurationError,
     ConstantSchedule,
     ConstantsConfig,
+    IterationInvariantError,
     ObservationSet,
     PolynomialSchedule,
     SlowDecaySchedule,
@@ -376,6 +379,15 @@ class TestRun:
             result = run(op, obs, cfg)
             assert result.state.k > 0
             assert calls == [steps] * result.state.k
+
+    def test_overflowing_residual_is_a_divergence(self):
+        op = BlockOperator([1e10 * np.eye(2)], HILBERT)
+        obs = ObservationSet([np.ones(2)])
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationInvariantError, match="iteration 1"):
+                run(op, obs, cfg)
 
 
 class TestHilbertReduction:
