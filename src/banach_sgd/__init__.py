@@ -16,6 +16,7 @@ from .spaces import (
 )
 from .operators import (
     BlockOperator,
+    CsrMatrix,
     NormEstimate,
     ObservationSet,
     RadonGeometry,

@@ -301,6 +301,5 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
         y_space=SpaceDescriptor.hilbert(),
         schedule=solver.ConstantSchedule(mu),
         method="landweber",
-        epochs=landweber_steps,
     )
-    return solver.run(op, obs, cfg).state.x
+    return solver.iterate_n(op, obs, cfg, landweber_steps).x

@@ -1,4 +1,4 @@
-"""Row-partitioned dense forward operators and problem builders.
+"""Row-partitioned forward operators, dense or sparse, and problem builders.
 
 Covers the two benchmark problems (a 1-D integral equation with a sparse
 signal, and parallel-beam tomography of a disk phantom), the interleaved
@@ -17,6 +17,7 @@ from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInput
 from .spaces import SpaceDescriptor, duality_map, lr_norm
 
 __all__ = [
+    "CsrMatrix",
     "BlockOperator",
     "ObservationSet",
     "RadonGeometry",
@@ -33,14 +34,102 @@ __all__ = [
 ]
 
 
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row form, held in plain numpy arrays.
+
+    Row i stores the values ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``; a column may repeat within a row, and
+    its values then add up.  ``A @ x`` and ``A.T @ y`` take 1-D vectors and sum
+    with ``np.bincount`` over the row (or column) index of every stored value,
+    which stays exact for empty rows.  ``rows(start, stop)`` is a view that
+    shares ``indices`` and ``data`` with its parent.
+    """
+
+    ndim = 2
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+        m, n = self.shape
+        if self.indptr.shape != (m + 1,) or self.indptr[0] != 0:
+            raise DimensionMismatchError(f"indptr must have {m + 1} entries starting at 0")
+        self.row_nnz = np.diff(self.indptr)
+        if (self.row_nnz < 0).any() or not self.indices.shape == self.data.shape == (self.indptr[-1],):
+            raise DimensionMismatchError("indptr, indices and data do not describe the same entries")
+        if self.indices.size and not (0 <= self.indices.min() and self.indices.max() < n):
+            raise DimensionMismatchError(f"column index outside [0, {n})")
+        self.row_ids = np.repeat(np.arange(m), self.row_nnz)
+
+    @property
+    def T(self) -> "_CsrTranspose":
+        return _CsrTranspose(self)
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = _operand(x, self.shape[1])
+        return np.bincount(self.row_ids, weights=self.data * x[self.indices], minlength=self.shape[0])
+
+    def any(self) -> bool:
+        return bool(self.data.any())
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.row_ids, self.indices), self.data)
+        return out
+
+    def rows(self, start: int, stop: int) -> "CsrMatrix":
+        """Rows start .. stop-1 as a view of this matrix's indices and data."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CsrMatrix(self.indptr[start:stop + 1] - lo, self.indices[lo:hi], self.data[lo:hi],
+                         (stop - start, self.shape[1]))
+
+    def take(self, rows) -> "CsrMatrix":
+        """A new matrix of the given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = self.row_nnz[rows]
+        ends = np.cumsum(counts)
+        entries = np.repeat(self.indptr[rows] - (ends - counts), counts) + np.arange(counts.sum())
+        return CsrMatrix(np.concatenate(([0], ends)), self.indices[entries], self.data[entries],
+                         (rows.size, self.shape[1]))
+
+    @classmethod
+    def vstack(cls, blocks) -> "CsrMatrix":
+        ends = np.cumsum(np.concatenate([b.row_nnz for b in blocks]))
+        return cls(np.concatenate(([0], ends)), np.concatenate([b.indices for b in blocks]),
+                   np.concatenate([b.data for b in blocks]),
+                   (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
+
+
+class _CsrTranspose:
+    """The transpose of a CsrMatrix, for products ``A.T @ y``."""
+
+    def __init__(self, matrix: CsrMatrix):
+        self.matrix = matrix
+        self.shape = matrix.shape[::-1]
+
+    def __matmul__(self, y) -> np.ndarray:
+        A = self.matrix
+        y = _operand(y, A.shape[0])
+        return np.bincount(A.indices, weights=A.data * np.repeat(y, A.row_nnz), minlength=A.shape[1])
+
+
+def _operand(v, size: int) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise DimensionMismatchError(f"expected a vector of length {size}, got shape {v.shape}")
+    return v
+
+
 @dataclass
 class BlockOperator:
     """A forward operator stored once, as one matrix whose rows are in block order.
 
-    ``full_matrix`` stacks the blocks; ``blocks[i]`` is the row-slice view of
-    it that block i covers, so the two cannot disagree.  ``row_maps[i]``
-    records which rows of the original matrix block i holds, so the original
-    row order can be recovered after an interleaved partition.
+    ``full_matrix`` stacks the blocks, dense ``ndarray``s or ``CsrMatrix``es
+    alike; ``blocks[i]`` is the row-slice view of it that block i covers, so
+    the two cannot disagree.  ``row_maps[i]`` records which rows of the
+    original matrix block i holds, so the original row order can be recovered
+    after an interleaved partition.
     """
 
     blocks: list
@@ -50,8 +139,11 @@ class BlockOperator:
     def __post_init__(self):
         if not self.blocks:
             raise ConfigurationError("operator needs at least one block")
-        blocks = [np.asarray(b, dtype=float) for b in self.blocks]
+        sparse = isinstance(self.blocks[0], CsrMatrix)
+        blocks = [b if isinstance(b, CsrMatrix) else np.asarray(b, dtype=float) for b in self.blocks]
         for i, b in enumerate(blocks):
+            if isinstance(b, CsrMatrix) != sparse:
+                raise DimensionMismatchError(f"block {i} mixes sparse and dense storage")
             if b.ndim != 2:
                 raise DimensionMismatchError(f"block {i} is not a matrix")
             if b.shape[1] != blocks[0].shape[1]:
@@ -60,11 +152,15 @@ class BlockOperator:
                 )
             if b.shape[0] == 0:
                 raise DimensionMismatchError(f"block {i} has no rows")
-            if not np.isfinite(b).all():
+            if not np.isfinite(b.data if sparse else b).all():
                 raise InvalidInputError(f"block {i} contains non-finite entries")
-        self.full_matrix = np.concatenate(blocks)
         offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
-        self.blocks = np.split(self.full_matrix, offsets[1:-1])
+        if sparse:
+            self.full_matrix = CsrMatrix.vstack(blocks)
+            self.blocks = [self.full_matrix.rows(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        else:
+            self.full_matrix = np.concatenate(blocks)
+            self.blocks = np.split(self.full_matrix, offsets[1:-1])
         # Segment boundaries of a block-ordered row vector (see apply_all), for
         # per-block reductions with np.ufunc.reduceat.
         self.block_starts = offsets[:-1]
@@ -140,12 +236,12 @@ class ObservationSet:
 
 
 def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = None) -> BlockOperator:
-    """Split a matrix into n_batches interleaved blocks.
+    """Split a matrix (dense or CsrMatrix) into n_batches interleaved blocks.
 
     Block j takes rows j, j + n_batches, j + 2 n_batches, ...  This yields
     equisized, well balanced blocks; n_batches must divide the row count.
     """
-    A = np.asarray(full, dtype=float)
+    A = full if isinstance(full, CsrMatrix) else np.asarray(full, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError("expected a matrix")
     n_rows = A.shape[0]
@@ -154,7 +250,10 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
             f"number of batches ({n_batches}) must divide the row count ({n_rows})"
         )
     maps = [np.arange(j, n_rows, n_batches) for j in range(n_batches)]
-    blocks = [A[j::n_batches] for j in range(n_batches)]
+    if isinstance(A, CsrMatrix):
+        blocks = [A.take(rows) for rows in maps]
+    else:
+        blocks = [A[j::n_batches] for j in range(n_batches)]
     if output_space is None:
         output_space = SpaceDescriptor.hilbert()
     return BlockOperator(blocks, output_space, maps)
@@ -182,7 +281,12 @@ def build_integral_operator(n: int, midpoint_columns: bool = True) -> np.ndarray
         s = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     else:
         s = (2.0 * np.arange(n) + 1.0) / n
-    return integral_kernel(t[:, None], s[None, :]) / n
+    # integral_kernel(t[:, None], s[None, :]) / n, written into the one output
+    # array: no n x n temporaries besides the mask.
+    K = np.multiply.outer(40.0 * t, 1.0 - s)
+    np.multiply.outer(1.0 - t, 40.0 * s, out=K, where=np.greater.outer(t, s))
+    K /= n
+    return K
 
 
 def exact_sparse_signal(n: int) -> np.ndarray:
@@ -247,68 +351,76 @@ def radon_ray_row(geom: RadonGeometry, angle_deg: float, offset: float) -> np.nd
     x = (j + 0.5 - g/2) h, y = (g/2 - i - 0.5) h and the result is indexed
     row-major.  Rays that miss the grid give a zero row.
     """
+    _, pixels, lengths = _trace_rays(geom, angle_deg, np.array([offset], dtype=float))
+    row = np.zeros(geom.grid_side ** 2)
+    row[pixels] = lengths
+    return row
+
+
+def build_radon_operator(geom: RadonGeometry) -> CsrMatrix:
+    """Sparse parallel-beam projector: exact ray/pixel intersection lengths.
+
+    Row (a * n_detectors + d) holds, for each pixel the ray (angle a,
+    detector d) crosses, the length of the intersection.  Rays that miss the
+    grid give empty rows, so the sinogram shape is always
+    n_angles x n_detectors.  ``.toarray()`` gives the dense matrix.
+    """
+    offsets = geom.detector_offsets()
+    rays, pixels, lengths = zip(*(_trace_rays(geom, theta, offsets) for theta in geom.angles_deg()))
+    m = geom.n_angles * geom.n_detectors
+    rows = np.concatenate([a * geom.n_detectors + r for a, r in enumerate(rays)])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+    return CsrMatrix(indptr, np.concatenate(pixels), np.concatenate(lengths), (m, geom.grid_side ** 2))
+
+
+def _trace_rays(geom: RadonGeometry, angle_deg: float, offsets: np.ndarray):
+    """Siddon traversal of the parallel rays {x . n = t}, t in offsets, through the grid.
+
+    All rays of one angle are traced at once (the incremental form of Jacobs
+    et al. 1998): each ray is clipped to the grid's bounding box, its
+    crossings with the pixel edge lines inside the clip window are sorted, and
+    every segment between consecutive crossings lies in one pixel.  Returns
+    (ray, pixel, length) triplets sorted by ray, then pixel; a ray that
+    misses the grid gives none.
+    """
     g = geom.grid_side
     h = geom.pixel_size
     half = g * h / 2.0
     edges = -half + h * np.arange(g + 1)
     theta = math.radians(angle_deg)
     nx, ny = math.cos(theta), math.sin(theta)
-    row = _trace_ray(offset * nx, offset * ny, -ny, nx, edges, h, half, g)
-    return np.zeros(g * g) if row is None else row
-
-
-def build_radon_operator(geom: RadonGeometry) -> np.ndarray:
-    """Dense parallel-beam projector: exact ray/pixel intersection lengths.
-
-    Row (a * n_detectors + d) holds, for each pixel, the length of the
-    intersection of ray (angle a, detector d) with that pixel.  Rays that
-    miss the grid give zero rows, so the sinogram shape is always
-    n_angles x n_detectors.
-    """
-    offsets = geom.detector_offsets()
-    A = np.zeros((geom.n_angles * geom.n_detectors, geom.grid_side ** 2))
-    for a, theta_deg in enumerate(geom.angles_deg()):
-        for d, t in enumerate(offsets):
-            A[a * geom.n_detectors + d] = radon_ray_row(geom, theta_deg, t)
-    return A
-
-
-def _trace_ray(px, py, dx, dy, edges, h, half, g):
-    """Siddon-style traversal: one ray through the square grid, or None if it misses."""
-    # Clip the line p + s*d to the bounding box.
-    s_min, s_max = -np.inf, np.inf
+    dx, dy = -ny, nx
+    px, py = offsets * nx, offsets * ny
+    hit = np.ones(offsets.size, dtype=bool)
+    s_min = np.full(offsets.size, -np.inf)
+    s_max = np.full(offsets.size, np.inf)
+    crossings = []
     for p0, d0 in ((px, dx), (py, dy)):
         if abs(d0) < 1e-15:
-            if abs(p0) > half:
-                return None
+            hit &= np.abs(p0) <= half
         else:
             s1 = (-half - p0) / d0
             s2 = (half - p0) / d0
-            s_min = max(s_min, min(s1, s2))
-            s_max = min(s_max, max(s1, s2))
-    if not (s_max > s_min):
-        return None
-    # Parameters of all crossings of pixel edge lines inside the clip window.
-    params = [np.array([s_min, s_max])]
-    if abs(dx) > 1e-15:
-        sx = (edges - px) / dx
-        params.append(sx[(sx > s_min) & (sx < s_max)])
-    if abs(dy) > 1e-15:
-        sy = (edges - py) / dy
-        params.append(sy[(sy > s_min) & (sy < s_max)])
-    s = np.unique(np.concatenate(params))
-    if s.size < 2:
-        return None
-    mids = 0.5 * (s[:-1] + s[1:])
-    lengths = np.diff(s)
-    xm = px + mids * dx
-    ym = py + mids * dy
-    cols = np.floor((xm + half) / h).astype(int)
-    rows = np.floor((half - ym) / h).astype(int)
-    keep = (cols >= 0) & (cols < g) & (rows >= 0) & (rows < g) & (lengths > 0)
-    out = np.zeros(g * g)
-    np.add.at(out, rows[keep] * g + cols[keep], lengths[keep])
-    return out
+            s_min = np.maximum(s_min, np.minimum(s1, s2))
+            s_max = np.minimum(s_max, np.maximum(s1, s2))
+            crossings.append((edges[None, :] - p0[:, None]) / d0)
+    hit &= s_max > s_min
+    s_min, s_max = s_min[:, None], s_max[:, None]
+    # Crossings outside the open clip window collapse onto its end, where they
+    # only add segments of length zero.
+    c = np.concatenate(crossings, axis=1)
+    c = np.where((c > s_min) & (c < s_max), c, s_max)
+    s = np.sort(np.concatenate([s_min, s_max, c], axis=1), axis=1)
+    mids = 0.5 * (s[:, :-1] + s[:, 1:])
+    lengths = np.diff(s, axis=1)
+    cols = np.floor((px[:, None] + mids * dx + half) / h).astype(np.intp)
+    rows = np.floor((half - (py[:, None] + mids * dy)) / h).astype(np.intp)
+    keep = hit[:, None] & (cols >= 0) & (cols < g) & (rows >= 0) & (rows < g) & (lengths > 0)
+    ray, _ = np.nonzero(keep)
+    # Rounding can split one pixel's chord into adjacent segments; their
+    # lengths are summed in order along the ray, and each ray's pixels sorted.
+    key, at = np.unique(ray * g * g + (rows * g + cols)[keep], return_inverse=True)
+    return key // (g * g), key % (g * g), np.bincount(at, weights=lengths[keep])
 
 
 # Disk phantom layout: (centre_x, centre_y, radius, intensity) in unit-square
@@ -360,7 +472,7 @@ def boyd_operator_norm(
     seed: int = 0,
     restarts: int = 8,
 ) -> NormEstimate:
-    """Estimate ||A||_{l^rx -> l^ry} by Boyd's power method.
+    """Estimate ||A||_{l^rx -> l^ry} (A dense or a CsrMatrix) by Boyd's power method.
 
     Iterates x <- J_dual(A^T J_ry(A x)), normalised to unit l^rx norm, where
     J_ry is the duality map of l^ry with power ry and J_dual the duality map
@@ -372,7 +484,8 @@ def boyd_operator_norm(
     sign-indefinite matrices the fixed point need not be global, so further
     seeded sign-random starts are run and the largest estimate kept.
     """
-    A = np.asarray(A, dtype=float)
+    if not isinstance(A, CsrMatrix):
+        A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError("expected a matrix")
     if not (1.0 < rx < math.inf and 1.0 < ry < math.inf):

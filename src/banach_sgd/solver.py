@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
-from .exceptions import ConfigurationError, IterationInvariantError
+from .exceptions import ConfigurationError, InvalidInputError, IterationInvariantError
 from .operators import BlockOperator, ObservationSet
 from .spaces import (
     SpaceDescriptor,
@@ -231,9 +231,12 @@ def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, gradient, *a
     try:
         dual = state.dual_x - mu * gradient(*args)
         x = inverse_duality_map(dual, cfg.x_space)
-    except OverflowError as exc:
+    except (OverflowError, InvalidInputError) as exc:
+        # Operator and data are validated at construction, so a non-finite
+        # residual or dual iterate here means the iteration diverged.
+        what = "overflow" if isinstance(exc, OverflowError) else "non-finite residual or dual iterate"
         raise IterationInvariantError(
-            f"overflow at iteration {state.k + 1} (step size mu = {mu:.3g}); reduce the step size"
+            f"{what} at iteration {state.k + 1} (step size mu = {mu:.3g}); reduce the step size"
         ) from exc
     return IterationState(x, dual, state.k + 1, state.rng)
 
@@ -259,8 +262,11 @@ def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
     wrapper bound to those names sees each one.
     """
     step = landweber_step if cfg.method == "landweber" else sgd_step
-    while state.k < until:
-        state = step(state, op, obs, cfg, step_size(cfg.schedule, state.k + 1))
+    # A diverging iterate overflows to inf inside numpy; the step reports it as
+    # an IterationInvariantError, so numpy's own warning is silenced here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.k < until:
+            state = step(state, op, obs, cfg, step_size(cfg.schedule, state.k + 1))
     return state
 
 

@@ -133,6 +133,19 @@ class TestRunExperiment:
         assert maxval == b"255"
         assert len(pixels) == 16 * 16
 
+    def test_ct_preset_never_densifies_the_operator(self, tmp_path, monkeypatch):
+        from banach_sgd import CsrMatrix
+
+        def refuse(self):
+            raise AssertionError("the CT path built a dense matrix")
+
+        monkeypatch.setattr(CsrMatrix, "toarray", refuse)
+        code = main(["experiment", "ct", "--grid-side", "32", "--n-angles", "30", "--n-detectors", "46",
+                     "--n-batches", "30", "--rx", "1.1", "--ry", "1.1", "--q", "1.1", "--epochs", "2",
+                     "--out-dir", str(tmp_path / "ct")])
+        assert code == 0
+        assert (tmp_path / "ct" / "reconstruction.pgm").exists()
+
     def test_manifest_contents(self, tmp_path):
         path = _write_config(tmp_path, noise={"kind": "gaussian", "sigma": 0.01, "seed": 1})
         assert main(["solve", str(path)]) == 0

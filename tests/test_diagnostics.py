@@ -297,6 +297,22 @@ class TestMinimumNormSolution:
                                                       landweber_steps=40_000)
         assert np.allclose(iterative, np.linalg.pinv(A) @ y, atol=1e-4)
 
+    def test_matches_the_run_path_bit_for_bit(self):
+        from banach_sgd import run
+
+        n, steps = 200, 3000
+        A = build_integral_operator(n)
+        y = A @ exact_sparse_signal(n)
+        x_space = SpaceDescriptor(1.5, 1.5)
+        fast = minimum_norm_solution(A, y, x_space, landweber_steps=steps)
+        # the same Landweber iteration through run, one snapshot per step
+        mu = 0.9 / ((x_space.r_conj - 1.0) * np.linalg.norm(A, 2) ** 2)
+        op = BlockOperator([A], HILBERT)
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT,
+                           schedule=ConstantSchedule(mu), method="landweber", epochs=steps)
+        reference = run(op, ObservationSet.from_full(y, op), cfg).state.x
+        assert np.array_equal(fast, reference)
+
 
 class TestConvergenceRecord:
     def test_csv_header_and_round_numbers(self, tmp_path):

@@ -7,6 +7,7 @@ from scipy import optimize
 from banach_sgd import (
     BlockOperator,
     ConfigurationError,
+    CsrMatrix,
     DimensionMismatchError,
     InvalidInputError,
     ObservationSet,
@@ -204,6 +205,16 @@ class TestIntegralOperator:
         with pytest.raises(ConfigurationError):
             build_integral_operator(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 40, 200, 1001])
+    @pytest.mark.parametrize("midpoint", [True, False])
+    def test_bytes_match_the_broadcast_kernel_formula(self, n, midpoint):
+        t = np.arange(n, dtype=float) / n
+        s = (2.0 * np.arange(n) + 1.0) / (2.0 * n if midpoint else n)
+        formula = np.where(t[:, None] <= s[None, :], 40.0 * t[:, None] * (1.0 - s[None, :]),
+                           40.0 * s[None, :] * (1.0 - t[:, None])) / n
+        A = build_integral_operator(n, midpoint_columns=midpoint)
+        assert A.tobytes() == formula.tobytes()
+
 
 class TestExactSparseSignal:
     def test_plateau_values(self):
@@ -241,13 +252,13 @@ def _chord_length_through_square(theta_deg, t, half):
 class TestRadon:
     def test_single_pixel_full_traversal(self):
         geom = RadonGeometry(grid_side=1, n_angles=1, angle_step=1.0, n_detectors=1, pixel_size=0.1)
-        A = build_radon_operator(geom)
+        A = build_radon_operator(geom).toarray()
         assert A.shape == (1, 1)
         assert A[0, 0] == pytest.approx(0.1, rel=1e-12)
 
     def test_row_sums_equal_chord_lengths(self):
         geom = RadonGeometry(grid_side=12, n_angles=6, angle_step=30.0, n_detectors=9, pixel_size=0.25)
-        A = build_radon_operator(geom)
+        A = build_radon_operator(geom).toarray()
         half = 12 * 0.25 / 2
         offsets = geom.detector_offsets()
         for a in range(geom.n_angles):
@@ -284,7 +295,7 @@ class TestRadon:
 
     def test_rays_missing_grid_give_zero_rows(self):
         geom = RadonGeometry(grid_side=4, n_angles=1, angle_step=1.0, n_detectors=15, pixel_size=0.1)
-        A = build_radon_operator(geom)
+        A = build_radon_operator(geom).toarray()
         offsets = geom.detector_offsets()
         half = 0.2
         outside = np.abs(offsets) > half * math.sqrt(2)
@@ -295,6 +306,132 @@ class TestRadon:
     def test_coverage_validation(self):
         with pytest.raises(ConfigurationError):
             RadonGeometry(grid_side=4, n_angles=100, angle_step=2.0, n_detectors=5, pixel_size=0.1)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# Criterion 10's geometry, and a small one whose corner detectors miss the grid.
+CT_GEOMETRIES = {
+    "criterion10": RadonGeometry(grid_side=64, n_angles=60, angle_step=3.0, n_detectors=95, pixel_size=0.1),
+    "small": RadonGeometry(grid_side=16, n_angles=6, angle_step=30.0, n_detectors=23, pixel_size=0.1),
+}
+
+
+class TestCsrMatrix:
+    def _ragged(self):
+        # rows 1, 3 and 5 are empty, the last one included
+        dense = np.array([[0.0, 1.5, 0.0, 2.0],
+                          [0.0, 0.0, 0.0, 0.0],
+                          [3.0, 0.0, 0.0, -1.0],
+                          [0.0, 0.0, 0.0, 0.0],
+                          [0.5, 0.25, 4.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0]])
+        rows, cols = np.nonzero(dense)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=6))))
+        return dense, CsrMatrix(indptr, cols, dense[rows, cols], dense.shape)
+
+    def test_products_with_empty_rows(self):
+        dense, A = self._ragged()
+        rng = np.random.Generator(np.random.Philox(key=30))
+        x = rng.normal(size=4)
+        y = rng.normal(size=6)
+        assert np.array_equal(A.toarray(), dense)
+        assert np.allclose(A @ x, dense @ x, rtol=1e-15, atol=0)
+        assert np.allclose(A.T @ y, dense.T @ y, rtol=1e-15, atol=0)
+        assert np.all((A @ x)[[1, 3, 5]] == 0.0)
+        assert A.T.shape == (4, 6)
+
+    def test_rows_and_take(self):
+        dense, A = self._ragged()
+        view = A.rows(2, 5)
+        assert np.array_equal(view.toarray(), dense[2:5])
+        assert np.shares_memory(view.data, A.data) and np.shares_memory(view.indices, A.indices)
+        order = [4, 1, 0, 5, 2]
+        assert np.array_equal(A.take(order).toarray(), dense[order])
+        assert np.array_equal(CsrMatrix.vstack([A.rows(0, 2), A.rows(2, 6)]).toarray(), dense)
+
+    def test_duplicate_columns_add_up(self):
+        A = CsrMatrix([0, 3], [1, 1, 0], [1.0, 2.0, 4.0], (1, 2))
+        assert np.array_equal(A.toarray(), [[4.0, 3.0]])
+        assert np.array_equal(A @ np.array([1.0, 10.0]), [34.0])
+
+    def test_invalid_structure_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            CsrMatrix([0, 1], [0], [1.0], (2, 2))  # indptr too short
+        with pytest.raises(DimensionMismatchError):
+            CsrMatrix([0, 2], [0], [1.0], (1, 2))  # indptr runs past the data
+        with pytest.raises(DimensionMismatchError):
+            CsrMatrix([0, 1], [2], [1.0], (1, 2))  # column out of range
+        _, A = self._ragged()
+        with pytest.raises(DimensionMismatchError):
+            A @ np.ones(5)
+        with pytest.raises(DimensionMismatchError):
+            A.T @ np.ones(4)
+
+    def test_zero_matrix_norm_is_zero(self):
+        A = CsrMatrix([0, 0, 0], [], [], (2, 3))
+        assert not A.any()
+        est = boyd_operator_norm(A, 1.5, 2.0)
+        assert est.value == 0.0 and est.converged
+
+    def test_mixed_or_row_less_blocks_rejected(self):
+        _, A = self._ragged()
+        with pytest.raises(DimensionMismatchError):
+            BlockOperator([A, np.ones((2, 4))])
+        with pytest.raises(DimensionMismatchError):
+            BlockOperator([A, A.rows(0, 0)])  # a block without rows
+
+    def test_non_finite_block_rejected(self):
+        with pytest.raises(InvalidInputError):
+            BlockOperator([CsrMatrix([0, 1], [0], [np.nan], (1, 2))])
+
+    @pytest.mark.parametrize("name", sorted(CT_GEOMETRIES))
+    def test_operator_products_match_dense(self, name):
+        geom = CT_GEOMETRIES[name]
+        A = build_radon_operator(geom)
+        D = A.toarray()
+        assert isinstance(A, CsrMatrix) and A.data.size == np.count_nonzero(D)
+        n_batches = geom.n_angles
+        op = partition_rows(A, n_batches, SpaceDescriptor(1.1, 2.0))
+        dense = partition_rows(D, n_batches, SpaceDescriptor(1.1, 2.0))
+        rng = np.random.Generator(np.random.Philox(key=31))
+        x = rng.normal(size=A.shape[1])
+        y = rng.normal(size=A.shape[0])
+        assert _rel(A @ x, D @ x) <= 1e-12
+        assert _rel(A.T @ y, D.T @ y) <= 1e-12
+        assert np.array_equal(op.full_matrix.toarray(), dense.full_matrix)
+        assert _rel(op.apply_all(x), dense.apply_all(x)) <= 1e-12
+        z = y[: op.total_rows]
+        assert _rel(op.full_matrix.T @ z, dense.full_matrix.T @ z) <= 1e-12
+        for i in range(op.n_blocks):
+            u = rng.normal(size=op.blocks[i].shape[0])
+            assert _rel(op.apply(i, x), dense.apply(i, x)) <= 1e-12
+            assert _rel(op.apply_adjoint(i, u), dense.apply_adjoint(i, u)) <= 1e-12
+            assert np.shares_memory(op.blocks[i].data, op.full_matrix.data)
+            assert np.shares_memory(op.blocks[i].indices, op.full_matrix.indices)
+        # rays that miss the grid: empty rows whose products are exactly zero
+        empty = A.row_nnz == 0
+        assert empty.any() and not D[empty].any()
+        assert np.all((A @ x)[empty] == 0.0)
+        for b in (0, n_batches - 1):
+            sparse_est = boyd_operator_norm(op.blocks[b], 1.1, 1.1, tol=1e-8, max_iter=200, restarts=2)
+            dense_est = boyd_operator_norm(dense.blocks[b], 1.1, 1.1, tol=1e-8, max_iter=200, restarts=2)
+            assert sparse_est.value == pytest.approx(dense_est.value, rel=1e-12)
+
+    def test_large_grid_is_built_without_a_dense_matrix(self):
+        import tracemalloc
+
+        geom = RadonGeometry(grid_side=128, n_angles=60, angle_step=3.0, n_detectors=181, pixel_size=0.1)
+        tracemalloc.start()
+        try:
+            op = partition_rows(build_radon_operator(geom), 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.full_matrix.shape == (60 * 181, 128 ** 2)  # 1.4 GB if it were dense
+        assert peak < 200e6
 
 
 class TestPhantom:

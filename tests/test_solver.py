@@ -389,6 +389,18 @@ class TestRun:
             with pytest.raises(IterationInvariantError, match="iteration 1"):
                 run(op, obs, cfg)
 
+    def test_overflow_inside_a_step_is_a_divergence(self):
+        # iterate_n takes no snapshot: the second step's residual overflows to
+        # inf inside the step itself, with no numpy warning escaping
+        op = BlockOperator([1e10 * np.eye(2)], HILBERT)
+        obs = ObservationSet([np.ones(2)])
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationInvariantError, match="iteration 2") as info:
+                iterate_n(op, obs, cfg, 2)
+        assert "mu = 1e+290" in str(info.value)
+
 
 class TestHilbertReduction:
     def test_matches_euclidean_sgd_loop(self):
