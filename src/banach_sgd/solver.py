@@ -204,6 +204,10 @@ class IterationState:
 
 def initial_state(op: BlockOperator, cfg: SolverConfig) -> IterationState:
     """Zero start; J_p(0) = 0 lies in the closure of range(A^T) for free."""
+    if cfg.y_space.r != op.output_space.r:  # the steps read r_y from the operator
+        raise ConfigurationError(
+            f"config data space l^{cfg.y_space.r} differs from the operator's l^{op.output_space.r}"
+        )
     n = op.input_dim
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     return IterationState(np.zeros(n), np.zeros(n), 0, rng)
@@ -212,8 +216,6 @@ def initial_state(op: BlockOperator, cfg: SolverConfig) -> IterationState:
 def stochastic_gradient(x, obs: ObservationSet, op: BlockOperator, i: int,
                         exponent: float) -> np.ndarray:
     """A_i^T applied to the output-space duality map of the residual A_i x - y_i."""
-    if exponent <= 1.0:
-        raise ConfigurationError("residual power must be > 1")
     residual = op.apply(i, x) - obs.blocks[i]
     jres = duality_map(residual, SpaceDescriptor(op.output_space.r, exponent))
     return op.apply_adjoint(i, jres)
@@ -231,12 +233,13 @@ def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, gradient, *a
     try:
         dual = state.dual_x - mu * gradient(*args)
         x = inverse_duality_map(dual, cfg.x_space)
-    except (OverflowError, InvalidInputError) as exc:
-        # Operator and data are validated at construction, so a non-finite
-        # residual or dual iterate here means the iteration diverged.
-        what = "overflow" if isinstance(exc, OverflowError) else "non-finite residual or dual iterate"
+    except InvalidInputError as exc:
+        # Operator and data are validated at construction, so a residual or
+        # dual iterate that is not finite, or whose duality map overflows,
+        # means the iteration diverged.
         raise IterationInvariantError(
-            f"{what} at iteration {state.k + 1} (step size mu = {mu:.3g}); reduce the step size"
+            f"non-finite or overflowing residual or dual iterate at iteration {state.k + 1} "
+            f"(step size mu = {mu:.3g}); reduce the step size"
         ) from exc
     return IterationState(x, dual, state.k + 1, state.rng)
 
@@ -345,6 +348,8 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
     optional, leaving NaN columns.  The run is fully determined by
     (cfg.seed, op, obs).
     """
+    if x_ref is not None and not np.isfinite(x_ref).all():
+        raise InvalidInputError("x_ref contains non-finite entries")
     per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
     if cfg.stopping is not None:
         total = a_priori_stop_index(cfg.stopping)
@@ -354,9 +359,7 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
     ry = op.output_space.r
 
     def snapshot(state, mu):
-        x = state.x
-        if not np.isfinite(x).all():
-            raise IterationInvariantError(f"non-finite iterate at iteration {state.k}")
+        x = state.x  # finite: a step raises rather than return a non-finite iterate
         # One full pass gives both the residual norm and the objective.  The
         # data is finite, so a non-finite residual means the iterate diverged;
         # overflow is silenced here and reported as a divergence error.
@@ -371,7 +374,7 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
             obj = residual_objective(full_res, op, exponent)
         try:
             breg = bregman_distance(x, x_ref, cfg.x_space) if x_ref is not None else math.nan
-        except OverflowError:
+        except InvalidInputError:  # x_ref is checked at entry, so this is an overflow
             breg = math.inf
         if not (math.isfinite(obj) and math.isfinite(res)) or math.isinf(breg):
             raise IterationInvariantError(

@@ -8,6 +8,7 @@ power type, so the duality map is single-valued and invertible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,9 +53,9 @@ class SpaceDescriptor:
     def p_conj(self) -> float:
         return self.p / (self.p - 1.0)
 
-    @property
+    @functools.cached_property
     def dual(self) -> "SpaceDescriptor":
-        """Descriptor of the dual space, (r*, p*)."""
+        """Descriptor of the dual space, (r*, p*); built once per descriptor."""
         return SpaceDescriptor(self.r_conj, self.p_conj)
 
     @classmethod
@@ -73,39 +74,57 @@ def _as_vector(x) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidInputError("vector contains non-finite entries")
     return v
+
+
+def _screen(x) -> tuple[np.ndarray, np.ndarray, float]:
+    """The vector, |x_j| / max|x| and max|x|: the one finiteness check of the layer.
+
+    A NaN or infinite entry makes max|x| non-finite.  The scaled entries keep
+    every power in [0, 1], which avoids 0^negative and overflow for large r.
+    """
+    v = _as_vector(x)
+    a = np.abs(v)
+    m = float(a.max()) if a.size else 0.0
+    if not math.isfinite(m):
+        raise InvalidInputError("vector contains non-finite entries")
+    if m > 0.0:
+        a /= m
+    return v, a, m
 
 
 def lr_norm(x, r: float) -> float:
     """(sum |x_j|^r)^(1/r).  Scaled by max|x_j| so large exponents stay stable."""
     if not (math.isfinite(r) and r > 1.0):
         raise ConfigurationError(f"lr_norm requires 1 < r < inf; got r={r}")
-    v = _as_vector(x)
-    if v.size == 0:
-        return 0.0
-    m = float(np.max(np.abs(v)))
+    _, a, m = _screen(x)
     if m == 0.0:
         return 0.0
-    return m * float(np.sum((np.abs(v) / m) ** r)) ** (1.0 / r)
+    return m * float(np.sum(a ** r)) ** (1.0 / r)
 
 
 def duality_map(x, desc: SpaceDescriptor) -> np.ndarray:
     """Componentwise ||x||_r^(p-r) |x_j|^(r-1) sign(x_j); maps 0 to 0.
 
     This is the gradient of x -> ||x||_r^p / p, the single-valued duality map
-    of the space.
+    of the space.  Raises InvalidInputError when x is not finite or when the
+    largest entry of the result, max|x|^(r-1) ||x||_r^(p-r), overflows.
     """
-    v = _as_vector(x)
-    m = float(np.max(np.abs(v))) if v.size else 0.0
+    v, a, m = _screen(x)
     if m == 0.0:
         return np.zeros_like(v)
-    # Work on t = x / max|x| so every power stays in [0, 1]; the prefactor
-    # m^(p-1) restores the scale.  Avoids 0^negative and overflow for large r*.
-    t = v / m
-    tn = float(np.sum(np.abs(t) ** desc.r)) ** (1.0 / desc.r)
-    return (m ** (desc.p - 1.0)) * (tn ** (desc.p - desc.r)) * np.abs(t) ** (desc.r - 1.0) * np.sign(t)
+    # The prefactor m^(p-1) restores the scale of the max-scaled entries; it
+    # times tn^(p-r) is the largest entry of the result.
+    tn = float(np.sum(a ** desc.r)) ** (1.0 / desc.r)
+    try:
+        scale = (m ** (desc.p - 1.0)) * (tn ** (desc.p - desc.r))
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise InvalidInputError(
+            f"duality map overflows the float range (max|x| = {m:.3g}, r = {desc.r:.3g}, p = {desc.p:.3g})"
+        )
+    return scale * a ** (desc.r - 1.0) * np.sign(v)
 
 
 def inverse_duality_map(xs, desc: SpaceDescriptor) -> np.ndarray:
@@ -119,7 +138,12 @@ def dual_pairing(xs, x) -> float:
     b = _as_vector(x)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"pairing of length {a.size} with length {b.size}")
-    return float(np.dot(a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairing = float(np.dot(a, b))
+    # Any NaN or infinite entry, or an overflow, leaves the sum non-finite.
+    if not math.isfinite(pairing):
+        raise InvalidInputError("pairing of non-finite vectors or overflow in the sum")
+    return pairing
 
 
 def bregman_distance(z, w, desc: SpaceDescriptor) -> float:
@@ -133,8 +157,14 @@ def bregman_distance(z, w, desc: SpaceDescriptor) -> float:
         raise DimensionMismatchError(f"bregman_distance of length {zv.size} vs {wv.size}")
     nz = lr_norm(zv, desc.r)
     nw = lr_norm(wv, desc.r)
-    return (
-        nz ** desc.p / desc.p_conj
-        + nw ** desc.p / desc.p
-        - dual_pairing(duality_map(zv, desc), wv)
-    )
+    try:
+        distance = (
+            nz ** desc.p / desc.p_conj
+            + nw ** desc.p / desc.p
+            - dual_pairing(duality_map(zv, desc), wv)
+        )
+    except OverflowError:
+        distance = math.inf
+    if not math.isfinite(distance):
+        raise InvalidInputError(f"Bregman distance overflows: norms {nz:.3g} and {nw:.3g} at p = {desc.p:.3g}")
+    return distance

@@ -9,6 +9,7 @@ from banach_sgd import (
     ConfigurationError,
     ConstantSchedule,
     ConstantsConfig,
+    InvalidInputError,
     IterationInvariantError,
     ObservationSet,
     PolynomialSchedule,
@@ -127,6 +128,12 @@ class TestStochasticGradient:
         obs = ObservationSet([np.array([1.0, 2.0, 3.0])])
         g = stochastic_gradient(np.array([1.0, 2.0, 3.0]), obs, op, 0, 2.0)
         assert np.all(g == 0.0)
+
+    def test_residual_power_must_exceed_one(self):
+        op = BlockOperator([np.eye(2)], HILBERT)
+        obs = ObservationSet([np.ones(2)])
+        with pytest.raises(ConfigurationError):
+            stochastic_gradient(np.zeros(2), obs, op, 0, 1.0)
 
     def test_scalar_example(self):
         # A = (2), x = 1, y = 0, Hilbert: g = 2 * (2*1 - 0) = 4
@@ -380,6 +387,14 @@ class TestRun:
             assert result.state.k > 0
             assert calls == [steps] * result.state.k
 
+    def test_non_finite_reference_is_bad_input(self):
+        # The snapshot reads an invalid Bregman distance as an overflow, so a
+        # bad reference must be rejected before the first step.
+        _, _, op, obs = hilbert_problem(6, 3, seed=1)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1))
+        with pytest.raises(InvalidInputError, match="x_ref"):
+            run(op, obs, cfg, x_ref=np.full(6, np.nan))
+
     def test_overflowing_residual_is_a_divergence(self):
         op = BlockOperator([1e10 * np.eye(2)], HILBERT)
         obs = ObservationSet([np.ones(2)])
@@ -490,6 +505,14 @@ class TestConfigValidation:
     def test_q_disallowed_elsewhere(self):
         with pytest.raises(ConfigurationError):
             SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), q=1.5)
+
+    def test_data_space_must_match_the_operator(self):
+        _, _, op, obs = hilbert_problem(6, 3, seed=1)
+        cfg = SolverConfig(x_space=HILBERT, y_space=SpaceDescriptor(1.5, 2.0),
+                           schedule=ConstantSchedule(0.1))
+        for call in (lambda: run(op, obs, cfg), lambda: iterate_n(op, obs, cfg, 1)):
+            with pytest.raises(ConfigurationError, match="data space"):
+                call()
 
     def test_epochs_positive(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from banach_sgd import (
     ConfigurationError,
@@ -126,6 +131,24 @@ class TestDualityMap:
                     assert j[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+    @pytest.mark.parametrize("x,desc", [
+        # m^(p-1) is finite but the prefactor m^(p-1) ||x/m||^(p-r) is not
+        ([1.3e154, 1.3e154, 0.0], SpaceDescriptor(2, 3)),
+        # m^(p-1) itself overflows
+        ([1e300, 1.0], SpaceDescriptor(50, 50)),
+    ])
+    def test_overflow_is_a_typed_error(self, x, desc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflows"):
+                duality_map(np.array(x), desc)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                duality_map([1.0, bad], SpaceDescriptor(1.5, 2.0))
+
+
 class TestInverseDualityMap:
     def test_hilbert_identity(self):
         xs = np.array([3.0, 4.0])
@@ -165,6 +188,13 @@ class TestDualPairing:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             dual_pairing([1.0], [1.0, 2.0])
+
+    def test_rejects_non_finite_entries_and_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xs, x in (([np.nan, 1.0], [1.0, 1.0]), ([np.inf], [0.0]), ([1e200, 1e200], [1e200, 1e200])):
+                with pytest.raises(InvalidInputError):
+                    dual_pairing(xs, x)
 
     def test_cauchy_schwarz(self):
         for desc in descriptor_grid():
@@ -229,3 +259,123 @@ class TestBregmanDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             bregman_distance([1.0], [1.0, 2.0], SpaceDescriptor(2, 2))
+
+    def test_overflow_is_a_typed_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflows"):
+                bregman_distance(np.array([1e200, 1.0]), np.ones(2), SpaceDescriptor.hilbert())
+
+
+def _oracle_lr_norm(v, r):
+    """The norm as first written: scale by max|x|, sum the r-th powers."""
+    m = float(np.max(np.abs(v)))
+    if m == 0.0:
+        return 0.0
+    return m * float(np.sum((np.abs(v) / m) ** r)) ** (1.0 / r)
+
+
+def _oracle_duality_map(v, r, p):
+    """The map as first written, on t = x / max|x| with sign(t)."""
+    m = float(np.max(np.abs(v)))
+    if m == 0.0:
+        return np.zeros_like(v)
+    t = v / m
+    tn = float(np.sum(np.abs(t) ** r)) ** (1.0 / r)
+    return (m ** (p - 1.0)) * (tn ** (p - r)) * np.abs(t) ** (r - 1.0) * np.sign(t)
+
+
+# Entries m * 10^e with m in [1, 10), e an integer in [-300, 299], either
+# sign, or an exact zero.
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, mant, e: sign * mant * 10.0 ** e,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999), st.integers(-300, 299)),
+)
+_VECTOR = st.lists(_ENTRY, min_size=1, max_size=12).map(np.array)
+_R = st.floats(1.01, 50.0)
+_P = st.floats(1.0, 50.0, exclude_min=True)
+_TYPED = (ConfigurationError, InvalidInputError, DimensionMismatchError)
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+class TestProperties:
+    @_PROPERTY
+    @given(x=_VECTOR, r=_R, p=_P)
+    def test_bit_equal_to_the_first_formulas(self, x, r, p):
+        assert lr_norm(x, r) == _oracle_lr_norm(x, r)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                want = _oracle_duality_map(x, r, p)
+            except OverflowError:
+                want = None
+        if want is None or not np.isfinite(want).all():
+            with pytest.raises(InvalidInputError, match="overflows"):
+                duality_map(x, SpaceDescriptor(r, p))
+            return
+        got = duality_map(x, SpaceDescriptor(r, p))
+        assert np.array_equal(got, want)
+        # Bit for bit, except the sign of a zero where x_j / max|x| underflows:
+        # the oracle takes sign(x_j / max|x|) = +0 there, the map sign(x_j).
+        m = np.max(np.abs(x))
+        scaled_nonzero = np.abs(x) / m > 0 if m > 0 else np.ones(x.size, dtype=bool)
+        assert (got.view(np.int64) == want.view(np.int64))[scaled_nonzero].all()
+
+    @_PROPERTY
+    @given(pairs=st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=12), r=_R, p=_P)
+    def test_bregman_distance_is_nonnegative(self, pairs, r, p):
+        z, w = np.array(pairs).T
+        top = max(lr_norm(z, r), lr_norm(w, r))
+        try:
+            d = bregman_distance(z, w, SpaceDescriptor(r, p))
+        except InvalidInputError:
+            # Raised only when a term, at most max(||z||, ||w||)^p, nears the
+            # largest float (1.8e308).
+            assert p * math.log10(top) > 307.0
+            return
+        # Each of the three terms is rounded at the scale max(||z||, ||w||)^p.
+        assert d >= -1e-12 * top ** p
+
+    @_PROPERTY
+    @given(entries=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-6.0, 0.0)),
+                            min_size=1, max_size=12),
+           top=st.floats(-150.0, 150.0), r=_R, p=st.floats(1.01, 50.0))
+    def test_inverse_map_undoes_the_map(self, entries, top, r, p):
+        # Entries within six decades of 10^top, so no (r-1)-th power of a
+        # scaled entry underflows.
+        x = np.array([sign * 10.0 ** (e + top) for sign, e in entries])
+        m = float(np.max(np.abs(x)))
+        assume(m > 0.0)
+        assume(abs((p - 1.0) * math.log10(m)) < 300.0)  # m^(p-1) in the normal float range
+        desc = SpaceDescriptor(r, p)
+        back = inverse_duality_map(duality_map(x, desc), desc)
+        # The inverse raises values that carry a few ulps each to the powers
+        # 1/(r-1) and 1/(p-1), and every norm sums n terms.
+        tol = 64 * np.finfo(float).eps * x.size * (desc.r_conj + desc.p_conj + r + p)
+        assert np.max(np.abs(back - x)) <= tol * m
+
+    @_PROPERTY
+    @given(x=st.one_of(
+               _VECTOR,
+               st.lists(st.floats(), max_size=6).map(np.array),
+               st.floats().map(np.array),
+               st.lists(st.floats(-10, 10), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2))),
+           ),
+           w=_VECTOR, r=st.floats(), p=st.floats())
+    def test_only_typed_errors_and_no_warnings(self, x, w, r, p):
+        calls = (
+            lambda: lr_norm(x, r),
+            lambda: duality_map(x, SpaceDescriptor(r, p)),
+            lambda: inverse_duality_map(x, SpaceDescriptor(r, p)),
+            lambda: dual_pairing(x, w),
+            lambda: bregman_distance(x, w, SpaceDescriptor(r, p)),
+            lambda: bregman_distance(w, x, SpaceDescriptor(r, p)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    call()
+                except _TYPED:
+                    pass
