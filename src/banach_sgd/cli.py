@@ -50,10 +50,13 @@ from .solver import (
     PolynomialSchedule,
     SlowDecaySchedule,
     SolverConfig,
+    StepSchedule,
     run,
     with_seed,
 )
 from .spaces import SpaceDescriptor
+
+NoiseModel = GaussianNoise | ImpulseNoise | SaltPepperNoise
 
 _PRESET_DEFAULTS = {
     "integral": {
@@ -131,12 +134,13 @@ class ExperimentConfig:
     epochs: int
     seed: int
     seeds: int
-    schedule_spec: dict
-    noise_spec: dict
-    stopping_spec: dict
+    schedule: StepSchedule | None  # None while the slow-decay scale waits for the norm estimate
+    l_max_fraction: float | None  # that scale as a fraction of L_max
+    noise: NoiseModel | None
+    a_priori: tuple[float, float] | None  # (beta, theta) of the a-priori stop
     out_dir: str
     geometry: RadonGeometry | None = None
-    phantom_noise: dict | None = None
+    phantom_noise: NoiseModel | None = None
     matrix_csv: str | None = None
     signal_csv: str | None = None
     data_csv: str | None = None
@@ -150,11 +154,24 @@ def _check_keys(section: str, data: dict, allowed):
         raise ConfigurationError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
 
 
+def _number(section: str, data: dict, key: str, kind=float, default=None):
+    """kind(data[key]), or default when the key is absent and default is given."""
+    if key not in data:
+        if default is None:
+            raise ConfigurationError(f"{section} needs a {key!r} entry")
+        return default
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError):
+        kind_name = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {data[key]!r}") from None
+
+
 def _validated_sub(section: str, data, table) -> dict:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigurationError(f"{section} must be an object with a 'kind' field")
     kind = data["kind"]
-    if kind not in table:
+    if not isinstance(kind, str) or kind not in table:
         raise ConfigurationError(f"{section}.kind must be one of {sorted(table)}; got {kind!r}")
     _check_keys(section, data, table[kind])
     return data
@@ -164,45 +181,50 @@ def build_config(raw: dict) -> ExperimentConfig:
     """Merge defaults, reject unknown keys, and validate every invariant."""
     _check_keys("config", raw, _ALLOWED_KEYS)
     preset = raw.get("preset", "integral")
-    if preset not in _PRESET_DEFAULTS:
+    if not isinstance(preset, str) or preset not in _PRESET_DEFAULTS:
         raise ConfigurationError(f"preset must be one of {sorted(_PRESET_DEFAULTS)}; got {preset!r}")
     merged = dict(_COMMON_DEFAULTS)
     merged.update(_PRESET_DEFAULTS[preset])
     merged.update(raw)
     merged["preset"] = preset
 
-    x_space = SpaceDescriptor(float(merged["r_x"]), float(merged["p"]))
-    y_space = SpaceDescriptor(float(merged["r_y"]), float(merged["p"]))
+    x_space = SpaceDescriptor(_number("config", merged, "r_x"), _number("config", merged, "p"))
+    y_space = SpaceDescriptor(_number("config", merged, "r_y"), x_space.p)
     method = merged["method"]
     q = merged.get("q")
     if q is not None and method != "generalized_kaczmarz":
         raise ConfigurationError("q is only valid with method generalized_kaczmarz")
+    n_batches, epochs, seeds = (_number("config", merged, k, int) for k in ("n_batches", "epochs", "seeds"))
+    if n_batches < 1 or epochs < 1 or seeds < 1:
+        raise ConfigurationError("n_batches, epochs and seeds must be >= 1")
 
-    schedule = _validated_sub("schedule", merged["schedule"], _SCHEDULE_KEYS)
-    noise = _validated_sub("noise", merged["noise"], _NOISE_KEYS)
+    schedule, l_max_fraction = _schedule_from_spec(
+        _validated_sub("schedule", merged["schedule"], _SCHEDULE_KEYS), n_batches, x_space.p_conj
+    )
+    noise = _noise_from_spec("noise", _validated_sub("noise", merged["noise"], _NOISE_KEYS))
     stopping = _validated_sub("stopping", merged["stopping"], _STOPPING_KEYS)
+    a_priori = None
+    if stopping["kind"] == "a_priori":
+        a_priori = (_number("stopping", stopping, "beta", float, 0.0),
+                    _number("stopping", stopping, "theta", float, 0.9))
 
     geometry = None
     n = merged.get("n")
     if preset == "integral":
-        n = int(merged.get("n", 1000))
-        if n % int(merged["n_batches"]) != 0:
-            raise ConfigurationError(
-                f"n_batches ({merged['n_batches']}) must divide n ({n})"
-            )
+        n = _number("config", merged, "n", int, 1000)
+        if n % n_batches != 0:
+            raise ConfigurationError(f"n_batches ({n_batches}) must divide n ({n})")
     elif preset == "ct":
         geometry = RadonGeometry(
-            grid_side=int(merged["grid_side"]),
-            n_angles=int(merged["n_angles"]),
-            angle_step=float(merged["angle_step"]),
-            n_detectors=int(merged["n_detectors"]),
-            pixel_size=float(merged["pixel_size"]),
+            grid_side=_number("config", merged, "grid_side", int),
+            n_angles=_number("config", merged, "n_angles", int),
+            angle_step=_number("config", merged, "angle_step"),
+            n_detectors=_number("config", merged, "n_detectors", int),
+            pixel_size=_number("config", merged, "pixel_size"),
         )
         rows = geometry.n_angles * geometry.n_detectors
-        if rows % int(merged["n_batches"]) != 0:
-            raise ConfigurationError(
-                f"n_batches ({merged['n_batches']}) must divide the sinogram size ({rows})"
-            )
+        if rows % n_batches != 0:
+            raise ConfigurationError(f"n_batches ({n_batches}) must divide the sinogram size ({rows})")
     else:
         if not merged.get("matrix_csv"):
             raise ConfigurationError("custom preset needs matrix_csv")
@@ -211,25 +233,25 @@ def build_config(raw: dict) -> ExperimentConfig:
 
     phantom_noise = merged.get("phantom_noise")
     if phantom_noise is not None:
-        phantom_noise = _validated_sub("phantom_noise", phantom_noise, _NOISE_KEYS)
-
-    if int(merged["epochs"]) < 1 or int(merged["seeds"]) < 1:
-        raise ConfigurationError("epochs and seeds must be >= 1")
+        phantom_noise = _noise_from_spec(
+            "phantom_noise", _validated_sub("phantom_noise", phantom_noise, _NOISE_KEYS)
+        )
 
     return ExperimentConfig(
         preset=preset,
         x_space=x_space,
         y_space=y_space,
         method=method,
-        q=None if q is None else float(q),
+        q=None if q is None else _number("config", merged, "q"),
         n=n,
-        n_batches=int(merged["n_batches"]),
-        epochs=int(merged["epochs"]),
-        seed=int(merged["seed"]),
-        seeds=int(merged["seeds"]),
-        schedule_spec=schedule,
-        noise_spec=noise,
-        stopping_spec=stopping,
+        n_batches=n_batches,
+        epochs=epochs,
+        seed=_number("config", merged, "seed", int),
+        seeds=seeds,
+        schedule=schedule,
+        l_max_fraction=l_max_fraction,
+        noise=noise,
+        a_priori=a_priori,
         out_dir=str(merged["out_dir"]),
         geometry=geometry,
         phantom_noise=phantom_noise,
@@ -255,53 +277,45 @@ def parse_config(path) -> ExperimentConfig:
     return build_config(raw)
 
 
-def _noise_from_spec(spec: dict):
+def _noise_from_spec(section: str, spec: dict):
+    """The noise model of a validated spec; None for kind "none"."""
     kind = spec["kind"]
     if kind == "none":
         return None
+    seed = _number(section, spec, "seed", int, 0)
     if kind == "gaussian":
-        return GaussianNoise(sigma=float(spec["sigma"]), seed=int(spec.get("seed", 0)))
+        return GaussianNoise(sigma=_number(section, spec, "sigma"), seed=seed)
     if kind == "impulse":
         return ImpulseNoise(
-            pct=float(spec["pct"]),
-            lo=float(spec.get("lo", 0.1)),
-            hi=float(spec.get("hi", 0.4)),
-            seed=int(spec.get("seed", 0)),
+            pct=_number(section, spec, "pct"),
+            lo=_number(section, spec, "lo", float, 0.1),
+            hi=_number(section, spec, "hi", float, 0.4),
+            seed=seed,
         )
-    if kind == "salt_pepper":
-        sv = spec.get("salt_value")
-        return SaltPepperNoise(
-            pct=float(spec["pct"]),
-            salt_value=None if sv is None else float(sv),
-            pepper_value=float(spec.get("pepper_value", 0.0)),
-            seed=int(spec.get("seed", 0)),
-        )
-    raise ConfigurationError(f"unknown noise kind {kind!r}")
+    return SaltPepperNoise(
+        pct=_number(section, spec, "pct"),
+        salt_value=None if spec.get("salt_value") is None else _number(section, spec, "salt_value"),
+        pepper_value=_number(section, spec, "pepper_value", float, 0.0),
+        seed=seed,
+    )
 
 
-def _resolve_schedule(spec: dict, l_max: float | None, n_batches: int, p_conj: float):
+def _schedule_from_spec(spec: dict, n_batches: int, p_conj: float):
+    """(schedule, None), or (None, fraction) when the scale is that fraction of L_max."""
     kind = spec["kind"]
     if kind == "constant":
-        return ConstantSchedule(float(spec["mu0"]))
+        return ConstantSchedule(_number("schedule", spec, "mu0")), None
     if kind == "polynomial":
-        return PolynomialSchedule(float(spec["mu0"]), float(spec["beta"]))
-    scale_raw = spec.get("scale", "L_max")
-    if isinstance(scale_raw, str):
+        return PolynomialSchedule(_number("schedule", spec, "mu0"), _number("schedule", spec, "beta")), None
+    scale = spec.get("scale", "L_max")
+    if isinstance(scale, str):
         table = {"L_max": 1.0, "L_max/2": 0.5}
-        if scale_raw not in table:
+        if scale not in table:
             raise ConfigurationError(
-                f"symbolic schedule scale must be one of {sorted(table)}; got {scale_raw!r}"
+                f"symbolic schedule scale must be one of {sorted(table)}; got {scale!r}"
             )
-        if l_max is None:
-            raise ConfigurationError("symbolic scale needs an operator norm estimate")
-        scale = table[scale_raw] * l_max
-    else:
-        scale = float(scale_raw)
-    return SlowDecaySchedule(scale, n_batches, p_conj)
-
-
-def _schedule_needs_norm(spec: dict) -> bool:
-    return spec["kind"] == "slow_decay" and isinstance(spec.get("scale", "L_max"), str)
+        return None, table[scale]
+    return SlowDecaySchedule(_number("schedule", spec, "scale"), n_batches, p_conj), None
 
 
 def _build_problem(cfg: ExperimentConfig):
@@ -314,9 +328,7 @@ def _build_problem(cfg: ExperimentConfig):
         A = build_radon_operator(cfg.geometry)
         x_true = sparse_disk_phantom(cfg.geometry.grid_side)
         if cfg.phantom_noise is not None:
-            spec = _noise_from_spec(cfg.phantom_noise)
-            if spec is not None:
-                x_true, _ = corrupt(x_true, spec, cfg.x_space.r)
+            x_true, _ = corrupt(x_true, cfg.phantom_noise, cfg.x_space.r)
         return A, x_true
     A = load_matrix_csv(cfg.matrix_csv)
     if cfg.signal_csv:
@@ -351,26 +363,22 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         if y_clean.size != op.total_rows:
             raise DimensionMismatchError("data length must match matrix rows")
     delta = 0.0
-    noise = _noise_from_spec(cfg.noise_spec)
     y_data = y_clean
-    if noise is not None:
-        y_data, delta = corrupt(y_clean, noise, cfg.y_space.r)
+    if cfg.noise is not None:
+        y_data, delta = corrupt(y_clean, cfg.noise, cfg.y_space.r)
 
     l_max = None
-    if _schedule_needs_norm(cfg.schedule_spec):
+    schedule = cfg.schedule
+    if schedule is None:
         l_max = max_block_norm(op, cfg.x_space.r, tol=1e-8, max_iter=500)
-    schedule = _resolve_schedule(cfg.schedule_spec, l_max, cfg.n_batches, cfg.x_space.p_conj)
+        schedule = SlowDecaySchedule(cfg.l_max_fraction * l_max, cfg.n_batches, cfg.x_space.p_conj)
 
     stopping = None
-    if cfg.stopping_spec["kind"] == "a_priori":
+    if cfg.a_priori is not None:
         if delta <= 0:
             raise ConfigurationError("a_priori stopping needs noisy data (realized delta is 0)")
-        stopping = APrioriStop(
-            delta=delta,
-            beta=float(cfg.stopping_spec.get("beta", 0.0)),
-            power=cfg.x_space.p,
-            theta=float(cfg.stopping_spec.get("theta", 0.9)),
-        )
+        beta, theta = cfg.a_priori
+        stopping = APrioriStop(delta=delta, beta=beta, power=cfg.x_space.p, theta=theta)
 
     obs = ObservationSet.from_full(y_data, op, delta)
 
@@ -460,7 +468,10 @@ def _cmd_experiment(args) -> int:
     if args.method is not None:
         raw["method"] = args.method
     if args.noise is not None:
-        raw["noise"] = json.loads(args.noise)
+        try:
+            raw["noise"] = json.loads(args.noise)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"--noise is not valid JSON: {exc.msg}") from exc
     cfg = build_config(raw)
     return run_experiment(_apply_overrides(cfg, args))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
-from .operators import BlockOperator, ObservationSet, save_matrix_csv
+from .operators import BlockOperator, ObservationSet, check_blocks_match, save_matrix_csv
 from .spaces import SpaceDescriptor, bregman_distance, lr_norm
 
 __all__ = [
@@ -84,6 +84,7 @@ def objective(x, op: BlockOperator, obs: ObservationSet, exponent: float) -> flo
     """(1/N) sum_i (1/exponent) ||A_i x - y_i||^exponent in the output norm."""
     if exponent <= 1.0:
         raise ConfigurationError("objective exponent must be > 1")
+    check_blocks_match(op, obs)
     residual = op.apply_all(x) - obs.concatenated
     if not np.isfinite(residual).all():
         raise InvalidInputError("residual contains non-finite entries")
@@ -94,14 +95,20 @@ def residual_objective(residual: np.ndarray, op: BlockOperator, exponent: float)
     """The objective from a block-ordered full residual A x - y, one segment per block.
 
     Each block norm is scaled by the block's max |r_j| like lr_norm, so large
-    output exponents stay stable; an all-zero block keeps the scale 1.
+    output exponents stay stable; an all-zero block keeps the scale 1.  Raises
+    InvalidInputError, and lets no numpy warning escape, when the objective
+    overflows.
     """
     ry = op.output_space.r
     a = np.abs(residual)
     m = np.maximum.reduceat(a, op.block_starts)
     m[m == 0.0] = 1.0
     norms = m * np.add.reduceat((a / np.repeat(m, op.block_sizes)) ** ry, op.block_starts) ** (1.0 / ry)
-    return float(np.sum(norms ** exponent)) / (exponent * op.n_blocks)
+    with np.errstate(over="ignore"):
+        value = float(np.sum(norms ** exponent)) / (exponent * op.n_blocks)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"objective overflows the float range ({value})")
+    return value
 
 
 def delta_metrics(x, x_true):
@@ -291,9 +298,12 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
         gauge = 2.0
         mu = step_scale / ((r_conj - 1.0) * spectral ** 2)
     else:
-        # gauge r: the dual l^(r*) (r* < 2) is r*-smooth; use a safety factor 2
+        # gauge r: the dual l^(r*) (r* < 2) is r*-smooth; use a safety factor 2.
+        # The step needs ||A||_{l^r -> l^2} <= ||A||_2 n^(1/2 - 1/r), since
+        # ||x||_2 <= n^(1/2 - 1/r) ||x||_r for x in R^n.
         gauge = r
-        mu = step_scale * (r_conj / (2.0 * spectral ** r_conj)) ** (1.0 / (r_conj - 1.0))
+        norm = spectral * A.shape[1] ** (0.5 - 1.0 / r)
+        mu = step_scale * (r_conj / (2.0 * norm ** r_conj)) ** (1.0 / (r_conj - 1.0))
     op = BlockOperator([A], SpaceDescriptor.hilbert())
     obs = ObservationSet.from_full(y, op)
     cfg = solver.SolverConfig(

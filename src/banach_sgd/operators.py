@@ -235,6 +235,13 @@ class ObservationSet:
         return cls([y[idx] for idx in op.row_maps], noise_level)
 
 
+def check_blocks_match(op: BlockOperator, obs: ObservationSet):
+    """Raise DimensionMismatchError unless data block i has as many entries as A_i has rows."""
+    sizes = [b.size for b in obs.blocks]
+    if sizes != op.block_sizes.tolist():
+        raise DimensionMismatchError(f"data block sizes {sizes} differ from the operator's {op.block_sizes.tolist()}")
+
+
 def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = None) -> BlockOperator:
     """Split a matrix (dense or CsrMatrix) into n_batches interleaved blocks.
 

@@ -13,6 +13,7 @@ where j_e is the duality map of the output l^r space with power e.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
 from .exceptions import ConfigurationError, InvalidInputError, IterationInvariantError
-from .operators import BlockOperator, ObservationSet
+from .operators import BlockOperator, ObservationSet, check_blocks_match
 from .spaces import (
     SpaceDescriptor,
     bregman_distance,
@@ -65,6 +66,9 @@ class PolynomialSchedule:
         if not 0.0 < self.beta <= 1.0:
             raise ConfigurationError(f"decay exponent must lie in (0, 1]; got {self.beta}")
 
+    def at(self, k: int) -> float:
+        return self.mu0 * float(k) ** (-self.beta)
+
 
 @dataclass(frozen=True)
 class SlowDecaySchedule:
@@ -86,6 +90,9 @@ class SlowDecaySchedule:
         if self.p_conj <= 1:
             raise ConfigurationError("conjugate power must be > 1")
 
+    def at(self, k: int) -> float:
+        return self.scale / (1.0 + 0.05 * (k / self.n_batches) ** (1.0 / self.p_conj + 0.01))
+
 
 @dataclass(frozen=True)
 class ConstantSchedule:
@@ -95,6 +102,9 @@ class ConstantSchedule:
         if self.mu0 <= 0:
             raise ConfigurationError("step size must be positive")
 
+    def at(self, k: int) -> float:
+        return self.mu0
+
 
 StepSchedule = PolynomialSchedule | SlowDecaySchedule | ConstantSchedule
 
@@ -103,14 +113,7 @@ def step_size(schedule: StepSchedule, k: int) -> float:
     """Step size for iteration k (1-based)."""
     if k < 1:
         raise ConfigurationError(f"iteration index must be >= 1, got {k}")
-    if isinstance(schedule, PolynomialSchedule):
-        return schedule.mu0 * float(k) ** (-schedule.beta)
-    if isinstance(schedule, SlowDecaySchedule):
-        exponent = 1.0 / schedule.p_conj + 0.01
-        return schedule.scale / (1.0 + 0.05 * (k / schedule.n_batches) ** exponent)
-    if isinstance(schedule, ConstantSchedule):
-        return schedule.mu0
-    raise ConfigurationError(f"unknown schedule: {schedule!r}")
+    return schedule.at(k)
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,8 @@ class SolverConfig:
             raise ConfigurationError("q is only meaningful for generalized_kaczmarz")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
+        if not isinstance(self.schedule, StepSchedule):
+            raise ConfigurationError(f"unknown schedule: {self.schedule!r}")
         if isinstance(self.schedule, PolynomialSchedule):
             if self.schedule.beta <= 1.0 / self.x_space.p_conj:
                 raise ConfigurationError(
@@ -186,6 +191,11 @@ class SolverConfig:
     def gradient_exponent(self) -> float:
         """Duality power applied to the residual when forming the update."""
         return self.q if self.method == "generalized_kaczmarz" else self.x_space.p
+
+    @functools.cached_property
+    def residual_space(self) -> SpaceDescriptor:
+        """The data space with the residual power: the geometry of every step's residual map."""
+        return SpaceDescriptor(self.y_space.r, self.gradient_exponent)
 
 
 def with_seed(cfg: SolverConfig, seed: int) -> SolverConfig:
@@ -204,57 +214,47 @@ class IterationState:
 
 def initial_state(op: BlockOperator, cfg: SolverConfig) -> IterationState:
     """Zero start; J_p(0) = 0 lies in the closure of range(A^T) for free."""
-    if cfg.y_space.r != op.output_space.r:  # the steps read r_y from the operator
-        raise ConfigurationError(
-            f"config data space l^{cfg.y_space.r} differs from the operator's l^{op.output_space.r}"
-        )
     n = op.input_dim
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     return IterationState(np.zeros(n), np.zeros(n), 0, rng)
 
 
+def _checked_start(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, x_ref=None) -> IterationState:
+    """Run entry: check everything the steps and snapshots trust, then start from zero."""
+    if cfg.y_space.r != op.output_space.r:  # steps read r_y from cfg, the objective from op
+        raise ConfigurationError(
+            f"config data space l^{cfg.y_space.r} differs from the operator's l^{op.output_space.r}"
+        )
+    check_blocks_match(op, obs)
+    if x_ref is not None and not np.isfinite(x_ref).all():
+        raise InvalidInputError("x_ref contains non-finite entries")
+    return initial_state(op, cfg)
+
+
 def stochastic_gradient(x, obs: ObservationSet, op: BlockOperator, i: int,
-                        exponent: float) -> np.ndarray:
-    """A_i^T applied to the output-space duality map of the residual A_i x - y_i."""
-    residual = op.apply(i, x) - obs.blocks[i]
-    jres = duality_map(residual, SpaceDescriptor(op.output_space.r, exponent))
-    return op.apply_adjoint(i, jres)
+                        space: SpaceDescriptor) -> np.ndarray:
+    """A_i^T applied to the duality map of A_i x - y_i in `space` (SolverConfig.residual_space)."""
+    return op.apply_adjoint(i, duality_map(op.apply(i, x) - obs.blocks[i], space))
 
 
-def _full_gradient(x, obs: ObservationSet, op: BlockOperator, exponent: float) -> np.ndarray:
-    """A^T applied to the output-space duality map of the full residual A x - y."""
-    residual = op.apply_all(x) - obs.concatenated
-    jres = duality_map(residual, SpaceDescriptor(op.output_space.r, exponent))
-    return op.full_matrix.T @ jres
-
-
-def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, gradient, *args) -> IterationState:
-    """The step of every method: z <- z - mu * gradient(*args), then x = J_p^{-1}(z)."""
-    try:
-        dual = state.dual_x - mu * gradient(*args)
-        x = inverse_duality_map(dual, cfg.x_space)
-    except InvalidInputError as exc:
-        # Operator and data are validated at construction, so a residual or
-        # dual iterate that is not finite, or whose duality map overflows,
-        # means the iteration diverged.
-        raise IterationInvariantError(
-            f"non-finite or overflowing residual or dual iterate at iteration {state.k + 1} "
-            f"(step size mu = {mu:.3g}); reduce the step size"
-        ) from exc
-    return IterationState(x, dual, state.k + 1, state.rng)
+def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, gradient: np.ndarray) -> IterationState:
+    """The step of every method: z <- z - mu * gradient, then x = J_p^{-1}(z)."""
+    dual = state.dual_x - mu * gradient
+    return IterationState(inverse_duality_map(dual, cfg.x_space), dual, state.k + 1, state.rng)
 
 
 def sgd_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
              cfg: SolverConfig, mu: float) -> IterationState:
     """One stochastic step: draw a block uniformly, move in the dual, remap."""
     i = int(state.rng.integers(op.n_blocks))
-    return _dual_step(state, cfg, mu, stochastic_gradient, state.x, obs, op, i, cfg.gradient_exponent)
+    return _dual_step(state, cfg, mu, stochastic_gradient(state.x, obs, op, i, cfg.residual_space))
 
 
 def landweber_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
                    cfg: SolverConfig, mu: float) -> IterationState:
-    """One deterministic step using the full concatenated residual."""
-    return _dual_step(state, cfg, mu, _full_gradient, state.x, obs, op, cfg.gradient_exponent)
+    """One deterministic step: A^T applied to the duality map of the full residual A x - y."""
+    residual = op.apply_all(state.x) - obs.concatenated
+    return _dual_step(state, cfg, mu, op.full_matrix.T @ duality_map(residual, cfg.residual_space))
 
 
 def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
@@ -265,18 +265,26 @@ def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
     wrapper bound to those names sees each one.
     """
     step = landweber_step if cfg.method == "landweber" else sgd_step
-    # A diverging iterate overflows to inf inside numpy; the step reports it as
-    # an IterationInvariantError, so numpy's own warning is silenced here.
+    schedule = cfg.schedule
+    # Run entry checked operator, data and config, so a non-finite or overflowing
+    # residual or dual iterate means divergence; numpy's own warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        while state.k < until:
-            state = step(state, op, obs, cfg, step_size(cfg.schedule, state.k + 1))
+        try:
+            while state.k < until:
+                mu = schedule.at(state.k + 1)
+                state = step(state, op, obs, cfg, mu)
+        except InvalidInputError as exc:
+            raise IterationInvariantError(
+                f"non-finite or overflowing residual or dual iterate at iteration {state.k + 1} "
+                f"(step size mu = {mu:.3g}); reduce the step size"
+            ) from exc
     return state
 
 
 def iterate_n(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
               n_iterations: int) -> IterationState:
     """Advance n_iterations from the zero start and return the final state."""
-    return _advance(initial_state(op, cfg), op, obs, cfg, n_iterations)
+    return _advance(_checked_start(op, obs, cfg), op, obs, cfg, n_iterations)
 
 
 @dataclass(frozen=True)
@@ -348,46 +356,34 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
     optional, leaving NaN columns.  The run is fully determined by
     (cfg.seed, op, obs).
     """
-    if x_ref is not None and not np.isfinite(x_ref).all():
-        raise InvalidInputError("x_ref contains non-finite entries")
+    state = _checked_start(op, obs, cfg, x_ref)
     per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
-    if cfg.stopping is not None:
-        total = a_priori_stop_index(cfg.stopping)
-    else:
-        total = cfg.epochs * per_epoch
-    exponent = cfg.gradient_exponent
-    ry = op.output_space.r
+    total = a_priori_stop_index(cfg.stopping) if cfg.stopping is not None else cfg.epochs * per_epoch
 
     def snapshot(state, mu):
         x = state.x  # finite: a step raises rather than return a non-finite iterate
-        # One full pass gives both the residual norm and the objective.  The
-        # data is finite, so a non-finite residual means the iterate diverged;
-        # overflow is silenced here and reported as a divergence error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            full_res = op.apply_all(x) - obs.concatenated
-            if not np.isfinite(full_res).all():
-                raise IterationInvariantError(
-                    f"diverged at iteration {state.k} (non-finite residual, step size mu = {mu:.3g}); "
-                    "reduce the step size"
-                )
-            res = lr_norm(full_res, ry)
-            obj = residual_objective(full_res, op, exponent)
+        # One full pass gives the residual norm and the objective.  Run entry
+        # checked data and x_ref, so a non-finite or overflowing value is divergence.
         try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                quantity = "residual"
+                full_res = op.apply_all(x) - obs.concatenated
+                res = lr_norm(full_res, cfg.y_space.r)
+                quantity = "objective"
+                obj = residual_objective(full_res, op, cfg.gradient_exponent)
+            quantity = "Bregman distance"
             breg = bregman_distance(x, x_ref, cfg.x_space) if x_ref is not None else math.nan
-        except InvalidInputError:  # x_ref is checked at entry, so this is an overflow
-            breg = math.inf
-        if not (math.isfinite(obj) and math.isfinite(res)) or math.isinf(breg):
+        except InvalidInputError as exc:
             raise IterationInvariantError(
-                f"diverged at iteration {state.k} (objective {obj:.3g}, Bregman distance {breg:.3g}, "
+                f"diverged at iteration {state.k} (non-finite or overflowing {quantity}, "
                 f"step size mu = {mu:.3g}); reduce the step size"
-            )
+            ) from exc
         if x_true is not None:
             d1, d2 = delta_metrics(x, x_true)
         else:
             d1 = d2 = math.nan
         return (state.k / per_epoch, obj, res, breg, d1, d2, mu)
 
-    state = initial_state(op, cfg)
     rows = [snapshot(state, step_size(cfg.schedule, 1))]
     for until in range(per_epoch, total + per_epoch, per_epoch):
         state = _advance(state, op, obs, cfg, min(until, total))

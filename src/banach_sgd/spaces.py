@@ -94,13 +94,19 @@ def _screen(x) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def lr_norm(x, r: float) -> float:
-    """(sum |x_j|^r)^(1/r).  Scaled by max|x_j| so large exponents stay stable."""
+    """(sum |x_j|^r)^(1/r).  Scaled by max|x_j| so large exponents stay stable.
+
+    Raises InvalidInputError when x is not finite or the norm overflows.
+    """
     if not (math.isfinite(r) and r > 1.0):
         raise ConfigurationError(f"lr_norm requires 1 < r < inf; got r={r}")
     _, a, m = _screen(x)
     if m == 0.0:
         return 0.0
-    return m * float(np.sum(a ** r)) ** (1.0 / r)
+    norm = m * float(np.sum(a ** r)) ** (1.0 / r)
+    if norm == math.inf:
+        raise InvalidInputError(f"l^r norm overflows the float range (max|x| = {m:.3g}, r = {r:.3g})")
+    return norm
 
 
 def duality_map(x, desc: SpaceDescriptor) -> np.ndarray:

@@ -129,7 +129,7 @@ def test_criterion_02_subgradient_identity_and_hilbert_reduction():
         obs = ObservationSet.from_full(A @ x_hat, op)
         for i in range(4):
             x = rng.normal(size=6)
-            g = stochastic_gradient(x, obs, op, i, exponent)
+            g = stochastic_gradient(x, obs, op, i, SpaceDescriptor(ry, exponent))
             psi = lr_norm(op.apply(i, x) - obs.blocks[i], ry) ** exponent / exponent
             ok &= abs(dual_pairing(g, x - x_hat) - exponent * psi) <= 1e-10 * max(exponent * psi, 1e-30)
     # Hilbert reduction: 100 coupled steps against a hand-rolled Euclidean loop

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from banach_sgd import save_matrix_csv
 from banach_sgd.cli import build_config, main, parse_config, run_experiment
@@ -78,6 +79,34 @@ class TestParseConfig:
         assert main(["solve", str(_write_config(tmp_path, epochs=0))]) == 1
         assert main(["solve", str(_write_config(tmp_path)), "--epochs", "0"]) == 1
         assert "epochs" in capsys.readouterr().err
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("flags,config", [
+        (["--noise", "notjson"], None),
+        (["--noise", '{"kind": "gaussian"}'], None),
+        (["--noise", '{"kind": "gaussian", "sigma": "abc"}'], None),
+        (None, {"schedule": {"kind": "constant"}}),
+        (None, {"epochs": "abc"}),
+        (None, {"r_x": "x"}),
+        (None, {"preset": ["ct"]}),
+        (None, {"noise": {"kind": ["gaussian"]}}),
+    ])
+    def test_exit_1_with_one_line_before_any_work(self, tmp_path, monkeypatch, capsys, flags, config):
+        import banach_sgd.cli as cli
+
+        def no_build(cfg):
+            raise AssertionError("problem built despite a malformed spec")
+
+        monkeypatch.setattr(cli, "_build_problem", no_build)
+        if flags is not None:
+            argv = ["experiment", "integral", "--n", "100", "--n-batches", "10", *flags]
+        else:
+            argv = ["solve", str(_write_config(tmp_path, **config))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestRunExperiment:

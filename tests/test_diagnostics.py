@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ class TestObjective:
         op = BlockOperator([np.eye(2)], HILBERT)
         obs = ObservationSet([np.zeros(2)])
         assert objective(np.array([1.0, 1.0]), op, obs, 2.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_overflow_is_a_typed_error(self):
+        # the residual and its norm are finite; only the objective's power overflows
+        op = BlockOperator([np.eye(1)], HILBERT)
+        obs = ObservationSet([np.zeros(1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="objective"):
+                objective(np.array([1e200]), op, obs, 2.0)
 
     def test_matches_per_row_loop_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=2))
@@ -296,6 +307,15 @@ class TestMinimumNormSolution:
         iterative = diagnostics.minimum_norm_solution(A, y, SpaceDescriptor(2.0000001, 2.0),
                                                       landweber_steps=40_000)
         assert np.allclose(iterative, np.linalg.pinv(A) @ y, atol=1e-4)
+
+    @pytest.mark.parametrize("r", [3.0, 4.0])
+    def test_converges_for_large_norm_exponents(self, r):
+        # the step must use ||A||_{l^r -> l^2}, which exceeds ||A||_2 for r > 2
+        n = 200
+        A = build_integral_operator(n)
+        y = A @ exact_sparse_signal(n)
+        sol = minimum_norm_solution(A, y, SpaceDescriptor(r, r), landweber_steps=3000)
+        assert np.linalg.norm(A @ sol - y) < 0.1 * np.linalg.norm(y)
 
     def test_matches_the_run_path_bit_for_bit(self):
         from banach_sgd import run

@@ -9,6 +9,7 @@ from banach_sgd import (
     ConfigurationError,
     ConstantSchedule,
     ConstantsConfig,
+    DimensionMismatchError,
     InvalidInputError,
     IterationInvariantError,
     ObservationSet,
@@ -126,20 +127,20 @@ class TestStochasticGradient:
     def test_zero_residual_gives_zero(self):
         op = BlockOperator([np.eye(3)], HILBERT)
         obs = ObservationSet([np.array([1.0, 2.0, 3.0])])
-        g = stochastic_gradient(np.array([1.0, 2.0, 3.0]), obs, op, 0, 2.0)
+        g = stochastic_gradient(np.array([1.0, 2.0, 3.0]), obs, op, 0, SpaceDescriptor(2.0, 2.0))
         assert np.all(g == 0.0)
 
     def test_residual_power_must_exceed_one(self):
-        op = BlockOperator([np.eye(2)], HILBERT)
-        obs = ObservationSet([np.ones(2)])
+        # the residual geometry is fixed when the config is built
         with pytest.raises(ConfigurationError):
-            stochastic_gradient(np.zeros(2), obs, op, 0, 1.0)
+            SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1),
+                         method="generalized_kaczmarz", q=1.0)
 
     def test_scalar_example(self):
         # A = (2), x = 1, y = 0, Hilbert: g = 2 * (2*1 - 0) = 4
         op = BlockOperator([np.array([[2.0]])], HILBERT)
         obs = ObservationSet([np.array([0.0])])
-        g = stochastic_gradient(np.array([1.0]), obs, op, 0, 2.0)
+        g = stochastic_gradient(np.array([1.0]), obs, op, 0, SpaceDescriptor(2.0, 2.0))
         assert g == pytest.approx([4.0], abs=1e-15)
 
     @pytest.mark.parametrize("ry,exponent", [(2.0, 2.0), (1.5, 2.0), (2.0, 1.5), (3.0, 1.2)])
@@ -153,7 +154,7 @@ class TestStochasticGradient:
         for i in range(4):
             for _ in range(5):
                 x = rng.normal(size=6)
-                g = stochastic_gradient(x, obs, op, i, exponent)
+                g = stochastic_gradient(x, obs, op, i, SpaceDescriptor(ry, exponent))
                 lhs = dual_pairing(g, x - x_hat)
                 psi_i = lr_norm(op.apply(i, x) - obs.blocks[i], ry) ** exponent / exponent
                 assert lhs == pytest.approx(exponent * psi_i, rel=1e-10)
@@ -283,7 +284,7 @@ class TestEstimateConstants:
             ok = True
             for _ in range(60):
                 i = int(shadow.integers(op.n_blocks))
-                g = stochastic_gradient(state.x, obs, op, i, cfg.gradient_exponent)
+                g = stochastic_gradient(state.x, obs, op, i, SpaceDescriptor(2.0, cfg.gradient_exponent))
                 d_now = bregman_distance(state.x, x_true, desc)
                 new = sgd_step(state, op, obs, cfg, 0.1)
                 d_new = bregman_distance(new.x, x_true, desc)
@@ -514,6 +515,46 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError, match="data space"):
                 call()
 
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ConfigurationError, match="schedule"):
+            SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=object())
+
     def test_epochs_positive(self):
         with pytest.raises(ConfigurationError):
             SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=-1)
+
+
+class TestRunEntry:
+    """Run entry checks what the steps read; the steps then trust it."""
+
+    @pytest.mark.parametrize("blocks,data", [
+        ([np.eye(3)], [np.array([1.0])]),  # would broadcast to x = (1, 1, 1)
+        ([np.eye(3), np.eye(3)], [np.ones(2), np.ones(4)]),  # right total, wrong split
+    ])
+    def test_data_blocks_must_match_operator_blocks(self, blocks, data):
+        op = BlockOperator(blocks, HILBERT)
+        obs = ObservationSet(data)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.5), epochs=2)
+        for call in (lambda: run(op, obs, cfg), lambda: iterate_n(op, obs, cfg, 3),
+                     lambda: objective(np.zeros(3), op, obs, 2.0)):
+            with pytest.raises(DimensionMismatchError, match="block sizes"):
+                call()
+
+    def test_step_builds_no_descriptor(self, monkeypatch):
+        built = []
+        original = SpaceDescriptor.__post_init__
+
+        def counted(self):
+            built.append((self.r, self.p))
+            original(self)
+
+        monkeypatch.setattr(SpaceDescriptor, "__post_init__", counted)
+        _, _, op, obs = hilbert_problem(8, 4, seed=119)
+        counts = []
+        for n_steps in (1, 200):
+            built.clear()
+            cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT,
+                               schedule=ConstantSchedule(0.05))
+            assert iterate_n(op, obs, cfg, n_steps).k == n_steps
+            counts.append(len(built))
+        assert counts[1] <= counts[0]

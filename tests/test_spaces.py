@@ -85,6 +85,13 @@ class TestLrNorm:
     def test_definite(self):
         assert lr_norm([0.0, 1e-300], 1.5) > 0.0
 
+    def test_overflow_is_a_typed_error(self):
+        # finite entries whose norm exceeds the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflows"):
+                lr_norm(np.array([1.7e308, 1.7e308]), 2)
+
 
 class TestDualityMap:
     def test_hilbert_identity(self):
