@@ -2,6 +2,7 @@
 
 from .exceptions import (
     ConfigurationError,
+    DataFormatError,
     DimensionMismatchError,
     InvalidInputError,
     IterationInvariantError,

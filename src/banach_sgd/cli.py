@@ -2,12 +2,14 @@
 
 Subcommands:
 
-  solve <config.json>                 run an experiment described by a JSON file
-  experiment integral|ct [overrides]  run a preset with command-line overrides
+  solve <config.json> [run flags]     run an experiment described by a JSON file
+  experiment integral|ct [flags]      run a preset; each flag sets the config key of its name
   norm-estimate <matrix.csv>          operator norm between l^r spaces
 
-Exit codes: 0 success, 1 configuration/validation failure,
-2 runtime invariant violation, 3 I/O or data-format failure.
+A config, flags included, is checked completely, by building the library
+objects it describes, before any work.  Exit codes: 0 success, 1 configuration
+or validation failure, 2 runtime invariant violation or a command line argparse
+rejects, 3 I/O or data-format failure (a missing file, a CSV that does not parse).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from ._svg import line_chart
 from .diagnostics import ensemble_stats
 from .exceptions import (
     ConfigurationError,
+    DataFormatError,
     DimensionMismatchError,
     InvalidInputError,
     IterationInvariantError,
@@ -50,7 +53,7 @@ from .solver import (
     PolynomialSchedule,
     SlowDecaySchedule,
     SolverConfig,
-    StepSchedule,
+    check_a_priori,
     run,
     with_seed,
 )
@@ -125,17 +128,11 @@ class ExperimentConfig:
     """Validated experiment description (raw JSON echo kept for the manifest)."""
 
     preset: str
-    x_space: SpaceDescriptor
-    y_space: SpaceDescriptor
-    method: str
-    q: float | None
+    solver: SolverConfig
+    scale_in_l_max: bool  # the schedule's scale is in units of L_max, known after the norm estimate
     n: int | None
     n_batches: int
-    epochs: int
-    seed: int
     seeds: int
-    schedule: StepSchedule | None  # None while the slow-decay scale waits for the norm estimate
-    l_max_fraction: float | None  # that scale as a fraction of L_max
     noise: NoiseModel | None
     a_priori: tuple[float, float] | None  # (beta, theta) of the a-priori stop
     out_dir: str
@@ -155,16 +152,20 @@ def _check_keys(section: str, data: dict, allowed):
 
 
 def _number(section: str, data: dict, key: str, kind=float, default=None):
-    """kind(data[key]), or default when the key is absent and default is given."""
+    """data[key] as kind, or default when the key is absent and default is given.
+
+    A number is a JSON number, never a bool or a string; an integer is an integral number.
+    """
     if key not in data:
         if default is None:
             raise ConfigurationError(f"{section} needs a {key!r} entry")
         return default
-    try:
-        return kind(data[key])
-    except (TypeError, ValueError):
-        kind_name = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {data[key]!r}") from None
+    value = data[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float or isinstance(value, int) or value.is_integer():
+            return kind(value)
+    kind_name = "an integer" if kind is int else "a number"
+    raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {value!r}")
 
 
 def _validated_sub(section: str, data, table) -> dict:
@@ -178,35 +179,38 @@ def _validated_sub(section: str, data, table) -> dict:
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Merge defaults, reject unknown keys, and validate every invariant."""
+    """Merge defaults, reject unknown keys, and build every object a run needs before its problem."""
     _check_keys("config", raw, _ALLOWED_KEYS)
     preset = raw.get("preset", "integral")
     if not isinstance(preset, str) or preset not in _PRESET_DEFAULTS:
         raise ConfigurationError(f"preset must be one of {sorted(_PRESET_DEFAULTS)}; got {preset!r}")
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_PRESET_DEFAULTS[preset])
-    merged.update(raw)
-    merged["preset"] = preset
+    merged = {**_COMMON_DEFAULTS, **_PRESET_DEFAULTS[preset], **raw, "preset": preset}
 
     x_space = SpaceDescriptor(_number("config", merged, "r_x"), _number("config", merged, "p"))
-    y_space = SpaceDescriptor(_number("config", merged, "r_y"), x_space.p)
-    method = merged["method"]
-    q = merged.get("q")
-    if q is not None and method != "generalized_kaczmarz":
-        raise ConfigurationError("q is only valid with method generalized_kaczmarz")
     n_batches, epochs, seeds = (_number("config", merged, k, int) for k in ("n_batches", "epochs", "seeds"))
     if n_batches < 1 or epochs < 1 or seeds < 1:
         raise ConfigurationError("n_batches, epochs and seeds must be >= 1")
-
-    schedule, l_max_fraction = _schedule_from_spec(
+    schedule, scale_in_l_max = _schedule_from_spec(
         _validated_sub("schedule", merged["schedule"], _SCHEDULE_KEYS), n_batches, x_space.p_conj
     )
-    noise = _noise_from_spec("noise", _validated_sub("noise", merged["noise"], _NOISE_KEYS))
+    solver = SolverConfig(
+        x_space=x_space,
+        y_space=SpaceDescriptor(_number("config", merged, "r_y"), x_space.p),
+        schedule=schedule,
+        method=merged["method"],
+        q=None if merged["q"] is None else _number("config", merged, "q"),
+        seed=_number("config", merged, "seed", int),
+        epochs=epochs,
+    )
+    noise = _noise_from_spec("noise", merged["noise"])
     stopping = _validated_sub("stopping", merged["stopping"], _STOPPING_KEYS)
     a_priori = None
     if stopping["kind"] == "a_priori":
+        if noise is None:
+            raise ConfigurationError("a_priori stopping needs noisy data; noise kind 'none' gives delta = 0")
         a_priori = (_number("stopping", stopping, "beta", float, 0.0),
                     _number("stopping", stopping, "theta", float, 0.9))
+        check_a_priori(a_priori[0], x_space.p, a_priori[1])
 
     geometry = None
     n = merged.get("n")
@@ -233,23 +237,18 @@ def build_config(raw: dict) -> ExperimentConfig:
 
     phantom_noise = merged.get("phantom_noise")
     if phantom_noise is not None:
-        phantom_noise = _noise_from_spec(
-            "phantom_noise", _validated_sub("phantom_noise", phantom_noise, _NOISE_KEYS)
-        )
+        phantom_noise = _noise_from_spec("phantom_noise", phantom_noise)
+    midpoint_columns = merged.get("midpoint_columns", True)
+    if not isinstance(midpoint_columns, bool):
+        raise ConfigurationError(f"config.midpoint_columns must be true or false; got {midpoint_columns!r}")
 
     return ExperimentConfig(
         preset=preset,
-        x_space=x_space,
-        y_space=y_space,
-        method=method,
-        q=None if q is None else _number("config", merged, "q"),
+        solver=solver,
+        scale_in_l_max=scale_in_l_max,
         n=n,
         n_batches=n_batches,
-        epochs=epochs,
-        seed=_number("config", merged, "seed", int),
         seeds=seeds,
-        schedule=schedule,
-        l_max_fraction=l_max_fraction,
         noise=noise,
         a_priori=a_priori,
         out_dir=str(merged["out_dir"]),
@@ -258,13 +257,17 @@ def build_config(raw: dict) -> ExperimentConfig:
         matrix_csv=merged.get("matrix_csv"),
         signal_csv=merged.get("signal_csv"),
         data_csv=merged.get("data_csv"),
-        midpoint_columns=bool(merged.get("midpoint_columns", True)),
+        midpoint_columns=midpoint_columns,
         echo=merged,
     )
 
 
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment file (strict: unknown keys rejected)."""
+    return build_config(_read_json(path))
+
+
+def _read_json(path) -> dict:
     text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
@@ -274,12 +277,12 @@ def parse_config(path) -> ExperimentConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top-level JSON value must be an object")
-    return build_config(raw)
+    return raw
 
 
-def _noise_from_spec(section: str, spec: dict):
-    """The noise model of a validated spec; None for kind "none"."""
-    kind = spec["kind"]
+def _noise_from_spec(section: str, spec):
+    """The noise model of a spec; None for kind "none"."""
+    kind = _validated_sub(section, spec, _NOISE_KEYS)["kind"]
     if kind == "none":
         return None
     seed = _number(section, spec, "seed", int, 0)
@@ -301,34 +304,31 @@ def _noise_from_spec(section: str, spec: dict):
 
 
 def _schedule_from_spec(spec: dict, n_batches: int, p_conj: float):
-    """(schedule, None), or (None, fraction) when the scale is that fraction of L_max."""
+    """(schedule, whether its scale is in units of L_max)."""
     kind = spec["kind"]
     if kind == "constant":
-        return ConstantSchedule(_number("schedule", spec, "mu0")), None
+        return ConstantSchedule(_number("schedule", spec, "mu0")), False
     if kind == "polynomial":
-        return PolynomialSchedule(_number("schedule", spec, "mu0"), _number("schedule", spec, "beta")), None
+        return PolynomialSchedule(_number("schedule", spec, "mu0"), _number("schedule", spec, "beta")), False
     scale = spec.get("scale", "L_max")
     if isinstance(scale, str):
         table = {"L_max": 1.0, "L_max/2": 0.5}
         if scale not in table:
-            raise ConfigurationError(
-                f"symbolic schedule scale must be one of {sorted(table)}; got {scale!r}"
-            )
-        return None, table[scale]
-    return SlowDecaySchedule(_number("schedule", spec, "scale"), n_batches, p_conj), None
+            raise ConfigurationError(f"symbolic schedule scale must be one of {sorted(table)}; got {scale!r}")
+        return SlowDecaySchedule(table[scale], n_batches, p_conj), True
+    return SlowDecaySchedule(_number("schedule", spec, "scale"), n_batches, p_conj), False
 
 
 def _build_problem(cfg: ExperimentConfig):
     """Returns (matrix, x_true or None)."""
     if cfg.preset == "integral":
         A = build_integral_operator(cfg.n, midpoint_columns=cfg.midpoint_columns)
-        x_true = exact_sparse_signal(cfg.n)
-        return A, x_true
+        return A, exact_sparse_signal(cfg.n)
     if cfg.preset == "ct":
         A = build_radon_operator(cfg.geometry)
         x_true = sparse_disk_phantom(cfg.geometry.grid_side)
         if cfg.phantom_noise is not None:
-            x_true, _ = corrupt(x_true, cfg.phantom_noise, cfg.x_space.r)
+            x_true, _ = corrupt(x_true, cfg.phantom_noise, cfg.solver.x_space.r)
         return A, x_true
     A = load_matrix_csv(cfg.matrix_csv)
     if cfg.signal_csv:
@@ -354,47 +354,28 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    solver = cfg.solver
     A, x_true = _build_problem(cfg)
-    op = partition_rows(A, cfg.n_batches, cfg.y_space)
+    op = partition_rows(A, cfg.n_batches, solver.y_space)
     if x_true is not None:
         y_clean = A @ x_true
     else:
         y_clean = load_matrix_csv(cfg.data_csv).ravel()
         if y_clean.size != op.total_rows:
             raise DimensionMismatchError("data length must match matrix rows")
-    delta = 0.0
-    y_data = y_clean
-    if cfg.noise is not None:
-        y_data, delta = corrupt(y_clean, cfg.noise, cfg.y_space.r)
+    y_data, delta = (y_clean, 0.0) if cfg.noise is None else corrupt(y_clean, cfg.noise, solver.y_space.r)
 
     l_max = None
-    schedule = cfg.schedule
-    if schedule is None:
-        l_max = max_block_norm(op, cfg.x_space.r, tol=1e-8, max_iter=500)
-        schedule = SlowDecaySchedule(cfg.l_max_fraction * l_max, cfg.n_batches, cfg.x_space.p_conj)
-
-    stopping = None
-    if cfg.a_priori is not None:
-        if delta <= 0:
-            raise ConfigurationError("a_priori stopping needs noisy data (realized delta is 0)")
+    if cfg.scale_in_l_max:
+        l_max = max_block_norm(op, solver.x_space.r, tol=1e-8, max_iter=500)
+        solver = replace(solver, schedule=replace(solver.schedule, scale=solver.schedule.scale * l_max))
+    if cfg.a_priori is not None:  # a realized delta of 0 is rejected by APrioriStop
         beta, theta = cfg.a_priori
-        stopping = APrioriStop(delta=delta, beta=beta, power=cfg.x_space.p, theta=theta)
+        solver = replace(solver, stopping=APrioriStop(delta, beta, solver.x_space.p, theta))
 
     obs = ObservationSet.from_full(y_data, op, delta)
-
-    base = SolverConfig(
-        x_space=cfg.x_space,
-        y_space=cfg.y_space,
-        schedule=schedule,
-        method=cfg.method,
-        q=cfg.q,
-        stopping=stopping,
-        seed=cfg.seed,
-        epochs=cfg.epochs,
-    )
-
-    seeds = [cfg.seed + j for j in range(cfg.seeds)]
-    results = [run(op, obs, with_seed(base, s), x_true=x_true, x_ref=x_true) for s in seeds]
+    seeds = [solver.seed + j for j in range(cfg.seeds)]
+    results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in seeds]
 
     artifacts = []
     for s, result in zip(seeds, results):
@@ -444,51 +425,39 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _with_flags(raw: dict, args) -> dict:
+    """raw with every flag that was given; a flag's dest is the config key it sets."""
+    return {**raw, **{k: v for k, v in vars(args).items() if k in _ALLOWED_KEYS and v is not None}}
+
+
 def _cmd_solve(args) -> int:
-    cfg = parse_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    return run_experiment(cfg)
+    return run_experiment(build_config(_with_flags(_read_json(args.config), args)))
 
 
 def _cmd_experiment(args) -> int:
-    raw = {"preset": args.preset}
-    for key in ("n", "n_batches", "grid_side", "n_angles", "n_detectors"):
-        v = getattr(args, key, None)
-        if v is not None:
-            raw[key] = v
-    if args.rx is not None:
-        raw["r_x"] = args.rx
-    if args.ry is not None:
-        raw["r_y"] = args.ry
-    if args.p is not None:
-        raw["p"] = args.p
-    if args.q is not None:
-        raw["q"] = args.q
-        raw["method"] = "generalized_kaczmarz"
-    if args.method is not None:
-        raw["method"] = args.method
-    if args.noise is not None:
+    raw = _with_flags({}, args)
+    if "q" in raw:
+        raw.setdefault("method", "generalized_kaczmarz")
+    if "noise" in raw:
         try:
-            raw["noise"] = json.loads(args.noise)
+            raw["noise"] = json.loads(raw["noise"])
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"--noise is not valid JSON: {exc.msg}") from exc
-    cfg = build_config(raw)
-    return run_experiment(_apply_overrides(cfg, args))
+    return run_experiment(build_config(raw))
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """Re-validate the configuration with the run flags that were given."""
-    updates = {key: getattr(args, key) for key in ("epochs", "seed", "seeds", "out_dir")
-               if getattr(args, key, None) is not None}
-    return build_config({**cfg.echo, **updates}) if updates else cfg
+def _flag(kind):
+    """Flag type: kind(text), or the text itself, which the config checks reject (exit 1)."""
+    def convert(text):
+        try:
+            return kind(text)
+        except ValueError:
+            return text
+    return convert
 
 
 def _cmd_norm_estimate(args) -> int:
-    try:
-        A = load_matrix_csv(args.matrix)
-    except (OSError, InvalidInputError) as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return 3
+    A = load_matrix_csv(args.matrix)
     est = boyd_operator_norm(A, args.rx, args.ry, tol=args.tol, max_iter=args.max_iter)
     status = "converged" if est.converged else "max-iterations-reached"
     print(f"norm estimate: {est.value:.12g}")
@@ -505,10 +474,10 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--epochs", type=int, default=None, help="override epoch count")
-        p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-        p.add_argument("--seeds", type=int, default=None, help="ensemble size (default 1)")
-        p.add_argument("--out-dir", default=None, help="artifact directory (default 'out')")
+        p.add_argument("--epochs", type=_flag(int), help="override epoch count")
+        p.add_argument("--seed", type=_flag(int), help="base seed (default 0)")
+        p.add_argument("--seeds", type=_flag(int), help="ensemble size (default 1)")
+        p.add_argument("--out-dir", dest="out_dir", help="artifact directory (default 'out')")
 
     p_solve = sub.add_parser("solve", help="run an experiment from a JSON config")
     p_solve.add_argument("config")
@@ -517,17 +486,17 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a preset experiment")
     p_exp.add_argument("preset", choices=["integral", "ct"])
-    p_exp.add_argument("--n", type=int, default=None, help="integral: discretisation size (default 1000)")
-    p_exp.add_argument("--n-batches", dest="n_batches", type=int, default=None)
-    p_exp.add_argument("--grid-side", dest="grid_side", type=int, default=None)
-    p_exp.add_argument("--n-angles", dest="n_angles", type=int, default=None)
-    p_exp.add_argument("--n-detectors", dest="n_detectors", type=int, default=None)
-    p_exp.add_argument("--rx", type=float, default=None, help="solution-space norm exponent")
-    p_exp.add_argument("--ry", type=float, default=None, help="data-space norm exponent")
-    p_exp.add_argument("--p", type=float, default=None, help="duality-map power (default 2)")
-    p_exp.add_argument("--q", type=float, default=None, help="residual power (implies generalized_kaczmarz)")
-    p_exp.add_argument("--method", choices=["sgd", "landweber", "generalized_kaczmarz"], default=None)
-    p_exp.add_argument("--noise", default=None, help='JSON, e.g. \'{"kind":"gaussian","sigma":0.01}\'')
+    p_exp.add_argument("--n", type=_flag(int), help="integral: discretisation size (default 1000)")
+    p_exp.add_argument("--n-batches", dest="n_batches", type=_flag(int))
+    p_exp.add_argument("--grid-side", dest="grid_side", type=_flag(int))
+    p_exp.add_argument("--n-angles", dest="n_angles", type=_flag(int))
+    p_exp.add_argument("--n-detectors", dest="n_detectors", type=_flag(int))
+    p_exp.add_argument("--rx", dest="r_x", type=_flag(float), help="solution-space norm exponent")
+    p_exp.add_argument("--ry", dest="r_y", type=_flag(float), help="data-space norm exponent")
+    p_exp.add_argument("--p", type=_flag(float), help="duality-map power (default 2)")
+    p_exp.add_argument("--q", type=_flag(float), help="residual power (implies generalized_kaczmarz)")
+    p_exp.add_argument("--method", help="sgd (default), landweber or generalized_kaczmarz")
+    p_exp.add_argument("--noise", help='JSON, e.g. \'{"kind":"gaussian","sigma":0.01}\'')
     add_run_flags(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -546,15 +515,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (OSError, DataFormatError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigurationError, InvalidInputError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IterationInvariantError as exc:
         print(f"runtime invariant violated: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

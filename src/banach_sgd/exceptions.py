@@ -5,6 +5,10 @@ class InvalidInputError(ValueError):
     """A numerical input is unusable (non-finite entries, zero reference, ...)."""
 
 
+class DataFormatError(InvalidInputError):
+    """A data file does not parse (a cell that is not a number, ragged rows, no rows)."""
+
+
 class DimensionMismatchError(ValueError):
     """Vector or matrix shapes are inconsistent."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
+from .exceptions import ConfigurationError, DataFormatError, DimensionMismatchError, InvalidInputError
 from .spaces import SpaceDescriptor, duality_map, lr_norm
 
 __all__ = [
@@ -558,7 +558,8 @@ def save_matrix_csv(path, M, header: str | None = None):
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as f:
+    """The matrix of a comma-separated file; DataFormatError when the file does not parse."""
+    with open(path, "r", encoding="ascii", errors="replace") as f:  # a non-ASCII byte fails as a cell
         rows = []
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -567,10 +568,10 @@ def load_matrix_csv(path) -> np.ndarray:
             try:
                 rows.append([float(v) for v in line.split(",")])
             except ValueError as exc:
-                raise InvalidInputError(f"line {line_no}: {exc}") from exc
+                raise DataFormatError(f"{path}, line {line_no}: {exc}") from exc
     if not rows:
-        raise InvalidInputError(f"{path}: empty matrix")
+        raise DataFormatError(f"{path}: empty matrix")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise InvalidInputError(f"{path}: ragged rows")
+        raise DataFormatError(f"{path}: ragged rows")
     return np.asarray(rows, dtype=float)

@@ -41,6 +41,7 @@ __all__ = [
     "RunResult",
     "step_size",
     "a_priori_stop_index",
+    "check_a_priori",
     "stochastic_gradient",
     "sgd_step",
     "landweber_step",
@@ -131,15 +132,20 @@ class APrioriStop:
 
     def __post_init__(self):
         if self.delta <= 0:
-            raise ConfigurationError("noise level must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigurationError("safety factor theta must lie in (0, 1)")
-        if self.beta >= 1.0:
-            raise ConfigurationError("beta = 1 leaves the stop index undefined; use a fixed epoch count")
-        if self.beta < 0.0:
-            raise ConfigurationError("beta must be >= 0")
-        if self.power <= 1.0:
-            raise ConfigurationError("power must be > 1")
+            raise ConfigurationError(f"a-priori stopping needs a positive noise level; got delta = {self.delta}")
+        check_a_priori(self.beta, self.power, self.theta)
+
+
+def check_a_priori(beta: float, power: float, theta: float) -> None:
+    """The ranges APrioriStop needs of everything but the noise level."""
+    if not 0.0 < theta < 1.0:
+        raise ConfigurationError(f"safety factor theta must lie in (0, 1); got {theta}")
+    if beta >= 1.0:
+        raise ConfigurationError(f"beta = {beta} >= 1 leaves the stop index undefined; use a fixed epoch count")
+    if beta < 0.0:
+        raise ConfigurationError(f"beta must be >= 0; got {beta}")
+    if power <= 1.0:
+        raise ConfigurationError(f"power must be > 1; got {power}")
 
 
 def a_priori_stop_index(rule: APrioriStop) -> int:

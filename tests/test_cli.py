@@ -34,8 +34,8 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.n == 1000
         assert cfg.n_batches == 100
-        assert cfg.epochs == 250
-        assert cfg.x_space.r == 2.0 and cfg.x_space.p == 2.0
+        assert cfg.solver.epochs == 250
+        assert cfg.solver.x_space.r == 2.0 and cfg.solver.x_space.p == 2.0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -91,6 +91,17 @@ class TestMalformedSpecs:
         (None, {"r_x": "x"}),
         (None, {"preset": ["ct"]}),
         (None, {"noise": {"kind": ["gaussian"]}}),
+        (None, {"method": "momentum"}),
+        (None, {"schedule": {"kind": "polynomial", "mu0": 1, "beta": 0.2}}),
+        (None, {"preset": "ct", "method": "momentum"}),
+        (None, {"noise": {"kind": "gaussian", "sigma": 0.01}, "stopping": {"kind": "a_priori", "beta": 2}}),
+        (None, {"noise": {"kind": "gaussian", "sigma": 0.01}, "stopping": {"kind": "a_priori", "theta": 1.5}}),
+        (None, {"stopping": {"kind": "a_priori"}}),
+        (None, {"midpoint_columns": "no"}),
+        (None, {"n": 100.7, "n_batches": 10}),
+        (None, {"seeds": True}),
+        (["--epochs", "2.9"], None),
+        (["--method", "momentum"], None),
     ])
     def test_exit_1_with_one_line_before_any_work(self, tmp_path, monkeypatch, capsys, flags, config):
         import banach_sgd.cli as cli
@@ -107,6 +118,25 @@ class TestMalformedSpecs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestSingleFlagPath:
+    def test_experiment_flags_match_the_equivalent_solve(self, tmp_path):
+        flags = ["--n", "120", "--n-batches", "12", "--rx", "1.5", "--p", "1.5", "--epochs", "3", "--seeds", "2"]
+        assert main(["experiment", "integral", *flags, "--out-dir", str(tmp_path / "exp")]) == 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"preset": "integral", "n": 120, "n_batches": 12, "r_x": 1.5, "p": 1.5,
+                                    "epochs": 3, "seeds": 2, "out_dir": str(tmp_path / "solve")}))
+        assert main(["solve", str(path)]) == 0
+        configs = []
+        for out in (tmp_path / "exp", tmp_path / "solve"):
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            config.pop("out_dir")
+            configs.append(config)
+        assert configs[0] == configs[1]
+        traces = [{p.name: _digest(p) for p in out.glob("trace_seed*.csv")}
+                  for out in (tmp_path / "exp", tmp_path / "solve")]
+        assert len(traces[0]) == 2 and traces[0] == traces[1]
 
 
 class TestRunExperiment:
@@ -247,6 +277,17 @@ class TestCustomPreset:
             "schedule": {"kind": "constant", "mu0": 0.5}, "out_dir": str(tmp_path / "out"),
         }))
         assert main(["solve", str(path)]) == 1
+
+    @pytest.mark.parametrize("text", [b"1,2\n3,oops\n", b"1,2\n3\n", b"", b"1,\xe9\n"])
+    def test_unparsable_matrix_csv_exits_3(self, tmp_path, text):
+        (tmp_path / "A.csv").write_bytes(text)
+        save_matrix_csv(tmp_path / "y.csv", np.ones((2, 1)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "preset": "custom", "matrix_csv": str(tmp_path / "A.csv"),
+            "data_csv": str(tmp_path / "y.csv"), "out_dir": str(tmp_path / "out"),
+        }))
+        assert main(["solve", str(path)]) == 3
 
     def test_custom_without_matrix_rejected(self, tmp_path):
         assert main(["solve", str(_write_config(tmp_path, preset="custom"))]) == 1
