@@ -7,9 +7,11 @@ Subcommands:
   norm-estimate <matrix.csv>          operator norm between l^r spaces
 
 A config, flags included, is checked completely, by building the library
-objects it describes, before any work.  Exit codes: 0 success, 1 configuration
-or validation failure, 2 runtime invariant violation or a command line argparse
-rejects, 3 I/O or data-format failure (a missing file, a CSV that does not parse).
+objects it describes, before any work; out_dir is created only after the runs.
+Exit codes: 0 success, 1 configuration or validation failure (a bad value, a key
+its preset never reads), 2 runtime invariant violation (a divergence) or a command
+line argparse rejects (an unknown flag, a flag without its value), 3 I/O or
+data-format failure (a missing file, a CSV that does not parse).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +35,15 @@ from .exceptions import (
     InvalidInputError,
     IterationInvariantError,
 )
-from .noise import RNG_ALGORITHM, GaussianNoise, ImpulseNoise, SaltPepperNoise, corrupt
+from .noise import RNG_ALGORITHM, GaussianNoise, ImpulseNoise, SaltPepperNoise, check_seed, corrupt
 from .operators import (
     ObservationSet,
     RadonGeometry,
     boyd_operator_norm,
     build_integral_operator,
     build_radon_operator,
+    check_phantom_size,
+    check_signal_size,
     exact_sparse_signal,
     load_matrix_csv,
     max_block_norm,
@@ -60,7 +64,9 @@ from .solver import (
 from .spaces import SpaceDescriptor
 
 NoiseModel = GaussianNoise | ImpulseNoise | SaltPepperNoise
+_NOISE_MODELS = {"gaussian": GaussianNoise, "impulse": ImpulseNoise, "salt_pepper": SaltPepperNoise}
 
+# Each preset's table lists every key the preset reads, beyond the common ones.
 _PRESET_DEFAULTS = {
     "integral": {
         "n": 1000,
@@ -78,11 +84,15 @@ _PRESET_DEFAULTS = {
         "n_batches": 60,
         "epochs": 100,
         "schedule": {"kind": "slow_decay", "scale": "L_max/2"},
+        "phantom_noise": {"kind": "none"},
     },
     "custom": {
         "n_batches": 1,
         "epochs": 100,
         "schedule": {"kind": "slow_decay", "scale": "L_max"},
+        "matrix_csv": None,
+        "signal_csv": None,
+        "data_csv": None,
     },
 }
 
@@ -99,23 +109,10 @@ _COMMON_DEFAULTS = {
     "out_dir": "out",
 }
 
-_ALLOWED_KEYS = {
-    "preset", "r_x", "p", "r_y", "q", "method", "n", "n_batches", "epochs",
-    "seed", "seeds", "schedule", "noise", "stopping", "out_dir",
-    "grid_side", "n_angles", "angle_step", "n_detectors", "pixel_size",
-    "phantom_noise", "matrix_csv", "signal_csv", "data_csv", "midpoint_columns",
-}
-
 _SCHEDULE_KEYS = {
     "slow_decay": {"kind", "scale"},
     "polynomial": {"kind", "mu0", "beta"},
     "constant": {"kind", "mu0"},
-}
-_NOISE_KEYS = {
-    "none": {"kind"},
-    "gaussian": {"kind", "sigma", "seed"},
-    "impulse": {"kind", "pct", "lo", "hi", "seed"},
-    "salt_pepper": {"kind", "pct", "salt_value", "pepper_value", "seed"},
 }
 _STOPPING_KEYS = {
     "max_epochs": {"kind"},
@@ -141,7 +138,7 @@ class ExperimentConfig:
     matrix_csv: str | None = None
     signal_csv: str | None = None
     data_csv: str | None = None
-    midpoint_columns: bool = True
+    midpoint_columns: bool | None = None
     echo: dict = field(default_factory=dict)
 
 
@@ -170,7 +167,7 @@ def _number(section: str, data: dict, key: str, kind=float, default=None):
 
 def _validated_sub(section: str, data, table) -> dict:
     if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigurationError(f"{section} must be an object with a 'kind' field")
+        raise ConfigurationError(f"{section} must be an object with a 'kind' field; got {data!r}")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in table:
         raise ConfigurationError(f"{section}.kind must be one of {sorted(table)}; got {kind!r}")
@@ -179,12 +176,17 @@ def _validated_sub(section: str, data, table) -> dict:
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Merge defaults, reject unknown keys, and build every object a run needs before its problem."""
-    _check_keys("config", raw, _ALLOWED_KEYS)
+    """Merge defaults, reject keys the preset never reads, and build every object a run needs before its problem."""
     preset = raw.get("preset", "integral")
     if not isinstance(preset, str) or preset not in _PRESET_DEFAULTS:
         raise ConfigurationError(f"preset must be one of {sorted(_PRESET_DEFAULTS)}; got {preset!r}")
-    merged = {**_COMMON_DEFAULTS, **_PRESET_DEFAULTS[preset], **raw, "preset": preset}
+    defaults = {**_COMMON_DEFAULTS, **_PRESET_DEFAULTS[preset], "preset": preset}
+    _check_keys(f"{preset} config", raw, defaults)
+    merged = {**defaults, **raw}
+    for key in ("out_dir", "matrix_csv", "signal_csv", "data_csv"):  # a CSV path may also be null
+        value = merged.get(key, "")
+        if not isinstance(value, str) and (value is not None or key == "out_dir"):
+            raise ConfigurationError(f"config.{key} must be a string; got {value!r}")
 
     x_space = SpaceDescriptor(_number("config", merged, "r_x"), _number("config", merged, "p"))
     n_batches, epochs, seeds = (_number("config", merged, k, int) for k in ("n_batches", "epochs", "seeds"))
@@ -202,22 +204,27 @@ def build_config(raw: dict) -> ExperimentConfig:
         seed=_number("config", merged, "seed", int),
         epochs=epochs,
     )
+    check_seed(solver.seed + seeds - 1, "the ensemble's last seed, seed + seeds - 1,")
     noise = _noise_from_spec("noise", merged["noise"])
     stopping = _validated_sub("stopping", merged["stopping"], _STOPPING_KEYS)
     a_priori = None
     if stopping["kind"] == "a_priori":
         if noise is None:
             raise ConfigurationError("a_priori stopping needs noisy data; noise kind 'none' gives delta = 0")
+        theta = {f.name: f.default for f in fields(APrioriStop)}["theta"]
         a_priori = (_number("stopping", stopping, "beta", float, 0.0),
-                    _number("stopping", stopping, "theta", float, 0.9))
+                    _number("stopping", stopping, "theta", float, theta))
         check_a_priori(a_priori[0], x_space.p, a_priori[1])
 
-    geometry = None
-    n = merged.get("n")
+    n = geometry = phantom_noise = midpoint_columns = None
     if preset == "integral":
-        n = _number("config", merged, "n", int, 1000)
+        n = _number("config", merged, "n", int)
+        check_signal_size(n)
         if n % n_batches != 0:
             raise ConfigurationError(f"n_batches ({n_batches}) must divide n ({n})")
+        midpoint_columns = merged["midpoint_columns"]
+        if not isinstance(midpoint_columns, bool):
+            raise ConfigurationError(f"config.midpoint_columns must be true or false; got {midpoint_columns!r}")
     elif preset == "ct":
         geometry = RadonGeometry(
             grid_side=_number("config", merged, "grid_side", int),
@@ -226,21 +233,16 @@ def build_config(raw: dict) -> ExperimentConfig:
             n_detectors=_number("config", merged, "n_detectors", int),
             pixel_size=_number("config", merged, "pixel_size"),
         )
+        check_phantom_size(geometry.grid_side)
         rows = geometry.n_angles * geometry.n_detectors
         if rows % n_batches != 0:
             raise ConfigurationError(f"n_batches ({n_batches}) must divide the sinogram size ({rows})")
+        phantom_noise = _noise_from_spec("phantom_noise", merged["phantom_noise"])
     else:
-        if not merged.get("matrix_csv"):
+        if not merged["matrix_csv"]:
             raise ConfigurationError("custom preset needs matrix_csv")
-        if not merged.get("signal_csv") and not merged.get("data_csv"):
+        if not merged["signal_csv"] and not merged["data_csv"]:
             raise ConfigurationError("custom preset needs signal_csv or data_csv")
-
-    phantom_noise = merged.get("phantom_noise")
-    if phantom_noise is not None:
-        phantom_noise = _noise_from_spec("phantom_noise", phantom_noise)
-    midpoint_columns = merged.get("midpoint_columns", True)
-    if not isinstance(midpoint_columns, bool):
-        raise ConfigurationError(f"config.midpoint_columns must be true or false; got {midpoint_columns!r}")
 
     return ExperimentConfig(
         preset=preset,
@@ -251,7 +253,7 @@ def build_config(raw: dict) -> ExperimentConfig:
         seeds=seeds,
         noise=noise,
         a_priori=a_priori,
-        out_dir=str(merged["out_dir"]),
+        out_dir=merged["out_dir"],
         geometry=geometry,
         phantom_noise=phantom_noise,
         matrix_csv=merged.get("matrix_csv"),
@@ -281,26 +283,21 @@ def _read_json(path) -> dict:
 
 
 def _noise_from_spec(section: str, spec):
-    """The noise model of a spec; None for kind "none"."""
-    kind = _validated_sub(section, spec, _NOISE_KEYS)["kind"]
+    """The noise model of a spec; None for kind "none".
+
+    Its fields and their defaults are the model dataclass's: seed is an integer,
+    and a field whose default is None may be null.
+    """
+    table = {"none": {"kind"}} | {k: {"kind", *(f.name for f in fields(m))} for k, m in _NOISE_MODELS.items()}
+    kind = _validated_sub(section, spec, table)["kind"]
     if kind == "none":
         return None
-    seed = _number(section, spec, "seed", int, 0)
-    if kind == "gaussian":
-        return GaussianNoise(sigma=_number(section, spec, "sigma"), seed=seed)
-    if kind == "impulse":
-        return ImpulseNoise(
-            pct=_number(section, spec, "pct"),
-            lo=_number(section, spec, "lo", float, 0.1),
-            hi=_number(section, spec, "hi", float, 0.4),
-            seed=seed,
-        )
-    return SaltPepperNoise(
-        pct=_number(section, spec, "pct"),
-        salt_value=None if spec.get("salt_value") is None else _number(section, spec, "salt_value"),
-        pepper_value=_number(section, spec, "pepper_value", float, 0.0),
-        seed=seed,
-    )
+    model = _NOISE_MODELS[kind]
+    return model(**{
+        f.name: None if f.default is None and spec.get(f.name) is None
+        else _number(section, spec, f.name, int if f.name == "seed" else float)
+        for f in fields(model) if f.name in spec or f.default is MISSING
+    })
 
 
 def _schedule_from_spec(spec: dict, n_batches: int, p_conj: float):
@@ -351,9 +348,6 @@ def write_pgm(path, image: np.ndarray):
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     solver = cfg.solver
     A, x_true = _build_problem(cfg)
     op = partition_rows(A, cfg.n_batches, solver.y_space)
@@ -377,6 +371,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     seeds = [solver.seed + j for j in range(cfg.seeds)]
     results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in seeds]
 
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for s, result in zip(seeds, results):
         name = f"trace_seed{s:04d}.csv"
@@ -427,7 +423,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 def _with_flags(raw: dict, args) -> dict:
     """raw with every flag that was given; a flag's dest is the config key it sets."""
-    return {**raw, **{k: v for k, v in vars(args).items() if k in _ALLOWED_KEYS and v is not None}}
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "func", "config")}
+    return {**raw, **given}
 
 
 def _cmd_solve(args) -> int:
@@ -438,22 +435,18 @@ def _cmd_experiment(args) -> int:
     raw = _with_flags({}, args)
     if "q" in raw:
         raw.setdefault("method", "generalized_kaczmarz")
-    if "noise" in raw:
-        try:
-            raw["noise"] = json.loads(raw["noise"])
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"--noise is not valid JSON: {exc.msg}") from exc
     return run_experiment(build_config(raw))
 
 
-def _flag(kind):
-    """Flag type: kind(text), or the text itself, which the config checks reject (exit 1)."""
-    def convert(text):
+def _flag_value(text: str):
+    """A flag's text read like the config value it sets: the number it spells, else its JSON
+    value, else the text itself; the config checks then judge it (a bad value exits 1)."""
+    for read in (int, float, json.loads):
         try:
-            return kind(text)
+            return read(text)
         except ValueError:
-            return text
-    return convert
+            pass
+    return text
 
 
 def _cmd_norm_estimate(args) -> int:
@@ -474,9 +467,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--epochs", type=_flag(int), help="override epoch count")
-        p.add_argument("--seed", type=_flag(int), help="base seed (default 0)")
-        p.add_argument("--seeds", type=_flag(int), help="ensemble size (default 1)")
+        p.add_argument("--epochs", type=_flag_value, help="override epoch count")
+        p.add_argument("--seed", type=_flag_value, help="base seed (default 0)")
+        p.add_argument("--seeds", type=_flag_value, help="ensemble size (default 1)")
         p.add_argument("--out-dir", dest="out_dir", help="artifact directory (default 'out')")
 
     p_solve = sub.add_parser("solve", help="run an experiment from a JSON config")
@@ -486,17 +479,17 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a preset experiment")
     p_exp.add_argument("preset", choices=["integral", "ct"])
-    p_exp.add_argument("--n", type=_flag(int), help="integral: discretisation size (default 1000)")
-    p_exp.add_argument("--n-batches", dest="n_batches", type=_flag(int))
-    p_exp.add_argument("--grid-side", dest="grid_side", type=_flag(int))
-    p_exp.add_argument("--n-angles", dest="n_angles", type=_flag(int))
-    p_exp.add_argument("--n-detectors", dest="n_detectors", type=_flag(int))
-    p_exp.add_argument("--rx", dest="r_x", type=_flag(float), help="solution-space norm exponent")
-    p_exp.add_argument("--ry", dest="r_y", type=_flag(float), help="data-space norm exponent")
-    p_exp.add_argument("--p", type=_flag(float), help="duality-map power (default 2)")
-    p_exp.add_argument("--q", type=_flag(float), help="residual power (implies generalized_kaczmarz)")
+    p_exp.add_argument("--n", type=_flag_value, help="integral: discretisation size (default 1000)")
+    p_exp.add_argument("--n-batches", dest="n_batches", type=_flag_value)
+    p_exp.add_argument("--grid-side", dest="grid_side", type=_flag_value)
+    p_exp.add_argument("--n-angles", dest="n_angles", type=_flag_value)
+    p_exp.add_argument("--n-detectors", dest="n_detectors", type=_flag_value)
+    p_exp.add_argument("--rx", dest="r_x", type=_flag_value, help="solution-space norm exponent")
+    p_exp.add_argument("--ry", dest="r_y", type=_flag_value, help="data-space norm exponent")
+    p_exp.add_argument("--p", type=_flag_value, help="duality-map power (default 2)")
+    p_exp.add_argument("--q", type=_flag_value, help="residual power (implies generalized_kaczmarz)")
     p_exp.add_argument("--method", help="sgd (default), landweber or generalized_kaczmarz")
-    p_exp.add_argument("--noise", help='JSON, e.g. \'{"kind":"gaussian","sigma":0.01}\'')
+    p_exp.add_argument("--noise", type=_flag_value, help='JSON, e.g. \'{"kind":"gaussian","sigma":0.01}\'')
     add_run_flags(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 

@@ -254,15 +254,14 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     dual = np.zeros(deltas.size)
     cfgs = [solver.with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
     clean_runs = [solver.iterate_n(op, obs_clean, cfg_j, k_fixed) for cfg_j in cfgs]
+    # each seed's noise direction and its l^ry norm, drawn once for every level
+    directions = [np.random.Generator(np.random.Philox(key=noise_seed + j)).normal(size=y_clean.size)
+                  for j in range(n_seeds)] if (deltas > 0).any() else []
+    norms = [lr_norm(d, ry) for d in directions]
     for di, delta in enumerate(deltas):
         acc = np.zeros(3)
         for j, cfg_j in enumerate(cfgs):
-            if delta > 0:
-                rng = np.random.Generator(np.random.Philox(key=noise_seed + j))
-                direction = rng.normal(size=y_clean.size)
-                xi = delta * direction / lr_norm(direction, ry)
-            else:
-                xi = np.zeros_like(y_clean)
+            xi = delta * directions[j] / norms[j] if delta > 0 else np.zeros_like(y_clean)
             obs_noisy = ObservationSet.from_full(y_clean + xi, op, noise_level=float(delta))
             noisy = solver.iterate_n(op, obs_noisy, cfg_j, k_fixed)
             acc[0] += bregman_distance(noisy.x, clean_runs[j].x, cfg.x_space)

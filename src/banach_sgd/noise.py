@@ -21,10 +21,17 @@ __all__ = [
     "corrupt",
     "impulse_branch_low",
     "impulse_branch_high",
+    "check_seed",
     "RNG_ALGORITHM",
 ]
 
 RNG_ALGORITHM = "Philox-4x64-10 (numpy.random.Philox)"
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """A seed is a Philox key, which lies in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ConfigurationError(f"{name} must lie in [0, 2**128); got {seed}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,7 @@ class GaussianNoise:
     def __post_init__(self):
         if self.sigma < 0:
             raise ConfigurationError("sigma must be >= 0")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,7 @@ class ImpulseNoise:
             raise ConfigurationError("corruption probability must be in [0, 1]")
         if not self.lo < self.hi:
             raise ConfigurationError("impulse magnitude interval needs lo < hi")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,7 @@ class SaltPepperNoise:
     def __post_init__(self):
         if not 0.0 <= self.pct <= 1.0:
             raise ConfigurationError("corruption fraction must be in [0, 1]")
+        check_seed(self.seed)
 
 
 def impulse_branch_low(y, xi):

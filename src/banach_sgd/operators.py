@@ -24,8 +24,10 @@ __all__ = [
     "NormEstimate",
     "partition_rows",
     "build_integral_operator",
+    "check_signal_size",
     "exact_sparse_signal",
     "build_radon_operator",
+    "check_phantom_size",
     "sparse_disk_phantom",
     "boyd_operator_norm",
     "max_block_norm",
@@ -296,14 +298,19 @@ def build_integral_operator(n: int, midpoint_columns: bool = True) -> np.ndarray
     return K
 
 
+def check_signal_size(n: int) -> None:
+    """exact_sparse_signal resolves its plateaus from n = 40 on."""
+    if n < 40:
+        raise ConfigurationError(f"need n >= 40 to resolve the signal plateaus, got {n}")
+
+
 def exact_sparse_signal(n: int) -> np.ndarray:
     """Piecewise-constant sparse signal sampled at the midpoints (2j+1)/(2n).
 
     Value 1 on [9/40, 11/40] and [29/40, 31/40], value 2 on [19/40, 21/40],
     zero elsewhere.
     """
-    if n < 40:
-        raise ConfigurationError(f"need n >= 40 to resolve the signal plateaus, got {n}")
+    check_signal_size(n)
     s = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     x = np.zeros(n)
     x[(s >= 9 / 40) & (s <= 11 / 40)] = 1.0
@@ -440,13 +447,18 @@ _PHANTOM_DISKS = (
 )
 
 
+def check_phantom_size(grid_side: int) -> None:
+    """sparse_disk_phantom draws its disks on grids from 16 x 16 on."""
+    if grid_side < 16:
+        raise ConfigurationError(f"grid_side must be >= 16, got {grid_side}")
+
+
 def sparse_disk_phantom(grid_side: int) -> np.ndarray:
     """Deterministic image of a few disjoint constant disks on a zero background.
 
     Returned as a flat vector of length grid_side**2 (row-major).
     """
-    if grid_side < 16:
-        raise ConfigurationError(f"grid_side must be >= 16, got {grid_side}")
+    check_phantom_size(grid_side)
     g = grid_side
     centres = (np.arange(g) + 0.5) / g
     xg, yg = np.meshgrid(centres, centres)  # yg varies along rows

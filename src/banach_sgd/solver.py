@@ -21,6 +21,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
 from .exceptions import ConfigurationError, InvalidInputError, IterationInvariantError
+from .noise import check_seed
 from .operators import BlockOperator, ObservationSet, check_blocks_match
 from .spaces import (
     SpaceDescriptor,
@@ -184,6 +185,7 @@ class SolverConfig:
             raise ConfigurationError("q is only meaningful for generalized_kaczmarz")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
+        check_seed(self.seed)
         if not isinstance(self.schedule, StepSchedule):
             raise ConfigurationError(f"unknown schedule: {self.schedule!r}")
         if isinstance(self.schedule, PolynomialSchedule):

@@ -13,6 +13,7 @@ def _digest(path):
 
 
 def _write_config(tmp_path, **overrides):
+    """A small integral config with overrides; an override of None removes the key."""
     cfg = {
         "preset": "integral",
         "n": 120,
@@ -23,7 +24,7 @@ def _write_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
     return path
 
 
@@ -102,6 +103,15 @@ class TestMalformedSpecs:
         (None, {"seeds": True}),
         (["--epochs", "2.9"], None),
         (["--method", "momentum"], None),
+        (None, {"grid_side": 32}),
+        (None, {"preset": "ct", "n": 50}),
+        (["--grid-side", "32"], None),
+        (None, {"out_dir": ["x"]}),
+        (None, {"preset": "custom", "n": None, "matrix_csv": ["A.csv"], "data_csv": "y.csv"}),
+        (None, {"n": 20, "n_batches": 10}),
+        (None, {"preset": "ct", "n": None, "grid_side": 8}),
+        (None, {"seed": -1}),
+        (None, {"noise": {"kind": "gaussian", "sigma": 0.01, "seed": -3}}),
     ])
     def test_exit_1_with_one_line_before_any_work(self, tmp_path, monkeypatch, capsys, flags, config):
         import banach_sgd.cli as cli
@@ -137,6 +147,25 @@ class TestSingleFlagPath:
         traces = [{p.name: _digest(p) for p in out.glob("trace_seed*.csv")}
                   for out in (tmp_path / "exp", tmp_path / "solve")]
         assert len(traces[0]) == 2 and traces[0] == traces[1]
+
+    def test_integral_valued_number_text_reads_as_the_integer(self, tmp_path):
+        flags = ["--n-batches", "10", "--epochs", "3", "--seeds", "2"]
+        for n in ("100", "100.0"):
+            assert main(["experiment", "integral", "--n", n, *flags, "--out-dir", str(tmp_path / n)]) == 0
+        traces = [{p.name: _digest(p) for p in (tmp_path / n).glob("trace_seed*.csv")} for n in ("100", "100.0")]
+        assert len(traces[0]) == 2 and traces[0] == traces[1]
+
+    def test_every_flag_sets_preset_or_a_config_key(self):
+        import argparse
+
+        import banach_sgd.cli as cli
+
+        keys = {"preset", *cli._COMMON_DEFAULTS}.union(*cli._PRESET_DEFAULTS.values())
+        commands = next(a for a in cli._make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name in ("solve", "experiment"):
+            dests = {a.dest for a in commands.choices[name]._actions
+                     if a.option_strings and not isinstance(a, argparse._HelpAction)}
+            assert dests and dests <= keys, (name, dests - keys)
 
 
 class TestRunExperiment:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from banach_sgd import GaussianNoise, ImpulseNoise, SaltPepperNoise, corrupt, lr_norm
+from banach_sgd import (
+    ConstantSchedule,
+    GaussianNoise,
+    ImpulseNoise,
+    SaltPepperNoise,
+    SolverConfig,
+    SpaceDescriptor,
+    corrupt,
+    lr_norm,
+)
 from banach_sgd.exceptions import ConfigurationError
 from banach_sgd.noise import impulse_branch_high, impulse_branch_low
 
@@ -137,3 +146,16 @@ class TestValidation:
     def test_bad_sigma(self):
         with pytest.raises(ConfigurationError):
             GaussianNoise(sigma=-1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: GaussianNoise(sigma=0.1, seed=seed),
+        lambda seed: ImpulseNoise(pct=0.1, seed=seed),
+        lambda seed: SaltPepperNoise(pct=0.1, seed=seed),
+        lambda seed: SolverConfig(x_space=SpaceDescriptor.hilbert(), y_space=SpaceDescriptor.hilbert(),
+                                  schedule=ConstantSchedule(0.1), seed=seed),
+    ])
+    def test_seed_is_a_philox_key(self, make):
+        make(2**128 - 1)
+        for seed in (-1, 2**128):
+            with pytest.raises(ConfigurationError, match="seed"):
+                make(seed)
