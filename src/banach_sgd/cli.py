@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -42,6 +43,7 @@ from .operators import (
     boyd_operator_norm,
     build_integral_operator,
     build_radon_operator,
+    check_partition,
     check_phantom_size,
     check_signal_size,
     exact_sparse_signal,
@@ -57,7 +59,6 @@ from .solver import (
     PolynomialSchedule,
     SlowDecaySchedule,
     SolverConfig,
-    check_a_priori,
     run,
     with_seed,
 )
@@ -131,7 +132,6 @@ class ExperimentConfig:
     n_batches: int
     seeds: int
     noise: NoiseModel | None
-    a_priori: tuple[float, float] | None  # (beta, theta) of the a-priori stop
     out_dir: str
     geometry: RadonGeometry | None = None
     phantom_noise: NoiseModel | None = None
@@ -151,7 +151,8 @@ def _check_keys(section: str, data: dict, allowed):
 def _number(section: str, data: dict, key: str, kind=float, default=None):
     """data[key] as kind, or default when the key is absent and default is given.
 
-    A number is a JSON number, never a bool or a string; an integer is an integral number.
+    A number is a finite JSON number, never a bool, a string, NaN or an infinity;
+    an integer is an integral number.
     """
     if key not in data:
         if default is None:
@@ -159,9 +160,9 @@ def _number(section: str, data: dict, key: str, kind=float, default=None):
         return default
     value = data[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind is float or isinstance(value, int) or value.is_integer():
+        if isinstance(value, int) or math.isfinite(value) and (kind is float or value.is_integer()):
             return kind(value)
-    kind_name = "an integer" if kind is int else "a number"
+    kind_name = "an integer" if kind is int else "a finite number"
     raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {value!r}")
 
 
@@ -195,33 +196,30 @@ def build_config(raw: dict) -> ExperimentConfig:
     schedule, scale_in_l_max = _schedule_from_spec(
         _validated_sub("schedule", merged["schedule"], _SCHEDULE_KEYS), n_batches, x_space.p_conj
     )
+    noise = _noise_from_spec("noise", merged["noise"])
+    spec = _validated_sub("stopping", merged["stopping"], _STOPPING_KEYS)
+    stopping = None if spec["kind"] == "max_epochs" else APrioriStop(
+        _number("stopping", spec, "beta", float, 0.0), _number("stopping", spec, "theta", float, APrioriStop.theta)
+    )
+    if stopping is not None and noise is None:
+        raise ConfigurationError("a_priori stopping needs noisy data; noise kind 'none' gives delta = 0")
     solver = SolverConfig(
         x_space=x_space,
         y_space=SpaceDescriptor(_number("config", merged, "r_y"), x_space.p),
         schedule=schedule,
         method=merged["method"],
         q=None if merged["q"] is None else _number("config", merged, "q"),
+        stopping=stopping,
         seed=_number("config", merged, "seed", int),
         epochs=epochs,
     )
     check_seed(solver.seed + seeds - 1, "the ensemble's last seed, seed + seeds - 1,")
-    noise = _noise_from_spec("noise", merged["noise"])
-    stopping = _validated_sub("stopping", merged["stopping"], _STOPPING_KEYS)
-    a_priori = None
-    if stopping["kind"] == "a_priori":
-        if noise is None:
-            raise ConfigurationError("a_priori stopping needs noisy data; noise kind 'none' gives delta = 0")
-        theta = {f.name: f.default for f in fields(APrioriStop)}["theta"]
-        a_priori = (_number("stopping", stopping, "beta", float, 0.0),
-                    _number("stopping", stopping, "theta", float, theta))
-        check_a_priori(a_priori[0], x_space.p, a_priori[1])
 
     n = geometry = phantom_noise = midpoint_columns = None
     if preset == "integral":
         n = _number("config", merged, "n", int)
         check_signal_size(n)
-        if n % n_batches != 0:
-            raise ConfigurationError(f"n_batches ({n_batches}) must divide n ({n})")
+        check_partition(n, n_batches)
         midpoint_columns = merged["midpoint_columns"]
         if not isinstance(midpoint_columns, bool):
             raise ConfigurationError(f"config.midpoint_columns must be true or false; got {midpoint_columns!r}")
@@ -234,9 +232,7 @@ def build_config(raw: dict) -> ExperimentConfig:
             pixel_size=_number("config", merged, "pixel_size"),
         )
         check_phantom_size(geometry.grid_side)
-        rows = geometry.n_angles * geometry.n_detectors
-        if rows % n_batches != 0:
-            raise ConfigurationError(f"n_batches ({n_batches}) must divide the sinogram size ({rows})")
+        check_partition(geometry.n_angles * geometry.n_detectors, n_batches)
         phantom_noise = _noise_from_spec("phantom_noise", merged["phantom_noise"])
     else:
         if not merged["matrix_csv"]:
@@ -252,7 +248,6 @@ def build_config(raw: dict) -> ExperimentConfig:
         n_batches=n_batches,
         seeds=seeds,
         noise=noise,
-        a_priori=a_priori,
         out_dir=merged["out_dir"],
         geometry=geometry,
         phantom_noise=phantom_noise,
@@ -363,11 +358,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.scale_in_l_max:
         l_max = max_block_norm(op, solver.x_space.r, tol=1e-8, max_iter=500)
         solver = replace(solver, schedule=replace(solver.schedule, scale=solver.schedule.scale * l_max))
-    if cfg.a_priori is not None:  # a realized delta of 0 is rejected by APrioriStop
-        beta, theta = cfg.a_priori
-        solver = replace(solver, stopping=APrioriStop(delta, beta, solver.x_space.p, theta))
 
-    obs = ObservationSet.from_full(y_data, op, delta)
+    obs = ObservationSet.from_full(y_data, op, delta)  # run reads an a-priori stop's delta from obs
     seeds = [solver.seed + j for j in range(cfg.seeds)]
     results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in seeds]
 

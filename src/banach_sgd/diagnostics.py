@@ -215,6 +215,8 @@ def monte_carlo_mean(op, obs, cfg, n_seeds: int, field_name: str = "bregman",
 
     if n_seeds < 2:
         raise ConfigurationError("need at least 2 seeds for a standard error")
+    if field_name not in ConvergenceRecord._COLUMNS:
+        raise ConfigurationError(f"field_name must be one of {ConvergenceRecord._COLUMNS}; got {field_name!r}")
     records = [
         solver.run(op, obs, solver.with_seed(cfg, cfg.seed + j), x_true=x_true, x_ref=x_ref).record
         for j in range(n_seeds)
@@ -244,6 +246,8 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     """
     from . import solver
 
+    if n_seeds < 1:
+        raise ConfigurationError(f"need at least 1 seed; got n_seeds = {n_seeds}")
     y_clean = np.asarray(y_clean, dtype=float).ravel()
     obs_clean = ObservationSet.from_full(y_clean, op)
     deltas = np.asarray(deltas, dtype=float)
@@ -271,16 +275,16 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     return StabilityResult(deltas, breg, primal, dual)
 
 
-def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int = 100_000,
-                          step_scale: float = 0.9) -> np.ndarray:
+def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int = 100_000) -> np.ndarray:
     """Approximate the solution of A x = y with the smallest l^r norm.
 
     The minimum norm solution depends only on the norm exponent r of
     x_space, never on its gauge power.  For r = 2 this is the dense
     least-norm solve.  Otherwise a long deterministic descent run from zero
     is used, with the canonical convexity power max(r, 2) as the internal
-    gauge; starting at zero keeps every iterate's dual image inside the
-    closure of range(A^T), which pins the limit to the minimum norm solution.
+    gauge and a constant step of 0.9 times the bound below; starting at zero
+    keeps every iterate's dual image inside the closure of range(A^T), which
+    pins the limit to the minimum norm solution.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -295,14 +299,14 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
     if r < 2.0:
         # gauge 2: the dual l^(r*) (r* > 2) is 2-smooth with constant r* - 1
         gauge = 2.0
-        mu = step_scale / ((r_conj - 1.0) * spectral ** 2)
+        mu = 0.9 / ((r_conj - 1.0) * spectral ** 2)
     else:
         # gauge r: the dual l^(r*) (r* < 2) is r*-smooth; use a safety factor 2.
         # The step needs ||A||_{l^r -> l^2} <= ||A||_2 n^(1/2 - 1/r), since
         # ||x||_2 <= n^(1/2 - 1/r) ||x||_r for x in R^n.
         gauge = r
         norm = spectral * A.shape[1] ** (0.5 - 1.0 / r)
-        mu = step_scale * (r_conj / (2.0 * norm ** r_conj)) ** (1.0 / (r_conj - 1.0))
+        mu = 0.9 * (r_conj / (2.0 * norm ** r_conj)) ** (1.0 / (r_conj - 1.0))
     op = BlockOperator([A], SpaceDescriptor.hilbert())
     obs = ObservationSet.from_full(y, op)
     cfg = solver.SolverConfig(

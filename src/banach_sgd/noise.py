@@ -7,6 +7,7 @@ platform and call history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class GaussianNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigurationError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be finite and >= 0; got {self.sigma}")
         check_seed(self.seed)
 
 

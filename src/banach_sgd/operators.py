@@ -23,6 +23,7 @@ __all__ = [
     "RadonGeometry",
     "NormEstimate",
     "partition_rows",
+    "check_partition",
     "build_integral_operator",
     "check_signal_size",
     "exact_sparse_signal",
@@ -218,8 +219,8 @@ class ObservationSet:
     noise_level: float = 0.0
 
     def __post_init__(self):
-        if self.noise_level < 0:
-            raise ConfigurationError("noise level must be >= 0")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise ConfigurationError(f"noise level must be finite and >= 0; got {self.noise_level}")
         if not self.blocks:
             raise ConfigurationError("data needs at least one block")
         parts = [np.asarray(b, dtype=float).ravel() for b in self.blocks]
@@ -254,10 +255,7 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
     if A.ndim != 2:
         raise DimensionMismatchError("expected a matrix")
     n_rows = A.shape[0]
-    if n_batches < 1 or n_rows % n_batches != 0:
-        raise ConfigurationError(
-            f"number of batches ({n_batches}) must divide the row count ({n_rows})"
-        )
+    check_partition(n_rows, n_batches)
     maps = [np.arange(j, n_rows, n_batches) for j in range(n_batches)]
     if isinstance(A, CsrMatrix):
         blocks = [A.take(rows) for rows in maps]
@@ -266,6 +264,12 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
     if output_space is None:
         output_space = SpaceDescriptor.hilbert()
     return BlockOperator(blocks, output_space, maps)
+
+
+def check_partition(n_rows: int, n_batches: int) -> None:
+    """partition_rows deals the rows into n_batches blocks of equal size."""
+    if n_batches < 1 or n_rows % n_batches != 0:
+        raise ConfigurationError(f"number of batches ({n_batches}) must divide the row count ({n_rows})")
 
 
 def integral_kernel(t, s):
@@ -478,9 +482,6 @@ class NormEstimate:
     iterations: int
     history: tuple = ()
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def boyd_operator_norm(
     A,
@@ -488,7 +489,6 @@ def boyd_operator_norm(
     ry: float = 2.0,
     tol: float = 1e-10,
     max_iter: int = 2000,
-    seed: int = 0,
     restarts: int = 8,
 ) -> NormEstimate:
     """Estimate ||A||_{l^rx -> l^ry} (A dense or a CsrMatrix) by Boyd's power method.
@@ -499,9 +499,10 @@ def boyd_operator_norm(
     classical power method on A^T A.  The Rayleigh-type estimate ||A x||_ry
     is non-decreasing within a start and converges to the norm from below.
 
-    The first start is a strictly positive seeded random vector; for
+    The first start is a strictly positive random vector; for
     sign-indefinite matrices the fixed point need not be global, so further
-    seeded sign-random starts are run and the largest estimate kept.
+    sign-random starts are run and the largest estimate kept.  The starts
+    come from Philox key 0, so the estimate is deterministic.
     """
     if not isinstance(A, CsrMatrix):
         A = np.asarray(A, dtype=float)
@@ -509,11 +510,11 @@ def boyd_operator_norm(
         raise DimensionMismatchError("expected a matrix")
     if not (1.0 < rx < math.inf and 1.0 < ry < math.inf):
         raise ConfigurationError("exponents must lie in (1, inf)")
-    if restarts < 1:
-        raise ConfigurationError("need at least one start")
+    if restarts < 1 or max_iter < 1 or not tol >= 0.0:
+        raise ConfigurationError(f"need restarts, max_iter >= 1 and tol >= 0; got {restarts}, {max_iter}, {tol}")
     if not A.any():
         return NormEstimate(0.0, True, 0)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=0))
     best = None
     for s in range(restarts):
         x0 = rng.random(A.shape[1]) + 0.1
@@ -551,11 +552,9 @@ def _boyd_single_start(A, rx, ry, tol, max_iter, x0) -> NormEstimate:
     return NormEstimate(estimate, False, max_iter, tuple(history))
 
 
-def max_block_norm(op: BlockOperator, rx: float, ry: float | None = None, **kwargs) -> float:
-    """max_i ||A_i||_{l^rx -> l^ry}; ry defaults to the operator's output exponent."""
-    if ry is None:
-        ry = op.output_space.r
-    return max(boyd_operator_norm(b, rx, ry, **kwargs).value for b in op.blocks)
+def max_block_norm(op: BlockOperator, rx: float, **kwargs) -> float:
+    """max_i ||A_i||_{l^rx -> l^ry}, with ry the operator's output exponent."""
+    return max(boyd_operator_norm(b, rx, op.output_space.r, **kwargs).value for b in op.blocks)
 
 
 def save_matrix_csv(path, M, header: str | None = None):

@@ -42,7 +42,6 @@ __all__ = [
     "RunResult",
     "step_size",
     "a_priori_stop_index",
-    "check_a_priori",
     "stochastic_gradient",
     "sgd_step",
     "landweber_step",
@@ -63,8 +62,8 @@ class PolynomialSchedule:
     beta: float
 
     def __post_init__(self):
-        if self.mu0 <= 0:
-            raise ConfigurationError("mu0 must be positive")
+        if not 0.0 < self.mu0 < math.inf:
+            raise ConfigurationError(f"mu0 must be positive and finite; got {self.mu0}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigurationError(f"decay exponent must lie in (0, 1]; got {self.beta}")
 
@@ -85,8 +84,8 @@ class SlowDecaySchedule:
     p_conj: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigurationError(f"scale must be positive and finite; got {self.scale}")
         if self.n_batches < 1:
             raise ConfigurationError("n_batches must be >= 1")
         if self.p_conj <= 1:
@@ -101,8 +100,8 @@ class ConstantSchedule:
     mu0: float
 
     def __post_init__(self):
-        if self.mu0 <= 0:
-            raise ConfigurationError("step size must be positive")
+        if not 0.0 < self.mu0 < math.inf:
+            raise ConfigurationError(f"step size must be positive and finite; got {self.mu0}")
 
     def at(self, k: int) -> float:
         return self.mu0
@@ -120,38 +119,29 @@ def step_size(schedule: StepSchedule, k: int) -> float:
 
 @dataclass(frozen=True)
 class APrioriStop:
-    """Noise-adapted early stopping: k(delta) = ceil(delta^(-theta*power/(1-beta))).
+    """Noise-adapted early stopping: k(delta) = ceil(delta^(-theta*p/(1-beta))).
 
-    As the noise level shrinks, k(delta) grows without bound while
-    k(delta) * delta^(power/(1-beta)) still vanishes, for any theta < 1.
+    delta is the data's noise level (ObservationSet.noise_level) and p the
+    power of the solution space (SolverConfig.x_space.p); the rule holds only
+    the two choices.  As delta shrinks, k(delta) grows without bound while
+    k(delta) * delta^(p/(1-beta)) still vanishes, for any theta < 1.
     """
 
-    delta: float
     beta: float
-    power: float
     theta: float = 0.9
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigurationError(f"a-priori stopping needs a positive noise level; got delta = {self.delta}")
-        check_a_priori(self.beta, self.power, self.theta)
+        if not 0.0 < self.theta < 1.0:
+            raise ConfigurationError(f"safety factor theta must lie in (0, 1); got {self.theta}")
+        if not 0.0 <= self.beta < 1.0:
+            raise ConfigurationError(f"beta must lie in [0, 1), where the stop index is defined; got {self.beta}")
 
 
-def check_a_priori(beta: float, power: float, theta: float) -> None:
-    """The ranges APrioriStop needs of everything but the noise level."""
-    if not 0.0 < theta < 1.0:
-        raise ConfigurationError(f"safety factor theta must lie in (0, 1); got {theta}")
-    if beta >= 1.0:
-        raise ConfigurationError(f"beta = {beta} >= 1 leaves the stop index undefined; use a fixed epoch count")
-    if beta < 0.0:
-        raise ConfigurationError(f"beta must be >= 0; got {beta}")
-    if power <= 1.0:
-        raise ConfigurationError(f"power must be > 1; got {power}")
-
-
-def a_priori_stop_index(rule: APrioriStop) -> int:
-    exponent = -rule.theta * rule.power / (1.0 - rule.beta)
-    log_k = exponent * math.log(rule.delta)
+def a_priori_stop_index(rule: APrioriStop, delta: float, power: float) -> int:
+    """k(delta) for noise level delta and solution-space power p = power."""
+    if not delta > 0:
+        raise ConfigurationError(f"a-priori stopping needs a positive noise level; got delta = {delta}")
+    log_k = -rule.theta * power / (1.0 - rule.beta) * math.log(delta)
     if log_k > 60:  # e^60 iterations is far beyond any runnable budget
         raise ConfigurationError(
             f"a-priori stop index exp({log_k:.1f}) is astronomically large; "
@@ -301,7 +291,6 @@ class ConstantsConfig:
 
     G_pstar: float
     C_p: float
-    estimation_samples: int = 0
 
     def __post_init__(self):
         if self.G_pstar <= 0 or self.C_p <= 0:
@@ -346,7 +335,7 @@ def estimate_constants(desc: SpaceDescriptor, dim: int, samples: int = 200,
             g_max = max(g_max, dual.p * bregman_distance(zs, ws, dual) / gap_s ** dual.p)
     if not math.isfinite(c_min) or g_max == 0.0:
         raise ConfigurationError("constant estimation degenerated; increase samples")
-    return ConstantsConfig(1.2 * g_max, 0.8 * c_min, samples)
+    return ConstantsConfig(1.2 * g_max, 0.8 * c_min)
 
 
 @dataclass
@@ -361,12 +350,14 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
 
     x_ref is the reference for the Bregman column (usually the minimum norm
     solution); x_true feeds the normalised l1/l2 error columns.  Both are
-    optional, leaving NaN columns.  The run is fully determined by
-    (cfg.seed, op, obs).
+    optional, leaving NaN columns.  An a-priori cfg.stopping replaces
+    cfg.epochs: the run stops at k(obs.noise_level) with power cfg.x_space.p.
+    The run is fully determined by (cfg.seed, op, obs).
     """
     state = _checked_start(op, obs, cfg, x_ref)
     per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
-    total = a_priori_stop_index(cfg.stopping) if cfg.stopping is not None else cfg.epochs * per_epoch
+    total = (cfg.epochs * per_epoch if cfg.stopping is None
+             else a_priori_stop_index(cfg.stopping, obs.noise_level, cfg.x_space.p))
 
     def snapshot(state, mu):
         x = state.x  # finite: a step raises rather than return a non-finite iterate

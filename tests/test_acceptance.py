@@ -259,7 +259,7 @@ def test_criterion_07_regularizing_property(integral_problem):
         obs = ObservationSet.from_full(y_d, op, delta)
         # stop rule uses the measured noise level; beta = 0.25 stops well before
         # the admissible boundary of the beta = 0.75 schedule (decisions ledger)
-        rule = APrioriStop(delta=delta, beta=0.25, power=xsp.p, theta=0.9)
+        rule = APrioriStop(beta=0.25, theta=0.9)
         cfg = SolverConfig(x_space=xsp, y_space=HILBERT,
                            schedule=PolynomialSchedule(2.0, 0.75), stopping=rule,
                            epochs=1, seed=70)

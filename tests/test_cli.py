@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -112,6 +113,11 @@ class TestMalformedSpecs:
         (None, {"preset": "ct", "n": None, "grid_side": 8}),
         (None, {"seed": -1}),
         (None, {"noise": {"kind": "gaussian", "sigma": 0.01, "seed": -3}}),
+        (None, {"noise": {"kind": "gaussian", "sigma": 0.01}, "stopping": {"kind": "a_priori", "beta": math.nan}}),
+        (None, {"schedule": {"kind": "slow_decay", "scale": math.nan}}),
+        (None, {"schedule": {"kind": "constant", "mu0": math.inf}}),
+        (None, {"noise": {"kind": "gaussian", "sigma": math.inf}}),
+        (None, {"noise": {"kind": "gaussian", "sigma": math.nan}}),
     ])
     def test_exit_1_with_one_line_before_any_work(self, tmp_path, monkeypatch, capsys, flags, config):
         import banach_sgd.cli as cli
@@ -335,6 +341,11 @@ class TestNormEstimate:
         save_matrix_csv(tmp_path / "m.csv", rng.normal(size=(6, 5)))
         assert main(["norm-estimate", str(tmp_path / "m.csv"), "--tol", "0", "--max-iter", "4"]) == 0
         assert "max-iterations-reached" in capsys.readouterr().out
+
+    def test_no_iterations_exits_1(self, tmp_path, capsys):
+        save_matrix_csv(tmp_path / "m.csv", np.diag([3.0, 1.0]))
+        assert main(["norm-estimate", str(tmp_path / "m.csv"), "--max-iter", "0"]) == 1
+        assert "max_iter" in capsys.readouterr().err
 
     def test_malformed_csv_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.csv"

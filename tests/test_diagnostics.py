@@ -234,6 +234,18 @@ class TestMonteCarloMean:
         manual = np.mean(np.vstack(singles), axis=0)
         assert np.allclose(trace.mean, manual, rtol=1e-13)
 
+    def test_unknown_column_rejected_before_any_run(self, monkeypatch):
+        import banach_sgd.solver as solver
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran despite an unknown column")
+
+        monkeypatch.setattr(solver, "run", no_run)
+        _, _, op, obs = _small_problem()
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1)
+        with pytest.raises(ConfigurationError, match="bogus"):
+            monte_carlo_mean(op, obs, cfg, 3, field_name="bogus")
+
 
 class TestStabilityProbe:
     def test_zero_noise_gives_zero_gaps(self):
@@ -285,6 +297,13 @@ class TestStabilityProbe:
         deltas = [1e-1, 1e-2, 1e-3]
         stability_probe(op, y, cfg, k_fixed=5, deltas=deltas, n_seeds=4)
         assert len(calls) == 4 * (len(deltas) + 1)
+
+    def test_no_seeds_rejected(self):
+        A = build_integral_operator(60)
+        op = partition_rows(A, 6, HILBERT)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=1)
+        with pytest.raises(ConfigurationError, match="n_seeds"):
+            stability_probe(op, A @ exact_sparse_signal(60), cfg, k_fixed=5, deltas=[1e-2], n_seeds=0)
 
 
 class TestMinimumNormSolution:

@@ -144,8 +144,9 @@ class TestValidation:
             ImpulseNoise(pct=0.1, lo=0.4, hi=0.1)
 
     def test_bad_sigma(self):
-        with pytest.raises(ConfigurationError):
-            GaussianNoise(sigma=-1.0)
+        for sigma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                GaussianNoise(sigma=sigma)
 
     @pytest.mark.parametrize("make", [
         lambda seed: GaussianNoise(sigma=0.1, seed=seed),

@@ -23,7 +23,7 @@ from banach_sgd import (
     save_matrix_csv,
     sparse_disk_phantom,
 )
-from banach_sgd.operators import integral_kernel
+from banach_sgd.operators import check_partition, integral_kernel
 
 
 class TestBlockOperator:
@@ -113,6 +113,11 @@ class TestBlockOperator:
         with pytest.raises(ConfigurationError):
             ObservationSet([])
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -1.0])
+    def test_noise_level_must_be_finite_and_non_negative(self, level):
+        with pytest.raises(ConfigurationError, match="noise level"):
+            ObservationSet([np.ones(2)], noise_level=level)
+
 
 class TestPartitionRows:
     def test_interleaving(self):
@@ -134,6 +139,10 @@ class TestPartitionRows:
     def test_non_divisible_rejected(self):
         with pytest.raises(ConfigurationError):
             partition_rows(np.ones((6, 2)), 4)
+        for n_batches in (4, 0):
+            with pytest.raises(ConfigurationError, match="must divide the row count"):
+                check_partition(6, n_batches)
+        check_partition(6, 3)
 
     def test_inverse_map_reconstructs_original(self):
         rng = np.random.Generator(np.random.Philox(key=3))
@@ -518,6 +527,11 @@ class TestBoydNorm:
         A = rng.normal(size=(6, 6))
         est = boyd_operator_norm(A, 2, 2, tol=0.0, max_iter=3)
         assert not est.converged and est.iterations == 3
+
+    @pytest.mark.parametrize("settings", [{"max_iter": 0}, {"tol": np.nan}, {"tol": -1e-8}, {"restarts": 0}])
+    def test_iteration_settings_checked(self, settings):
+        with pytest.raises(ConfigurationError):
+            boyd_operator_norm(np.diag([3.0, 1.0]), 2, 2, **settings)
 
 
 class TestBlockBalance:

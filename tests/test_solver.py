@@ -82,6 +82,13 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             step_size(ConstantSchedule(1.0), 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_step_scale_rejected(self, value):
+        for build in (lambda v: PolynomialSchedule(v, 0.75), lambda v: SlowDecaySchedule(v, 10, 2.0),
+                      ConstantSchedule):
+            with pytest.raises(ConfigurationError):
+                build(value)
+
     def test_beta_must_exceed_inverse_conjugate(self):
         # p = 2 -> p* = 2 -> beta must be > 0.5
         with pytest.raises(ConfigurationError):
@@ -93,34 +100,60 @@ class TestSchedules:
 
 class TestStoppingRules:
     def test_formula_example(self):
-        rule = APrioriStop(delta=0.1, beta=0.5, power=2.0, theta=0.5)
-        assert a_priori_stop_index(rule) == 100
+        rule = APrioriStop(beta=0.5, theta=0.5)
+        assert a_priori_stop_index(rule, 0.1, 2.0) == 100
 
     def test_theta_near_one_approaches_boundary_scaling(self):
-        rule = APrioriStop(delta=0.1, beta=0.5, power=2.0, theta=1.0 - 1e-12)
+        rule = APrioriStop(beta=0.5, theta=1.0 - 1e-12)
         boundary = 0.1 ** (-2.0 / 0.5)
-        assert a_priori_stop_index(rule) == pytest.approx(boundary, rel=1e-6)
+        assert a_priori_stop_index(rule, 0.1, 2.0) == pytest.approx(boundary, rel=1e-6)
 
     def test_monotone_in_delta(self):
         ks = [
-            a_priori_stop_index(APrioriStop(delta=d, beta=0.25, power=2.0, theta=0.5))
+            a_priori_stop_index(APrioriStop(beta=0.25, theta=0.5), d, 2.0)
             for d in (0.3, 0.1, 0.03, 0.01)
         ]
         assert ks == sorted(ks)
         assert len(set(ks)) == len(ks)
 
     def test_vanishing_product_property(self):
-        rule_at = lambda d: a_priori_stop_index(APrioriStop(delta=d, beta=0.5, power=2.0, theta=0.5))
+        rule_at = lambda d: a_priori_stop_index(APrioriStop(beta=0.5, theta=0.5), d, 2.0)
         products = [rule_at(d) * d ** (2.0 / 0.5) for d in (0.1, 0.05, 0.02, 0.01)]
         assert all(b < a * 1.001 for a, b in zip(products, products[1:]))
 
     def test_beta_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            APrioriStop(delta=0.1, beta=1.0, power=2.0, theta=0.5)
+            APrioriStop(beta=1.0, theta=0.5)
 
     def test_astronomical_index_rejected(self):
         with pytest.raises(ConfigurationError):
-            a_priori_stop_index(APrioriStop(delta=1e-9, beta=0.75, power=2.0, theta=0.9))
+            a_priori_stop_index(APrioriStop(beta=0.75, theta=0.9), 1e-9, 2.0)
+
+    @pytest.mark.parametrize("beta,theta", [(np.nan, 0.5), (0.5, np.nan)])
+    def test_ranges_reject_nan(self, beta, theta):
+        with pytest.raises(ConfigurationError):
+            APrioriStop(beta, theta)
+
+    def test_run_reads_delta_from_the_data_and_power_from_the_space(self):
+        _, _, op, obs = hilbert_problem(8, 4, seed=85)
+        x_space = SpaceDescriptor(2.0, 1.5)
+        cfg = SolverConfig(x_space=x_space, y_space=HILBERT, schedule=ConstantSchedule(0.05),
+                           stopping=APrioriStop(beta=0.5, theta=0.5))
+        noisy = ObservationSet(obs.blocks, noise_level=0.1)
+        assert run(op, noisy, cfg).state.k == a_priori_stop_index(cfg.stopping, 0.1, 1.5) == 32
+
+    def test_noise_free_data_rejected_before_any_step(self, monkeypatch):
+        import banach_sgd.solver as solver
+
+        def no_step(*args):
+            raise AssertionError("stepped on noise-free data")
+
+        monkeypatch.setattr(solver, "sgd_step", no_step)
+        _, _, op, obs = hilbert_problem(8, 4, seed=85)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05),
+                           stopping=APrioriStop(beta=0.5))
+        with pytest.raises(ConfigurationError, match="positive noise level"):
+            run(op, obs, cfg)
 
 
 class TestStochasticGradient:
