@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from ._svg import line_chart
-from .diagnostics import ensemble_stats
+from .diagnostics import ConvergenceRecord, ensemble_stats
 from .exceptions import (
     ConfigurationError,
     DataFormatError,
@@ -59,6 +59,7 @@ from .solver import (
     PolynomialSchedule,
     SlowDecaySchedule,
     SolverConfig,
+    a_priori_stop_index,
     run,
     with_seed,
 )
@@ -161,7 +162,10 @@ def _number(section: str, data: dict, key: str, kind=float, default=None):
     value = data[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if isinstance(value, int) or math.isfinite(value) and (kind is float or value.is_integer()):
-            return kind(value)
+            try:
+                return kind(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
     kind_name = "an integer" if kind is int else "a finite number"
     raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {value!r}")
 
@@ -265,13 +269,14 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _read_json(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, or an integer of too many digits
+        raise ConfigurationError(f"{path}: not a readable JSON config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top-level JSON value must be an object")
     return raw
@@ -312,23 +317,27 @@ def _schedule_from_spec(spec: dict, n_batches: int, p_conj: float):
 
 
 def _build_problem(cfg: ExperimentConfig):
-    """Returns (matrix, x_true or None)."""
+    """(op, obs, x_true); x_true is None for a custom run without signal_csv. The noiseless
+    data are data_csv's when it is given, else the matrix times x_true."""
+    x_true = None
     if cfg.preset == "integral":
         A = build_integral_operator(cfg.n, midpoint_columns=cfg.midpoint_columns)
-        return A, exact_sparse_signal(cfg.n)
-    if cfg.preset == "ct":
+        x_true = exact_sparse_signal(cfg.n)
+    elif cfg.preset == "ct":
         A = build_radon_operator(cfg.geometry)
         x_true = sparse_disk_phantom(cfg.geometry.grid_side)
         if cfg.phantom_noise is not None:
             x_true, _ = corrupt(x_true, cfg.phantom_noise, cfg.solver.x_space.r)
-        return A, x_true
-    A = load_matrix_csv(cfg.matrix_csv)
-    if cfg.signal_csv:
-        x_true = load_matrix_csv(cfg.signal_csv).ravel()
-        if x_true.size != A.shape[1]:
-            raise DimensionMismatchError("signal length must match matrix columns")
-        return A, x_true
-    return A, None
+    else:
+        A = load_matrix_csv(cfg.matrix_csv)
+        if cfg.signal_csv:
+            x_true = load_matrix_csv(cfg.signal_csv).ravel()
+            if x_true.size != A.shape[1]:
+                raise DimensionMismatchError("signal length must match matrix columns")
+    op = partition_rows(A, cfg.n_batches, cfg.solver.y_space)
+    y_clean = load_matrix_csv(cfg.data_csv).ravel() if cfg.data_csv else A @ x_true
+    y_data, delta = (y_clean, 0.0) if cfg.noise is None else corrupt(y_clean, cfg.noise, cfg.solver.y_space.r)
+    return op, ObservationSet.from_full(y_data, op, delta), x_true
 
 
 def write_pgm(path, image: np.ndarray):
@@ -344,22 +353,15 @@ def write_pgm(path, image: np.ndarray):
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     solver = cfg.solver
-    A, x_true = _build_problem(cfg)
-    op = partition_rows(A, cfg.n_batches, solver.y_space)
-    if x_true is not None:
-        y_clean = A @ x_true
-    else:
-        y_clean = load_matrix_csv(cfg.data_csv).ravel()
-        if y_clean.size != op.total_rows:
-            raise DimensionMismatchError("data length must match matrix rows")
-    y_data, delta = (y_clean, 0.0) if cfg.noise is None else corrupt(y_clean, cfg.noise, solver.y_space.r)
+    op, obs, x_true = _build_problem(cfg)
+    if solver.stopping is not None:  # fails here, before the norm estimate, when the data are noise-free
+        a_priori_stop_index(solver.stopping, obs.noise_level, solver.x_space.p)
 
     l_max = None
     if cfg.scale_in_l_max:
         l_max = max_block_norm(op, solver.x_space.r, tol=1e-8, max_iter=500)
         solver = replace(solver, schedule=replace(solver.schedule, scale=solver.schedule.scale * l_max))
 
-    obs = ObservationSet.from_full(y_data, op, delta)  # run reads an a-priori stop's delta from obs
     seeds = [solver.seed + j for j in range(cfg.seeds)]
     results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in seeds]
 
@@ -372,8 +374,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         artifacts.append(name)
     epoch = results[0].record.epoch
     stats = {
-        c: ensemble_stats([r.record.column(c) for r in results])
-        for c in ("objective", "residual", "bregman", "delta1", "delta2", "step")
+        f.name: ensemble_stats([r.record.column(f.name) for r in results])
+        for f in fields(ConvergenceRecord)[1:]  # every column but the epoch
     }
     header, columns = ["epoch"], [epoch]
     for c, (mean, se) in stats.items():
@@ -400,7 +402,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "version": __version__,
         "rng": RNG_ALGORITHM,
         "config": cfg.echo,
-        "realized_noise_level": delta,
+        "realized_noise_level": obs.noise_level,
         "operator_norm_estimate": l_max,
         "seeds": seeds,
         "artifacts": artifacts,
@@ -414,8 +416,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def _with_flags(raw: dict, args) -> dict:
-    """raw with every flag that was given; a flag's dest is the config key it sets."""
-    given = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "func", "config")}
+    """raw with every flag that was given; a flag's dest is the key it sets."""
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "func", "config", "matrix")}
     return {**raw, **given}
 
 
@@ -436,14 +438,13 @@ def _flag_value(text: str):
     for read in (int, float, json.loads):
         try:
             return read(text)
-        except ValueError:
+        except (ValueError, RecursionError):
             pass
     return text
 
 
 def _cmd_norm_estimate(args) -> int:
-    A = load_matrix_csv(args.matrix)
-    est = boyd_operator_norm(A, args.rx, args.ry, tol=args.tol, max_iter=args.max_iter)
+    est = boyd_operator_norm(load_matrix_csv(args.matrix), **_with_flags({}, args))  # its defaults fill the rest
     status = "converged" if est.converged else "max-iterations-reached"
     print(f"norm estimate: {est.value:.12g}")
     print(f"iterations: {est.iterations} ({status})")
@@ -487,10 +488,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm-estimate", help="operator norm of a CSV matrix")
     p_norm.add_argument("matrix")
-    p_norm.add_argument("--rx", type=float, default=2.0)
-    p_norm.add_argument("--ry", type=float, default=2.0)
-    p_norm.add_argument("--tol", type=float, default=1e-10)
-    p_norm.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
+    p_norm.add_argument("--rx", type=float)
+    p_norm.add_argument("--ry", type=float)
+    p_norm.add_argument("--tol", type=float)
+    p_norm.add_argument("--max-iter", dest="max_iter", type=int)
     p_norm.set_defaults(func=_cmd_norm_estimate)
     return parser
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,8 +28,6 @@ __all__ = [
     "minimum_norm_solution",
 ]
 
-CSV_HEADER = "epoch,objective,residual,bregman,delta1,delta2,step"
-
 
 @dataclass
 class ConvergenceRecord:
@@ -48,7 +47,7 @@ class ConvergenceRecord:
     delta2: np.ndarray = field(default_factory=lambda: np.empty(0))
     step: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    _COLUMNS = ("epoch", "objective", "residual", "bregman", "delta1", "delta2", "step")
+    _COLUMNS: ClassVar[tuple]  # the field names in order, set below the class
 
     def __post_init__(self):
         for name in self._COLUMNS:
@@ -78,6 +77,10 @@ class ConvergenceRecord:
     def from_rows(cls, rows) -> "ConvergenceRecord":
         cols = list(zip(*rows)) if rows else [[]] * len(cls._COLUMNS)
         return cls(*[np.asarray(c, dtype=float) for c in cols])
+
+
+ConvergenceRecord._COLUMNS = tuple(f.name for f in fields(ConvergenceRecord))
+CSV_HEADER = ",".join(ConvergenceRecord._COLUMNS)
 
 
 def objective(x, op: BlockOperator, obs: ObservationSet, exponent: float) -> float:

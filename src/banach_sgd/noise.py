@@ -65,8 +65,8 @@ class ImpulseNoise:
     def __post_init__(self):
         if not 0.0 <= self.pct <= 1.0:
             raise ConfigurationError("corruption probability must be in [0, 1]")
-        if not self.lo < self.hi:
-            raise ConfigurationError("impulse magnitude interval needs lo < hi")
+        if not 0.0 < self.hi - self.lo < math.inf:  # a width beyond the float range overflows the draw
+            raise ConfigurationError("impulse magnitude interval needs lo < hi and a finite width hi - lo")
         check_seed(self.seed)
 
 

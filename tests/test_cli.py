@@ -118,6 +118,9 @@ class TestMalformedSpecs:
         (None, {"schedule": {"kind": "constant", "mu0": math.inf}}),
         (None, {"noise": {"kind": "gaussian", "sigma": math.inf}}),
         (None, {"noise": {"kind": "gaussian", "sigma": math.nan}}),
+        (["--noise", "[" * 100_000 + "]" * 100_000], None),
+        (None, {"schedule": {"kind": "constant", "mu0": 10**400}}),
+        (None, {"noise": {"kind": "impulse", "pct": 0.1, "lo": -1e308, "hi": 1e308}}),
     ])
     def test_exit_1_with_one_line_before_any_work(self, tmp_path, monkeypatch, capsys, flags, config):
         import banach_sgd.cli as cli
@@ -134,6 +137,20 @@ class TestMalformedSpecs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unreadable_config_file_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys):
+        import banach_sgd.cli as cli
+
+        def no_build(cfg):
+            raise AssertionError("problem built from an unreadable config")
+
+        monkeypatch.setattr(cli, "_build_problem", no_build)
+        path = tmp_path / "config.json"
+        for text in ('{"n": 100, "out_dir": "caf\xe9"}'.encode("latin-1"), b"[" * 100_000 + b"]" * 100_000):
+            path.write_bytes(text)
+            assert main(["solve", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSingleFlagPath:
@@ -281,6 +298,18 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["realized_noise_level"] > 0
 
+    def test_noise_free_a_priori_stop_exits_before_the_norm_estimate(self, tmp_path, monkeypatch, capsys):
+        import banach_sgd.cli as cli
+
+        calls = []
+        estimate = cli.max_block_norm
+        monkeypatch.setattr(cli, "max_block_norm", lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        path = _write_config(tmp_path, noise={"kind": "gaussian", "sigma": 0}, stopping={"kind": "a_priori"})
+        assert main(["solve", str(path)]) == 1
+        assert "delta = 0" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestCustomPreset:
     def test_matrix_and_signal(self, tmp_path):
@@ -301,6 +330,28 @@ class TestCustomPreset:
         )
         assert run_experiment(cfg) == 0
         assert (tmp_path / "out" / "reconstruction.csv").exists()
+
+    def test_data_csv_is_the_data_and_signal_csv_the_reference(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(key=41))
+        A = rng.normal(size=(12, 6))
+        x = rng.normal(size=6)
+        save_matrix_csv(tmp_path / "A.csv", A)
+        save_matrix_csv(tmp_path / "x.csv", x.reshape(1, -1))
+        save_matrix_csv(tmp_path / "y.csv", (100.0 * (A @ x) + 5.0)[:, None])
+        signal, data = {"signal_csv": str(tmp_path / "x.csv")}, {"data_csv": str(tmp_path / "y.csv")}
+        traces = {}
+        for name, files in {"both": {**signal, **data}, "data": data, "signal": signal}.items():
+            cfg = build_config({
+                "preset": "custom", "matrix_csv": str(tmp_path / "A.csv"), "n_batches": 4, "epochs": 3,
+                "schedule": {"kind": "constant", "mu0": 0.01}, "out_dir": str(tmp_path / name), **files,
+            })
+            assert run_experiment(cfg) == 0
+            traces[name] = np.loadtxt(tmp_path / name / "trace_seed0000.csv", delimiter=",", skiprows=1)
+        objective_residual_step = [1, 2, 6]
+        np.testing.assert_array_equal(traces["both"][:, objective_residual_step],
+                                      traces["data"][:, objective_residual_step])
+        assert not np.array_equal(traces["both"][:, 1:3], traces["signal"][:, 1:3])
+        assert np.isfinite(traces["both"][:, 3:6]).all()  # the signal is the reference for the error columns
 
     def test_non_finite_data_is_a_validation_error(self, tmp_path):
         save_matrix_csv(tmp_path / "A.csv", np.eye(4))

@@ -140,8 +140,9 @@ class TestValidation:
             ImpulseNoise(pct=1.5)
 
     def test_bad_interval(self):
-        with pytest.raises(ConfigurationError):
-            ImpulseNoise(pct=0.1, lo=0.4, hi=0.1)
+        for lo, hi in ((0.4, 0.1), (-1e308, 1e308)):
+            with pytest.raises(ConfigurationError):
+                ImpulseNoise(pct=0.1, lo=lo, hi=hi)
 
     def test_bad_sigma(self):
         for sigma in (-1.0, float("nan"), float("inf")):

@@ -1,14 +1,42 @@
-"""The library example in README.md runs as written."""
+"""The library example in README.md runs as written, and its command lines and
+config file are ones the CLI accepts."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+import banach_sgd.cli as cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+
+
 def test_library_example_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    blocks = _blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     delta1, delta2 = map(float, capsys.readouterr().out.split())
     assert 0.0 < delta2 < 1.0 and delta1 > 0.0
+
+
+def test_command_lines_parse_and_experiments_build_their_config(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: built.append(cfg) or 0)  # build, run nothing
+    lines = [shlex.split(line, comments=True)[1:]
+             for block in _blocks("sh") for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("banach-sgd ")]
+    assert {argv[0] for argv in lines} == {"solve", "experiment", "norm-estimate"}
+    for argv in lines:
+        cli._make_parser().parse_args(argv)
+        if argv[0] == "experiment":
+            assert cli.main(argv) == 0, argv
+    assert len(built) == sum(argv[0] == "experiment" for argv in lines)
+
+
+def test_config_example_builds():
+    (block,) = _blocks("json")
+    cli.build_config(json.loads(block))
