@@ -120,10 +120,13 @@ def duality_map(x, desc: SpaceDescriptor) -> np.ndarray:
     if m == 0.0:
         return np.zeros_like(v)
     # The prefactor m^(p-1) restores the scale of the max-scaled entries; it
-    # times tn^(p-r) is the largest entry of the result.
-    tn = float(np.sum(a ** desc.r)) ** (1.0 / desc.r)
+    # times tn^(p-r) is the largest entry of the result.  For p == r that
+    # factor is exactly 1, so the norm is not computed.
     try:
-        scale = (m ** (desc.p - 1.0)) * (tn ** (desc.p - desc.r))
+        scale = m ** (desc.p - 1.0)
+        if desc.p != desc.r:
+            tn = float(np.sum(a ** desc.r)) ** (1.0 / desc.r)
+            scale *= tn ** (desc.p - desc.r)
     except OverflowError:
         scale = math.inf
     if scale == math.inf:
