@@ -21,6 +21,7 @@ from .operators import (
     NormEstimate,
     ObservationSet,
     RadonGeometry,
+    block_norms,
     boyd_operator_norm,
     build_integral_operator,
     build_radon_operator,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -40,6 +41,7 @@ from .noise import RNG_ALGORITHM, GaussianNoise, ImpulseNoise, SaltPepperNoise, 
 from .operators import (
     ObservationSet,
     RadonGeometry,
+    block_norms,
     boyd_operator_norm,
     build_integral_operator,
     build_radon_operator,
@@ -48,7 +50,6 @@ from .operators import (
     check_signal_size,
     exact_sparse_signal,
     load_matrix_csv,
-    max_block_norm,
     partition_rows,
     save_matrix_csv,
     sparse_disk_phantom,
@@ -111,6 +112,9 @@ _COMMON_DEFAULTS = {
     "out_dir": "out",
 }
 
+# The norm-estimate settings of a run whose step scale is in units of L_max.
+_NORM_SETTINGS = {"tol": 1e-8, "max_iter": 500}
+
 _SCHEDULE_KEYS = {
     "slow_decay": {"kind", "scale"},
     "polynomial": {"kind", "mu0", "beta"},
@@ -167,15 +171,15 @@ def _number(section: str, data: dict, key: str, kind=float, default=None):
             except OverflowError:  # an integer beyond the float range
                 pass
     kind_name = "an integer" if kind is int else "a finite number"
-    raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {value!r}")
+    raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {reprlib.repr(value)}")
 
 
 def _validated_sub(section: str, data, table) -> dict:
     if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigurationError(f"{section} must be an object with a 'kind' field; got {data!r}")
+        raise ConfigurationError(f"{section} must be an object with a 'kind' field; got {reprlib.repr(data)}")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in table:
-        raise ConfigurationError(f"{section}.kind must be one of {sorted(table)}; got {kind!r}")
+        raise ConfigurationError(f"{section}.kind must be one of {sorted(table)}; got {reprlib.repr(kind)}")
     _check_keys(section, data, table[kind])
     return data
 
@@ -184,14 +188,16 @@ def build_config(raw: dict) -> ExperimentConfig:
     """Merge defaults, reject keys the preset never reads, and build every object a run needs before its problem."""
     preset = raw.get("preset", "integral")
     if not isinstance(preset, str) or preset not in _PRESET_DEFAULTS:
-        raise ConfigurationError(f"preset must be one of {sorted(_PRESET_DEFAULTS)}; got {preset!r}")
+        raise ConfigurationError(
+            f"preset must be one of {sorted(_PRESET_DEFAULTS)}; got {reprlib.repr(preset)}"
+        )
     defaults = {**_COMMON_DEFAULTS, **_PRESET_DEFAULTS[preset], "preset": preset}
     _check_keys(f"{preset} config", raw, defaults)
     merged = {**defaults, **raw}
     for key in ("out_dir", "matrix_csv", "signal_csv", "data_csv"):  # a CSV path may also be null
         value = merged.get(key, "")
         if not isinstance(value, str) and (value is not None or key == "out_dir"):
-            raise ConfigurationError(f"config.{key} must be a string; got {value!r}")
+            raise ConfigurationError(f"config.{key} must be a string; got {reprlib.repr(value)}")
 
     x_space = SpaceDescriptor(_number("config", merged, "r_x"), _number("config", merged, "p"))
     n_batches, epochs, seeds = (_number("config", merged, k, int) for k in ("n_batches", "epochs", "seeds"))
@@ -226,7 +232,9 @@ def build_config(raw: dict) -> ExperimentConfig:
         check_partition(n, n_batches)
         midpoint_columns = merged["midpoint_columns"]
         if not isinstance(midpoint_columns, bool):
-            raise ConfigurationError(f"config.midpoint_columns must be true or false; got {midpoint_columns!r}")
+            raise ConfigurationError(
+                f"config.midpoint_columns must be true or false; got {reprlib.repr(midpoint_columns)}"
+            )
     elif preset == "ct":
         geometry = RadonGeometry(
             grid_side=_number("config", merged, "grid_side", int),
@@ -311,7 +319,9 @@ def _schedule_from_spec(spec: dict, n_batches: int, p_conj: float):
     if isinstance(scale, str):
         table = {"L_max": 1.0, "L_max/2": 0.5}
         if scale not in table:
-            raise ConfigurationError(f"symbolic schedule scale must be one of {sorted(table)}; got {scale!r}")
+            raise ConfigurationError(
+                f"symbolic schedule scale must be one of {sorted(table)}; got {reprlib.repr(scale)}"
+            )
         return SlowDecaySchedule(table[scale], n_batches, p_conj), True
     return SlowDecaySchedule(_number("schedule", spec, "scale"), n_batches, p_conj), False
 
@@ -357,9 +367,15 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if solver.stopping is not None:  # fails here, before the norm estimate, when the data are noise-free
         a_priori_stop_index(solver.stopping, obs.noise_level, solver.x_space.p)
 
-    l_max = None
+    l_max = estimates = None
     if cfg.scale_in_l_max:
-        l_max = max_block_norm(op, solver.x_space.r, tol=1e-8, max_iter=500)
+        estimates = block_norms(op, solver.x_space.r, **_NORM_SETTINGS)
+        l_max = max(e.value for e in estimates)
+        missed = [str(i) for i, e in enumerate(estimates) if not e.converged]
+        if missed:
+            print(f"warning: the norm estimate of block(s) {', '.join(missed)} did not converge in "
+                  f"{_NORM_SETTINGS['max_iter']} iterations, so L_max = {l_max:.6g} is only a lower bound",
+                  file=sys.stderr)
         solver = replace(solver, schedule=replace(solver.schedule, scale=solver.schedule.scale * l_max))
 
     seeds = [solver.seed + j for j in range(cfg.seeds)]
@@ -404,6 +420,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "config": cfg.echo,
         "realized_noise_level": obs.noise_level,
         "operator_norm_estimate": l_max,
+        "operator_norm_blocks": None if estimates is None else [
+            {"value": e.value, "iterations": e.iterations, "converged": e.converged} for e in estimates
+        ],
         "seeds": seeds,
         "artifacts": artifacts,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -448,6 +467,7 @@ def _cmd_norm_estimate(args) -> int:
     status = "converged" if est.converged else "max-iterations-reached"
     print(f"norm estimate: {est.value:.12g}")
     print(f"iterations: {est.iterations} ({status})")
+    print(f"starts: {est.starts}")
     return 0
 
 

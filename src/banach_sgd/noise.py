@@ -8,11 +8,12 @@ platform and call history.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, InvalidInputError
 from .spaces import lr_norm
 
 __all__ = [
@@ -32,7 +33,7 @@ RNG_ALGORITHM = "Philox-4x64-10 (numpy.random.Philox)"
 def check_seed(seed: int, name: str = "seed") -> None:
     """A seed is a Philox key, which lies in [0, 2**128)."""
     if not 0 <= seed < 2**128:
-        raise ConfigurationError(f"{name} must lie in [0, 2**128); got {seed}")
+        raise ConfigurationError(f"{name} must lie in [0, 2**128); got {reprlib.repr(seed)}")
 
 
 @dataclass(frozen=True)
@@ -109,27 +110,33 @@ def corrupt(y, spec, norm_exponent: float = 2.0):
     """
     y = np.asarray(y, dtype=float).ravel()
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    if isinstance(spec, GaussianNoise):
-        noisy = y + rng.normal(0.0, spec.sigma, size=y.size) if spec.sigma > 0 else y.copy()
-    elif isinstance(spec, ImpulseNoise):
-        u = rng.random(y.size)
-        xi = rng.uniform(spec.lo, spec.hi, size=y.size)
-        noisy = y.copy()
-        low = u < spec.pct / 2.0
-        high = (u >= spec.pct / 2.0) & (u < spec.pct)
-        noisy[low] = impulse_branch_low(y[low], xi[low])
-        noisy[high] = impulse_branch_high(y[high], xi[high])
-    elif isinstance(spec, SaltPepperNoise):
-        noisy = y.copy()
-        k = int(round(spec.pct * y.size))
-        if k > 0:
-            idx = rng.choice(y.size, size=k, replace=False)
-            salt = spec.salt_value if spec.salt_value is not None else float(np.max(y))
-            is_salt = rng.random(k) < 0.5
-            noisy[idx[is_salt]] = salt
-            noisy[idx[~is_salt]] = spec.pepper_value
-    else:
-        raise ConfigurationError(f"unknown noise model: {spec!r}")
-    diff = noisy - y
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, naming the model
+        if isinstance(spec, GaussianNoise):
+            noisy = y + rng.normal(0.0, spec.sigma, size=y.size) if spec.sigma > 0 else y.copy()
+        elif isinstance(spec, ImpulseNoise):
+            u = rng.random(y.size)
+            xi = rng.uniform(spec.lo, spec.hi, size=y.size)
+            noisy = y.copy()
+            low = u < spec.pct / 2.0
+            high = (u >= spec.pct / 2.0) & (u < spec.pct)
+            noisy[low] = impulse_branch_low(y[low], xi[low])
+            noisy[high] = impulse_branch_high(y[high], xi[high])
+        elif isinstance(spec, SaltPepperNoise):
+            noisy = y.copy()
+            k = int(round(spec.pct * y.size))
+            if k > 0:
+                idx = rng.choice(y.size, size=k, replace=False)
+                salt = spec.salt_value if spec.salt_value is not None else float(np.max(y))
+                is_salt = rng.random(k) < 0.5
+                noisy[idx[is_salt]] = salt
+                noisy[idx[~is_salt]] = spec.pepper_value
+        else:
+            raise ConfigurationError(f"unknown noise model: {spec!r}")
+        diff = noisy - y
+    if not (np.isfinite(noisy).all() and np.isfinite(diff).all()):
+        raise InvalidInputError(
+            f"noise {spec!r} leaves non-finite values, beyond the float range, on data with "
+            f"max|y| = {np.abs(y).max(initial=0.0):.3g}"
+        )
     delta = lr_norm(diff, norm_exponent) if diff.any() else 0.0
     return noisy, delta

@@ -9,7 +9,7 @@ norms between l^r spaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "check_phantom_size",
     "sparse_disk_phantom",
     "boyd_operator_norm",
+    "block_norms",
     "max_block_norm",
     "save_matrix_csv",
     "load_matrix_csv",
@@ -475,12 +476,17 @@ def sparse_disk_phantom(grid_side: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Result of a power-method norm estimation (always a lower bound)."""
+    """Result of a power-method norm estimation (always a lower bound).
+
+    ``iterations`` and ``history`` are the best start's; ``starts`` counts the
+    starts that ran.
+    """
 
     value: float
     converged: bool
     iterations: int
     history: tuple = ()
+    starts: int = 1
 
 
 def boyd_operator_norm(
@@ -499,10 +505,14 @@ def boyd_operator_norm(
     classical power method on A^T A.  The Rayleigh-type estimate ||A x||_ry
     is non-decreasing within a start and converges to the norm from below.
 
-    The first start is a strictly positive random vector; for
-    sign-indefinite matrices the fixed point need not be global, so further
-    sign-random starts are run and the largest estimate kept.  The starts
-    come from Philox key 0, so the estimate is deterministic.
+    The first start is a strictly positive random vector.  When A is
+    entrywise nonnegative and rx >= ry, that start alone reaches the global
+    maximum (Boyd 1974, "The power method for l^p norms", Linear Algebra
+    Appl. 9; Bhaskara & Vijayaraghavan 2011, "Approximating matrix p-norms",
+    SODA), so it is the only one run.  Otherwise the fixed point need not be
+    global, so ``restarts`` starts are run, the rest sign-random, and the
+    largest estimate kept.  The starts come from Philox key 0, so the
+    estimate is deterministic.
     """
     if not isinstance(A, CsrMatrix):
         A = np.asarray(A, dtype=float)
@@ -513,17 +523,19 @@ def boyd_operator_norm(
     if restarts < 1 or max_iter < 1 or not tol >= 0.0:
         raise ConfigurationError(f"need restarts, max_iter >= 1 and tol >= 0; got {restarts}, {max_iter}, {tol}")
     if not A.any():
-        return NormEstimate(0.0, True, 0)
+        return NormEstimate(0.0, True, 0, starts=0)
+    nonnegative = bool(np.all((A.data if isinstance(A, CsrMatrix) else A) >= 0.0))
+    starts = 1 if nonnegative and rx >= ry else restarts
     rng = np.random.Generator(np.random.Philox(key=0))
     best = None
-    for s in range(restarts):
+    for s in range(starts):
         x0 = rng.random(A.shape[1]) + 0.1
         if s > 0:
             x0 *= rng.choice([-1.0, 1.0], size=A.shape[1])
         cand = _boyd_single_start(A, rx, ry, tol, max_iter, x0)
         if best is None or cand.value > best.value:
             best = cand
-    return best
+    return replace(best, starts=starts)
 
 
 def _boyd_single_start(A, rx, ry, tol, max_iter, x0) -> NormEstimate:
@@ -552,9 +564,14 @@ def _boyd_single_start(A, rx, ry, tol, max_iter, x0) -> NormEstimate:
     return NormEstimate(estimate, False, max_iter, tuple(history))
 
 
+def block_norms(op: BlockOperator, rx: float, **kwargs) -> list:
+    """Each block's NormEstimate of ||A_i||_{l^rx -> l^ry}, with ry the operator's output exponent."""
+    return [boyd_operator_norm(b, rx, op.output_space.r, **kwargs) for b in op.blocks]
+
+
 def max_block_norm(op: BlockOperator, rx: float, **kwargs) -> float:
-    """max_i ||A_i||_{l^rx -> l^ry}, with ry the operator's output exponent."""
-    return max(boyd_operator_norm(b, rx, op.output_space.r, **kwargs).value for b in op.blocks)
+    """max_i ||A_i||_{l^rx -> l^ry}, the largest of block_norms."""
+    return max(e.value for e in block_norms(op, rx, **kwargs))
 
 
 def save_matrix_csv(path, M, header: str | None = None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -165,7 +166,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in ("sgd", "landweber", "generalized_kaczmarz"):
-            raise ConfigurationError(f"unknown method {self.method!r}")
+            raise ConfigurationError(f"unknown method {reprlib.repr(self.method)}")
         if self.method == "generalized_kaczmarz":
             if self.q is None or not 1.0 < self.q <= 2.0:
                 raise ConfigurationError(

@@ -153,6 +153,31 @@ class TestMalformedSpecs:
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--noise", "[" * 100_000 + "]" * 100_000], None),
+        (None, {"schedule": {"kind": "constant", "mu0": 10**400}}),
+        (None, {"seed": 10**400}),
+    ])
+    def test_rejected_value_is_echoed_short(self, tmp_path, capsys, flags, config):
+        if flags is not None:
+            argv = ["experiment", "integral", "--n", "100", "--n-batches", "10", *flags]
+        else:
+            argv = ["solve", str(_write_config(tmp_path, **config))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+
+    def test_overflowing_impulse_noise_exits_1_naming_the_model(self, tmp_path, capsys):
+        noise = '{"kind": "impulse", "pct": 0.5, "lo": 1e307, "hi": 1.5e308}'
+        argv = ["experiment", "integral", "--n", "100", "--n-batches", "10", "--epochs", "1", "--noise", noise,
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1  # a RuntimeWarning would fail the test run
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "ImpulseNoise(pct=0.5, lo=1e+307, hi=1.5e+308" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSingleFlagPath:
     def test_experiment_flags_match_the_equivalent_solve(self, tmp_path):
         flags = ["--n", "120", "--n-batches", "12", "--rx", "1.5", "--p", "1.5", "--epochs", "3", "--seeds", "2"]
@@ -266,6 +291,32 @@ class TestRunExperiment:
         assert manifest["config"]["n"] == 120
         assert "timestamp" in manifest
 
+    def test_manifest_records_each_blocks_norm_estimate(self, tmp_path, capsys):
+        path = _write_config(tmp_path)
+        assert main(["solve", str(path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        blocks = manifest["operator_norm_blocks"]
+        assert len(blocks) == 12
+        assert all(b["converged"] and b["iterations"] >= 1 for b in blocks)
+        assert max(b["value"] for b in blocks) == manifest["operator_norm_estimate"]
+        assert "warning" not in capsys.readouterr().err
+
+    def test_unconverged_norm_estimate_warns_of_a_lower_bound(self, tmp_path, capsys):
+        save_matrix_csv(tmp_path / "A.csv", np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.999], [0.0, 0.0]]))
+        save_matrix_csv(tmp_path / "x.csv", np.ones((1, 2)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "preset": "custom", "matrix_csv": str(tmp_path / "A.csv"), "signal_csv": str(tmp_path / "x.csv"),
+            "n_batches": 2, "epochs": 1, "out_dir": str(tmp_path / "out"),
+        }))
+        assert main(["solve", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning:")
+        assert "block(s) 0 did not" in err and "lower bound" in err
+        blocks = json.loads((tmp_path / "out" / "manifest.json").read_text())["operator_norm_blocks"]
+        assert [b["converged"] for b in blocks] == [False, True]
+        assert blocks[0]["iterations"] == 500
+
     def test_seed_ensemble_traces_match_single_seed_runs(self, tmp_path):
         path = _write_config(tmp_path, seeds=3)
         assert main(["solve", str(path)]) == 0
@@ -302,8 +353,8 @@ class TestRunExperiment:
         import banach_sgd.cli as cli
 
         calls = []
-        estimate = cli.max_block_norm
-        monkeypatch.setattr(cli, "max_block_norm", lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        estimate = cli.block_norms
+        monkeypatch.setattr(cli, "block_norms", lambda *a, **k: calls.append(a) or estimate(*a, **k))
         path = _write_config(tmp_path, noise={"kind": "gaussian", "sigma": 0}, stopping={"kind": "a_priori"})
         assert main(["solve", str(path)]) == 1
         assert "delta = 0" in capsys.readouterr().err
@@ -386,6 +437,12 @@ class TestNormEstimate:
         out = capsys.readouterr().out
         assert "norm estimate: 3" in out
         assert "iterations:" in out
+        assert "starts: 1" in out
+
+    def test_sign_indefinite_matrix_runs_every_start(self, tmp_path, capsys):
+        save_matrix_csv(tmp_path / "m.csv", np.diag([3.0, -1.0]))
+        assert main(["norm-estimate", str(tmp_path / "m.csv")]) == 0
+        assert "starts: 8" in capsys.readouterr().out
 
     def test_max_iter_flag_reported(self, tmp_path, capsys):
         rng = np.random.Generator(np.random.Philox(key=37))

@@ -11,7 +11,7 @@ from banach_sgd import (
     corrupt,
     lr_norm,
 )
-from banach_sgd.exceptions import ConfigurationError
+from banach_sgd.exceptions import ConfigurationError, InvalidInputError
 from banach_sgd.noise import impulse_branch_high, impulse_branch_low
 
 
@@ -161,3 +161,15 @@ class TestValidation:
         for seed in (-1, 2**128):
             with pytest.raises(ConfigurationError, match="seed"):
                 make(seed)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("spec", [
+        ImpulseNoise(pct=0.5, lo=1e307, hi=1.5e308),
+        GaussianNoise(sigma=1e308),
+        SaltPepperNoise(pct=0.5, salt_value=1.7e308, pepper_value=-1.7e308),
+    ])
+    def test_overflow_names_the_model_without_a_warning(self, spec):
+        y = np.concatenate([np.linspace(0.0, 2.0, 50), np.full(50, -1.5e308)])
+        with pytest.raises(InvalidInputError, match=type(spec).__name__):
+            corrupt(y, spec)  # a RuntimeWarning would fail the test run

@@ -13,6 +13,7 @@ from banach_sgd import (
     ObservationSet,
     RadonGeometry,
     SpaceDescriptor,
+    block_norms,
     boyd_operator_norm,
     build_integral_operator,
     build_radon_operator,
@@ -23,6 +24,7 @@ from banach_sgd import (
     save_matrix_csv,
     sparse_disk_phantom,
 )
+from banach_sgd import operators
 from banach_sgd.operators import check_partition, integral_kernel
 
 
@@ -532,6 +534,70 @@ class TestBoydNorm:
     def test_iteration_settings_checked(self, settings):
         with pytest.raises(ConfigurationError):
             boyd_operator_norm(np.diag([3.0, 1.0]), 2, 2, **settings)
+
+
+def _multistart_reference(A, rx, ry, tol, max_iter, restarts=8):
+    """The estimate of `restarts` starts, the first positive and the rest sign-random, as every matrix ran them."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    best = None
+    for s in range(restarts):
+        x0 = rng.random(A.shape[1]) + 0.1
+        if s > 0:
+            x0 *= rng.choice([-1.0, 1.0], size=A.shape[1])
+        cand = operators._boyd_single_start(A, rx, ry, tol, max_iter, x0)
+        if best is None or cand.value > best.value:
+            best = cand
+    return best
+
+
+class TestBoydStartPolicy:
+    """One positive start for a nonnegative matrix with rx >= ry; `restarts` starts otherwise."""
+
+    @pytest.mark.parametrize("rx,ry", [(1.1, 1.1), (2.0, 2.0), (2.0, 1.1)])
+    def test_ct_blocks_one_start_matches_eight(self, rx, ry):
+        op = partition_rows(build_radon_operator(CT_GEOMETRIES["small"]), 6)
+        for block in op.blocks:
+            est = boyd_operator_norm(block, rx, ry, tol=1e-13, max_iter=20000)
+            ref = _multistart_reference(block, rx, ry, 1e-13, 20000)
+            assert est.starts == 1 and est.converged
+            assert abs(est.value - ref.value) <= 1e-9 * ref.value
+
+    @pytest.mark.parametrize("rx,ry", [(2.0, 2.0), (3.0, 2.0)])
+    def test_integral_blocks_one_start_matches_eight(self, rx, ry):
+        op = partition_rows(build_integral_operator(200), 20)
+        for block in op.blocks:
+            est = boyd_operator_norm(block, rx, ry, tol=1e-13, max_iter=20000)
+            ref = _multistart_reference(block, rx, ry, 1e-13, 20000)
+            assert est.starts == 1 and est.converged
+            assert abs(est.value - ref.value) <= 1e-9 * ref.value
+
+    def test_one_start_is_the_positive_start(self):
+        A = build_integral_operator(100)[::10]
+        est = boyd_operator_norm(A, 2.0, 2.0, tol=1e-8, max_iter=500)
+        first = _multistart_reference(A, 2.0, 2.0, 1e-8, 500, restarts=1)
+        assert (est.value, est.iterations, est.history) == (first.value, first.iterations, first.history)
+
+    @pytest.mark.parametrize("A,rx,ry", [
+        (np.random.Generator(np.random.Philox(key=13)).normal(size=(8, 6)), 2.0, 2.0),
+        (build_integral_operator(60, midpoint_columns=False)[::6], 2.0, 2.0),
+        (build_integral_operator(60)[::6], 1.5, 2.0),
+        (CsrMatrix([0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0], (2, 2)), 1.2, 3.0),
+    ])
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    def test_other_matrices_keep_their_restarts(self, A, rx, ry, restarts):
+        est = boyd_operator_norm(A, rx, ry, tol=1e-10, max_iter=300, restarts=restarts)
+        ref = _multistart_reference(A, rx, ry, 1e-10, 300, restarts)
+        assert est.starts == restarts
+        assert (est.value, est.iterations, est.history) == (ref.value, ref.iterations, ref.history)
+
+    def test_block_norms_calls_the_estimate_once_per_block(self, monkeypatch):
+        op = partition_rows(build_integral_operator(100), 10)
+        calls = []
+        estimate = operators.boyd_operator_norm
+        monkeypatch.setattr(operators, "boyd_operator_norm", lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        estimates = block_norms(op, 2.0, tol=1e-10)
+        assert len(calls) == len(estimates) == op.n_blocks
+        assert max_block_norm(op, 2.0, tol=1e-10) == max(e.value for e in estimates)
 
 
 class TestBlockBalance:
