@@ -157,6 +157,7 @@ class TestMalformedSpecs:
         (["--noise", "[" * 100_000 + "]" * 100_000], None),
         (None, {"schedule": {"kind": "constant", "mu0": 10**400}}),
         (None, {"seed": 10**400}),
+        (None, {"method": "x" * 10_000}),
     ])
     def test_rejected_value_is_echoed_short(self, tmp_path, capsys, flags, config):
         if flags is not None:
