@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import reprlib
 import sys
 import time
@@ -361,11 +363,17 @@ def write_pgm(path, image: np.ndarray):
         f.write(data.tobytes())
 
 
+# The timed phases of run_experiment, in order; manifest.json records each one's seconds.
+_PHASES = ("problem", "norm_estimate", "solve", "write")
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     solver = cfg.solver
+    marks = [time.perf_counter()]  # the start, then the end of each phase
     op, obs, x_true = _build_problem(cfg)
     if solver.stopping is not None:  # fails here, before the norm estimate, when the data are noise-free
         a_priori_stop_index(solver.stopping, obs.noise_level, solver.x_space.p)
+    marks.append(time.perf_counter())
 
     l_max = estimates = None
     if cfg.scale_in_l_max:
@@ -377,9 +385,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                   f"{_NORM_SETTINGS['max_iter']} iterations, so L_max = {l_max:.6g} is only a lower bound",
                   file=sys.stderr)
         solver = replace(solver, schedule=replace(solver.schedule, scale=solver.schedule.scale * l_max))
+    marks.append(time.perf_counter())
 
     seeds = [solver.seed + j for j in range(cfg.seeds)]
     results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in seeds]
+    marks.append(time.perf_counter())
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -413,6 +423,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         series.append(("bregman", epoch, stats["bregman"][0]))
     line_chart(out / "plot.svg", series, title=f"{cfg.preset} experiment", x_label="epoch")
     artifacts.append("plot.svg")
+    marks.append(time.perf_counter())
 
     manifest = {
         "version": __version__,
@@ -425,6 +436,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         ],
         "seeds": seeds,
         "artifacts": artifacts,
+        "timings_s": {phase: end - start for phase, start, end in zip(_PHASES, marks, marks[1:])},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:

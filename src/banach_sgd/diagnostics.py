@@ -196,14 +196,23 @@ class EnsembleTrace:
 def ensemble_stats(samples) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise sample mean and standard error over the rows (one per seed).
 
-    The standard error of a single row is 0.
+    The standard error of a single row is 0.  A column of finite samples near
+    the float range can overflow in the sum or the squares; such a column is
+    recomputed from its samples divided by its max |value|, then scaled back.
+    Every other column is the plain numpy result, bit for bit.
     """
     data = np.vstack(samples)
     n = data.shape[0]
-    mean = data.mean(axis=0)
-    if n < 2:
-        return mean, np.zeros_like(mean)
-    return mean, data.std(axis=0, ddof=1) / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.mean(axis=0)
+        stderr = data.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+        redo = ~(np.isfinite(mean) & np.isfinite(stderr)) & np.isfinite(data).all(axis=0)
+        if redo.any():
+            scale = np.abs(data[:, redo]).max(axis=0)
+            scaled = data[:, redo] / scale
+            mean[redo] = scaled.mean(axis=0) * scale
+            stderr[redo] = scaled.std(axis=0, ddof=1) / math.sqrt(n) * scale  # n > 1 here: one finite row is its own mean
+    return mean, stderr
 
 
 def monte_carlo_mean(op, obs, cfg, n_seeds: int, field_name: str = "bregman",

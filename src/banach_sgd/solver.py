@@ -242,18 +242,24 @@ def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, gradient: np
     return IterationState(inverse_duality_map(dual, cfg.x_space), dual, state.k + 1, state.rng)
 
 
+# The steps multiply op.blocks / op.full_matrix directly, without the checks of
+# BlockOperator.apply and friends: run entry (_checked_start) has checked the
+# block sizes, the data and the data space, and the index is drawn in range.
+# stochastic_gradient stays the checked form of the same product, bit for bit.
+
 def sgd_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
              cfg: SolverConfig, mu: float) -> IterationState:
     """One stochastic step: draw a block uniformly, move in the dual, remap."""
     i = int(state.rng.integers(op.n_blocks))
-    return _dual_step(state, cfg, mu, stochastic_gradient(state.x, obs, op, i, cfg.residual_space))
+    A = op.blocks[i]
+    return _dual_step(state, cfg, mu, A.T @ duality_map(A @ state.x - obs.blocks[i], cfg.residual_space))
 
 
 def landweber_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
                    cfg: SolverConfig, mu: float) -> IterationState:
     """One deterministic step: A^T applied to the duality map of the full residual A x - y."""
-    residual = op.apply_all(state.x) - obs.concatenated
-    return _dual_step(state, cfg, mu, op.full_matrix.T @ duality_map(residual, cfg.residual_space))
+    A = op.full_matrix
+    return _dual_step(state, cfg, mu, A.T @ duality_map(A @ state.x - obs.concatenated, cfg.residual_space))
 
 
 def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,

@@ -85,7 +85,7 @@ def _screen(x) -> tuple[np.ndarray, np.ndarray, float]:
     """
     v = _as_vector(x)
     a = np.abs(v)
-    m = float(a.max()) if a.size else 0.0
+    m = float(np.maximum.reduce(a)) if a.size else 0.0  # a.max() without its wrapper
     if not math.isfinite(m):
         raise InvalidInputError("vector contains non-finite entries")
     if m > 0.0:
@@ -125,7 +125,7 @@ def duality_map(x, desc: SpaceDescriptor) -> np.ndarray:
     try:
         scale = m ** (desc.p - 1.0)
         if desc.p != desc.r:
-            tn = float(np.sum(a ** desc.r)) ** (1.0 / desc.r)
+            tn = float(np.add.reduce(a ** desc.r)) ** (1.0 / desc.r)  # np.sum without its wrapper
             scale *= tn ** (desc.p - desc.r)
     except OverflowError:
         scale = math.inf
@@ -133,7 +133,12 @@ def duality_map(x, desc: SpaceDescriptor) -> np.ndarray:
         raise InvalidInputError(
             f"duality map overflows the float range (max|x| = {m:.3g}, r = {desc.r:.3g}, p = {desc.p:.3g})"
         )
-    return scale * a ** (desc.r - 1.0) * np.sign(v)
+    # scale * a ** (r - 1) * sign(x), formed in a's own buffer; a ** 1.0 is a.
+    if desc.r != 2.0:
+        a **= desc.r - 1.0
+    a *= scale
+    a *= np.sign(v)
+    return a
 
 
 def inverse_duality_map(xs, desc: SpaceDescriptor) -> np.ndarray:

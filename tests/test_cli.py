@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import platform
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +321,36 @@ class TestRunExperiment:
         blocks = json.loads((tmp_path / "out" / "manifest.json").read_text())["operator_norm_blocks"]
         assert [b["converged"] for b in blocks] == [False, True]
         assert blocks[0]["iterations"] == 500
+
+    def test_manifest_records_phase_timings_and_environment(self, tmp_path):
+        path = _write_config(tmp_path)
+        start = time.perf_counter()
+        assert main(["solve", str(path)]) == 0
+        wall = time.perf_counter() - start
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        timings = manifest["timings_s"]
+        assert set(timings) == {"problem", "norm_estimate", "solve", "write"}
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings.values()) <= wall
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+
+    def test_ensemble_statistics_near_the_float_range_stay_finite(self, tmp_path):
+        # The sign-indefinite operator at the default L_max scale grows the
+        # objective ~1e38-fold per epoch without diverging; numpy's std of two
+        # such samples overflows in the squares.
+        path = _write_config(tmp_path, n=200, n_batches=20, epochs=5, midpoint_columns=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path)]) == 0
+        trace = tmp_path / "out" / "trace_mean.csv"
+        header = trace.read_text().splitlines()[0].split(",")
+        rows = np.loadtxt(trace, delimiter=",", skiprows=1)
+        assert rows[-1, header.index("objective_mean")] > 1e180
+        for j, name in enumerate(header):
+            if name.endswith("_se"):
+                assert np.isfinite(rows[:, j]).all(), name
 
     def test_seed_ensemble_traces_match_single_seed_runs(self, tmp_path):
         path = _write_config(tmp_path, seeds=3)

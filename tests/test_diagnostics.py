@@ -25,7 +25,7 @@ from banach_sgd import (
     stability_probe,
     support_f1,
 )
-from banach_sgd.diagnostics import CSV_HEADER
+from banach_sgd.diagnostics import CSV_HEADER, ensemble_stats
 
 HILBERT = SpaceDescriptor.hilbert()
 
@@ -245,6 +245,32 @@ class TestMonteCarloMean:
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1)
         with pytest.raises(ConfigurationError, match="bogus"):
             monte_carlo_mean(op, obs, cfg, 3, field_name="bogus")
+
+
+class TestEnsembleStats:
+    def test_columns_near_the_float_range_are_rescaled_and_the_rest_keep_their_bits(self):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        rows = rng.normal(size=(3, 4))
+        rows[:, 1] = [1.5e308, 1.2e308, -0.9e308]  # the sum overflows
+        rows[:, 2] = [3e200, -2e200, 1e200]  # the squares overflow
+        rows[:, 3] = [np.nan, 1.0, 2.0]  # not finite to begin with: left as numpy gives it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = ensemble_stats(list(rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain_mean, plain_se = rows.mean(axis=0), rows.std(axis=0, ddof=1) / np.sqrt(3)
+        for j in (0, 3):
+            assert np.array_equal(mean[j], plain_mean[j], equal_nan=True)
+            assert np.array_equal(se[j], plain_se[j], equal_nan=True)
+        for j in (1, 2):
+            scaled = rows[:, j] / np.abs(rows[:, j]).max()
+            assert np.isfinite(mean[j]) and np.isfinite(se[j])
+            assert mean[j] == pytest.approx(scaled.mean() * np.abs(rows[:, j]).max(), rel=1e-15)
+            assert se[j] == pytest.approx(scaled.std(ddof=1) / np.sqrt(3) * np.abs(rows[:, j]).max(), rel=1e-15)
+
+    def test_single_row_has_zero_stderr(self):
+        mean, se = ensemble_stats([np.array([1.5e308, 2.0])])
+        assert np.array_equal(mean, [1.5e308, 2.0]) and np.array_equal(se, [0.0, 0.0])
 
 
 class TestStabilityProbe:

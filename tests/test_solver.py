@@ -7,6 +7,7 @@ from banach_sgd import (
     APrioriStop,
     BlockOperator,
     ConfigurationError,
+    CsrMatrix,
     ConstantSchedule,
     ConstantsConfig,
     DimensionMismatchError,
@@ -14,15 +15,19 @@ from banach_sgd import (
     IterationInvariantError,
     ObservationSet,
     PolynomialSchedule,
+    RadonGeometry,
     SlowDecaySchedule,
     SolverConfig,
     SpaceDescriptor,
     a_priori_stop_index,
     bregman_distance,
+    build_integral_operator,
+    build_radon_operator,
     dual_pairing,
     duality_map,
     estimate_constants,
     initial_state,
+    inverse_duality_map,
     iterate_n,
     landweber_step,
     lr_norm,
@@ -30,6 +35,7 @@ from banach_sgd import (
     partition_rows,
     run,
     sgd_step,
+    sparse_disk_phantom,
     step_size,
     stochastic_gradient,
     theoretical_max_step,
@@ -449,6 +455,88 @@ class TestRun:
             with pytest.raises(IterationInvariantError, match="iteration 2") as info:
                 iterate_n(op, obs, cfg, 2)
         assert "mu = 1e+290" in str(info.value)
+
+    @pytest.mark.parametrize("method,sparse", [("sgd", True), ("landweber", False)])
+    def test_overflow_inside_a_csr_or_landweber_step_is_a_divergence(self, method, sparse):
+        # the steps skip BlockOperator's checks, so each product kind must still end in the typed error
+        block = CsrMatrix([0, 1, 2], [0, 1], [1e10, 1e10], (2, 2)) if sparse else 1e10 * np.eye(2)
+        op = BlockOperator([block], HILBERT)
+        obs = ObservationSet([np.ones(2)])
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290), method=method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationInvariantError, match="iteration 2") as info:
+                iterate_n(op, obs, cfg, 2)
+        assert "mu = 1e+290" in str(info.value)
+
+
+def _reference_iterate(op, obs, cfg, n_steps):
+    """The steps rebuilt from the checked public pieces: (x, dual x) after n_steps."""
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    x = dual = np.zeros(op.input_dim)
+    for k in range(1, n_steps + 1):
+        if cfg.method == "landweber":
+            residual = op.apply_all(x) - obs.concatenated
+            gradient = op.full_matrix.T @ duality_map(residual, cfg.residual_space)
+        else:
+            gradient = stochastic_gradient(x, obs, op, int(rng.integers(op.n_blocks)), cfg.residual_space)
+        dual = dual - step_size(cfg.schedule, k) * gradient
+        x = inverse_duality_map(dual, cfg.x_space)
+    return x, dual
+
+
+def _ragged_problem():
+    A = build_integral_operator(30)
+    op = BlockOperator([A[:4], A[4:15], A[15:16], A[16:]], HILBERT)
+    y = A @ np.sin(np.arange(30.0))
+    return op, ObservationSet.from_full(y, op)
+
+
+def _ct_problem():
+    geom = RadonGeometry(16, 6, 30.0, 23, 0.1)
+    space = SpaceDescriptor(1.1, 2.0)
+    A = build_radon_operator(geom)
+    op = partition_rows(A, 6, space)
+    return op, ObservationSet.from_full(A @ sparse_disk_phantom(16), op), space
+
+
+class TestStepsAgainstTheCheckedReference:
+    """The steps multiply the stored blocks without re-checking them; they must
+    equal a loop of stochastic_gradient / apply_all and inverse_duality_map bit for bit."""
+
+    def _assert_matches_reference(self, op, obs, cfg):
+        result = run(op, obs, cfg)
+        assert result.state.k >= 200
+        for state in (result.state, iterate_n(op, obs, cfg, result.state.k)):
+            x, dual = _reference_iterate(op, obs, cfg, result.state.k)
+            assert np.array_equal(state.x, x)
+            assert np.array_equal(state.dual_x, dual)
+
+    def test_sgd_on_equal_dense_blocks(self):
+        _, _, op, obs = hilbert_problem(12, 4, seed=201)
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT,
+                           schedule=SlowDecaySchedule(0.1, 4, 2.0), epochs=60, seed=11)
+        self._assert_matches_reference(op, obs, cfg)
+
+    def test_sgd_on_ragged_dense_blocks(self):
+        op, obs = _ragged_problem()
+        assert len(set(op.block_sizes.tolist())) == 4
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 1.5), y_space=HILBERT,
+                           schedule=ConstantSchedule(0.02), epochs=60, seed=4)
+        self._assert_matches_reference(op, obs, cfg)
+
+    def test_generalized_kaczmarz_on_csr_blocks(self):
+        op, obs, space = _ct_problem()
+        assert isinstance(op.blocks[0], CsrMatrix)
+        cfg = SolverConfig(x_space=space, y_space=space, schedule=SlowDecaySchedule(0.05, 6, space.p_conj),
+                           method="generalized_kaczmarz", q=1.1, epochs=40, seed=2)
+        self._assert_matches_reference(op, obs, cfg)
+
+    def test_landweber(self):
+        op, obs = _ragged_problem()
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT,
+                           schedule=ConstantSchedule(0.02), method="landweber", epochs=200)
+        self._assert_matches_reference(op, obs, cfg)
 
 
 class TestHilbertReduction:
