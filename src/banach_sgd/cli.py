@@ -69,7 +69,11 @@ from .solver import (
 from .spaces import SpaceDescriptor
 
 NoiseModel = GaussianNoise | ImpulseNoise | SaltPepperNoise
-_NOISE_MODELS = {"gaussian": GaussianNoise, "impulse": ImpulseNoise, "salt_pepper": SaltPepperNoise}
+
+# The class each kind of a kind-tagged spec builds; None stands for no object.
+_NOISE_KINDS = {"none": None, "gaussian": GaussianNoise, "impulse": ImpulseNoise, "salt_pepper": SaltPepperNoise}
+_SCHEDULE_KINDS = {"slow_decay": SlowDecaySchedule, "polynomial": PolynomialSchedule, "constant": ConstantSchedule}
+_STOPPING_KINDS = {"max_epochs": None, "a_priori": APrioriStop}
 
 # Each preset's table lists every key the preset reads, beyond the common ones.
 _PRESET_DEFAULTS = {
@@ -116,16 +120,8 @@ _COMMON_DEFAULTS = {
 
 # The norm-estimate settings of a run whose step scale is in units of L_max.
 _NORM_SETTINGS = {"tol": 1e-8, "max_iter": 500}
-
-_SCHEDULE_KEYS = {
-    "slow_decay": {"kind", "scale"},
-    "polynomial": {"kind", "mu0", "beta"},
-    "constant": {"kind", "mu0"},
-}
-_STOPPING_KEYS = {
-    "max_epochs": {"kind"},
-    "a_priori": {"kind", "beta", "theta"},
-}
+# A symbolic slow-decay scale, in units of L_max.
+_L_MAX_UNITS = {"L_max": 1.0, "L_max/2": 0.5}
 
 
 @dataclass
@@ -155,16 +151,14 @@ def _check_keys(section: str, data: dict, allowed):
         raise ConfigurationError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
 
 
-def _number(section: str, data: dict, key: str, kind=float, default=None):
-    """data[key] as kind, or default when the key is absent and default is given.
+def _number(section: str, data: dict, key: str, kind=float):
+    """data[key] as kind.
 
     A number is a finite JSON number, never a bool, a string, NaN or an infinity;
     an integer is an integral number.
     """
     if key not in data:
-        if default is None:
-            raise ConfigurationError(f"{section} needs a {key!r} entry")
-        return default
+        raise ConfigurationError(f"{section} needs a {key!r} entry")
     value = data[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if isinstance(value, int) or math.isfinite(value) and (kind is float or value.is_integer()):
@@ -176,14 +170,39 @@ def _number(section: str, data: dict, key: str, kind=float, default=None):
     raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {reprlib.repr(value)}")
 
 
-def _validated_sub(section: str, data, table) -> dict:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigurationError(f"{section} must be an object with a 'kind' field; got {reprlib.repr(data)}")
-    kind = data["kind"]
+def _from_fields(section: str, cls, data: dict, **given):
+    """cls built from its dataclass fields: a given field is passed in, any other is read from data.
+
+    A field annotated int is an integer, a str field is passed through as text, any
+    other is a finite number; a field whose default is None may be null, and a field
+    that data leaves out keeps its default.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in given:
+            kwargs[f.name] = given[f.name]
+        elif f.name in data or f.default is MISSING:
+            value = data.get(f.name)
+            if f.type != "str" and not (f.default is None and value is None):
+                value = _number(section, data, f.name, int if f.type == "int" else float)
+            kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def _from_spec(section: str, spec, table: dict, **given):
+    """The object of a kind-tagged spec, built by _from_fields from the class table[kind].
+
+    A kind's keys are "kind" and its class's fields but the given ones; a kind whose
+    class is None takes no other key and gives None.
+    """
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigurationError(f"{section} must be an object with a 'kind' field; got {reprlib.repr(spec)}")
+    kind = spec["kind"]
     if not isinstance(kind, str) or kind not in table:
         raise ConfigurationError(f"{section}.kind must be one of {sorted(table)}; got {reprlib.repr(kind)}")
-    _check_keys(section, data, table[kind])
-    return data
+    cls = table[kind]
+    _check_keys(section, spec, {"kind"} | ({f.name for f in fields(cls)} - set(given) if cls else set()))
+    return None if cls is None else _from_fields(section, cls, spec, **given)
 
 
 def build_config(raw: dict) -> ExperimentConfig:
@@ -205,25 +224,23 @@ def build_config(raw: dict) -> ExperimentConfig:
     n_batches, epochs, seeds = (_number("config", merged, k, int) for k in ("n_batches", "epochs", "seeds"))
     if n_batches < 1 or epochs < 1 or seeds < 1:
         raise ConfigurationError("n_batches, epochs and seeds must be >= 1")
-    schedule, scale_in_l_max = _schedule_from_spec(
-        _validated_sub("schedule", merged["schedule"], _SCHEDULE_KEYS), n_batches, x_space.p_conj
-    )
-    noise = _noise_from_spec("noise", merged["noise"])
-    spec = _validated_sub("stopping", merged["stopping"], _STOPPING_KEYS)
-    stopping = None if spec["kind"] == "max_epochs" else APrioriStop(
-        _number("stopping", spec, "beta", float, 0.0), _number("stopping", spec, "theta", float, APrioriStop.theta)
-    )
+    spec = merged["schedule"]
+    scale = spec.get("scale", "L_max") if isinstance(spec, dict) and spec.get("kind") == "slow_decay" else None
+    scale_in_l_max = isinstance(scale, str)
+    if scale_in_l_max:
+        if scale not in _L_MAX_UNITS:
+            raise ConfigurationError(
+                f"symbolic schedule scale must be one of {sorted(_L_MAX_UNITS)}; got {reprlib.repr(scale)}"
+            )
+        spec = {**spec, "scale": _L_MAX_UNITS[scale]}
+    schedule = _from_spec("schedule", spec, _SCHEDULE_KINDS, n_batches=n_batches, p_conj=x_space.p_conj)
+    noise = _from_spec("noise", merged["noise"], _NOISE_KINDS)
+    stopping = _from_spec("stopping", merged["stopping"], _STOPPING_KINDS)
     if stopping is not None and noise is None:
         raise ConfigurationError("a_priori stopping needs noisy data; noise kind 'none' gives delta = 0")
-    solver = SolverConfig(
-        x_space=x_space,
-        y_space=SpaceDescriptor(_number("config", merged, "r_y"), x_space.p),
-        schedule=schedule,
-        method=merged["method"],
-        q=None if merged["q"] is None else _number("config", merged, "q"),
-        stopping=stopping,
-        seed=_number("config", merged, "seed", int),
-        epochs=epochs,
+    solver = _from_fields(
+        "config", SolverConfig, merged, x_space=x_space,
+        y_space=SpaceDescriptor(_number("config", merged, "r_y"), x_space.p), schedule=schedule, stopping=stopping,
     )
     check_seed(solver.seed + seeds - 1, "the ensemble's last seed, seed + seeds - 1,")
 
@@ -238,16 +255,10 @@ def build_config(raw: dict) -> ExperimentConfig:
                 f"config.midpoint_columns must be true or false; got {reprlib.repr(midpoint_columns)}"
             )
     elif preset == "ct":
-        geometry = RadonGeometry(
-            grid_side=_number("config", merged, "grid_side", int),
-            n_angles=_number("config", merged, "n_angles", int),
-            angle_step=_number("config", merged, "angle_step"),
-            n_detectors=_number("config", merged, "n_detectors", int),
-            pixel_size=_number("config", merged, "pixel_size"),
-        )
+        geometry = _from_fields("config", RadonGeometry, merged)
         check_phantom_size(geometry.grid_side)
         check_partition(geometry.n_angles * geometry.n_detectors, n_batches)
-        phantom_noise = _noise_from_spec("phantom_noise", merged["phantom_noise"])
+        phantom_noise = _from_spec("phantom_noise", merged["phantom_noise"], _NOISE_KINDS)
     else:
         if not merged["matrix_csv"]:
             raise ConfigurationError("custom preset needs matrix_csv")
@@ -290,42 +301,6 @@ def _read_json(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top-level JSON value must be an object")
     return raw
-
-
-def _noise_from_spec(section: str, spec):
-    """The noise model of a spec; None for kind "none".
-
-    Its fields and their defaults are the model dataclass's: seed is an integer,
-    and a field whose default is None may be null.
-    """
-    table = {"none": {"kind"}} | {k: {"kind", *(f.name for f in fields(m))} for k, m in _NOISE_MODELS.items()}
-    kind = _validated_sub(section, spec, table)["kind"]
-    if kind == "none":
-        return None
-    model = _NOISE_MODELS[kind]
-    return model(**{
-        f.name: None if f.default is None and spec.get(f.name) is None
-        else _number(section, spec, f.name, int if f.name == "seed" else float)
-        for f in fields(model) if f.name in spec or f.default is MISSING
-    })
-
-
-def _schedule_from_spec(spec: dict, n_batches: int, p_conj: float):
-    """(schedule, whether its scale is in units of L_max)."""
-    kind = spec["kind"]
-    if kind == "constant":
-        return ConstantSchedule(_number("schedule", spec, "mu0")), False
-    if kind == "polynomial":
-        return PolynomialSchedule(_number("schedule", spec, "mu0"), _number("schedule", spec, "beta")), False
-    scale = spec.get("scale", "L_max")
-    if isinstance(scale, str):
-        table = {"L_max": 1.0, "L_max/2": 0.5}
-        if scale not in table:
-            raise ConfigurationError(
-                f"symbolic schedule scale must be one of {sorted(table)}; got {reprlib.repr(scale)}"
-            )
-        return SlowDecaySchedule(table[scale], n_batches, p_conj), True
-    return SlowDecaySchedule(_number("schedule", spec, "scale"), n_batches, p_conj), False
 
 
 def _build_problem(cfg: ExperimentConfig):
@@ -388,7 +363,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     marks.append(time.perf_counter())
 
     seeds = [solver.seed + j for j in range(cfg.seeds)]
-    results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in seeds]
+    # Landweber draws no random index, so its one run stands for every seed.
+    distinct = seeds[:1] if solver.method == "landweber" else seeds
+    results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in distinct]
+    results *= len(seeds) // len(distinct)
     marks.append(time.perf_counter())
 
     out = Path(cfg.out_dir)

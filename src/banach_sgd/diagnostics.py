@@ -229,10 +229,8 @@ def monte_carlo_mean(op, obs, cfg, n_seeds: int, field_name: str = "bregman",
         raise ConfigurationError("need at least 2 seeds for a standard error")
     if field_name not in ConvergenceRecord._COLUMNS:
         raise ConfigurationError(f"field_name must be one of {ConvergenceRecord._COLUMNS}; got {field_name!r}")
-    records = [
-        solver.run(op, obs, solver.with_seed(cfg, cfg.seed + j), x_true=x_true, x_ref=x_ref).record
-        for j in range(n_seeds)
-    ]
+    cfgs = [solver.with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]  # a bad seed fails before any run
+    records = [solver.run(op, obs, cfg_j, x_true=x_true, x_ref=x_ref).record for cfg_j in cfgs]
     mean, stderr = ensemble_stats([r.column(field_name) for r in records])
     return EnsembleTrace(records[0].epoch, mean, stderr, n_seeds)
 

@@ -128,7 +128,7 @@ class APrioriStop:
     k(delta) * delta^(p/(1-beta)) still vanishes, for any theta < 1.
     """
 
-    beta: float
+    beta: float = 0.0
     theta: float = 0.9
 
     def __post_init__(self):
@@ -218,15 +218,17 @@ def initial_state(op: BlockOperator, cfg: SolverConfig) -> IterationState:
     return IterationState(np.zeros(n), np.zeros(n), 0, rng)
 
 
-def _checked_start(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, x_ref=None) -> IterationState:
-    """Run entry: check everything the steps and snapshots trust, then start from zero."""
+def _checked_start(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, **references) -> IterationState:
+    """Run entry: check everything the steps and snapshots trust, the named reference
+    vectors (x_true, x_ref) included, then start from zero."""
     if cfg.y_space.r != op.output_space.r:  # steps read r_y from cfg, the objective from op
         raise ConfigurationError(
             f"config data space l^{cfg.y_space.r} differs from the operator's l^{op.output_space.r}"
         )
     check_blocks_match(op, obs)
-    if x_ref is not None and not np.isfinite(x_ref).all():
-        raise InvalidInputError("x_ref contains non-finite entries")
+    for name, ref in references.items():
+        if ref is not None and not np.isfinite(ref).all():
+            raise InvalidInputError(f"{name} contains non-finite entries")
     return initial_state(op, cfg)
 
 
@@ -357,11 +359,12 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
 
     x_ref is the reference for the Bregman column (usually the minimum norm
     solution); x_true feeds the normalised l1/l2 error columns.  Both are
-    optional, leaving NaN columns.  An a-priori cfg.stopping replaces
-    cfg.epochs: the run stops at k(obs.noise_level) with power cfg.x_space.p.
-    The run is fully determined by (cfg.seed, op, obs).
+    optional, leaving NaN columns, and must be finite when given.  An
+    a-priori cfg.stopping replaces cfg.epochs: the run stops at
+    k(obs.noise_level) with power cfg.x_space.p.  The run is fully
+    determined by (cfg.seed, op, obs).
     """
-    state = _checked_start(op, obs, cfg, x_ref)
+    state = _checked_start(op, obs, cfg, x_true=x_true, x_ref=x_ref)
     per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
     total = (cfg.epochs * per_epoch if cfg.stopping is None
              else a_priori_stop_index(cfg.stopping, obs.noise_level, cfg.x_space.p))

@@ -125,6 +125,8 @@ class TestMalformedSpecs:
         (["--noise", "[" * 100_000 + "]" * 100_000], None),
         (None, {"schedule": {"kind": "constant", "mu0": 10**400}}),
         (None, {"noise": {"kind": "impulse", "pct": 0.1, "lo": -1e308, "hi": 1e308}}),
+        (None, {"preset": "ct", "n": None, "grid_side": 64.5}),
+        (None, {"schedule": {"kind": "slow_decay", "scale": None}}),
     ])
     def test_exit_1_with_one_line_before_any_work(self, tmp_path, monkeypatch, capsys, flags, config):
         import banach_sgd.cli as cli
@@ -181,6 +183,40 @@ class TestMalformedSpecs:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "ImpulseNoise(pct=0.5, lo=1e+307, hi=1.5e+308" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestSpecReader:
+    """Every kind-tagged spec takes its keys and defaults from the dataclass its kind builds."""
+
+    SUPPLIED = {"n_batches", "p_conj"}  # fields the config itself gives a schedule
+
+    @pytest.mark.parametrize("section,table", [
+        ("noise", "_NOISE_KINDS"), ("schedule", "_SCHEDULE_KINDS"), ("stopping", "_STOPPING_KINDS"),
+    ])
+    def test_each_kind_takes_its_class_fields_but_the_supplied_ones(self, section, table):
+        import dataclasses
+
+        import banach_sgd.cli as cli
+
+        for kind, cls in getattr(cli, table).items():
+            names = {f.name for f in dataclasses.fields(cls)} if cls else set()
+            spec = {"kind": kind, **dict.fromkeys(names, 0), "extra": 0}
+            with pytest.raises(cli.ConfigurationError) as info:
+                build_config({section: spec})
+            unknown = ", ".join(sorted(names & self.SUPPLIED | {"extra"}))
+            assert str(info.value) == f"unknown key(s) in {section}: {unknown}", kind
+
+    @pytest.mark.parametrize("key", sorted(SUPPLIED))
+    def test_supplied_field_in_a_slow_decay_spec_exits_1_as_unknown(self, tmp_path, capsys, key):
+        path = _write_config(tmp_path, schedule={"kind": "slow_decay", "scale": 0.1, key: 4})
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown key(s) in schedule: {key}\n"
+
+    def test_a_priori_stop_keeps_the_dataclass_defaults(self):
+        from banach_sgd import APrioriStop
+
+        cfg = build_config({"noise": {"kind": "gaussian", "sigma": 0.01}, "stopping": {"kind": "a_priori"}})
+        assert cfg.solver.stopping == APrioriStop(0.0, 0.9)
 
 
 class TestSingleFlagPath:
@@ -363,6 +399,25 @@ class TestRunExperiment:
             singles.update({p.name: _digest(p) for p in out.glob("trace_seed*.csv")})
         assert len(ensemble) == 3
         assert ensemble == singles
+
+    def test_landweber_runs_once_for_every_seed(self, tmp_path, monkeypatch):
+        import banach_sgd.cli as cli
+
+        calls = []
+        solve = cli.run
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        path = _write_config(tmp_path, n=200, n_batches=20, epochs=200, method="landweber", seeds=3,
+                             schedule={"kind": "slow_decay", "scale": 0.05})
+        assert main(["solve", str(path)]) == 0
+        assert len(calls) == 1
+        out = tmp_path / "out"
+        assert len({_digest(out / f"trace_seed{s:04d}.csv") for s in range(3)}) == 1
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [0, 1, 2]
+        header = (out / "trace_mean.csv").read_text().splitlines()[0].split(",")
+        rows = np.loadtxt(out / "trace_mean.csv", delimiter=",", skiprows=1)
+        for j, name in enumerate(header):  # the mean of equal samples rounds, so the error is round-off
+            if name.endswith("_se"):
+                assert (rows[:, j] <= 1e-14 * np.abs(rows[:, j - 1])).all(), name
 
     def test_overflowing_step_exits_2_naming_the_iteration(self, tmp_path, capsys):
         path = _write_config(tmp_path, n=100, n_batches=10, r_x=1.5, p=1.5,

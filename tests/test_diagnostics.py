@@ -246,6 +246,18 @@ class TestMonteCarloMean:
         with pytest.raises(ConfigurationError, match="bogus"):
             monte_carlo_mean(op, obs, cfg, 3, field_name="bogus")
 
+    def test_out_of_range_seed_rejected_before_any_run(self, monkeypatch):
+        import banach_sgd.solver as solver
+
+        calls = []
+        monkeypatch.setattr(solver, "run", lambda *args, **kwargs: calls.append(args))
+        _, _, op, obs = _small_problem()
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1,
+                           seed=2**128 - 1)
+        with pytest.raises(ConfigurationError, match="2\\*\\*128"):
+            monte_carlo_mean(op, obs, cfg, 2)
+        assert calls == []
+
 
 class TestEnsembleStats:
     def test_columns_near_the_float_range_are_rescaled_and_the_rest_keep_their_bits(self):

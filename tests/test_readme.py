@@ -40,3 +40,17 @@ def test_command_lines_parse_and_experiments_build_their_config(monkeypatch):
 def test_config_example_builds():
     (block,) = _blocks("json")
     cli.build_config(json.loads(block))
+
+
+def test_config_key_lists_match_the_cli_tables():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    common, presets = re.search(
+        r"A config holds `preset`, the common keys \((.*?)\) and its own preset's keys: (.*?)\. ", text
+    ).groups()
+    ticked = lambda part: sorted(re.findall(r"`(\w+)`", part))
+    assert ticked(common) == sorted(cli._COMMON_DEFAULTS)
+    listed = {}
+    for part in presets.split("; "):
+        keys, preset = part.rsplit(" for ", 1)
+        listed[preset.strip("`")] = ticked(keys)
+    assert listed == {preset: sorted(table) for preset, table in cli._PRESET_DEFAULTS.items()}

@@ -661,6 +661,20 @@ class TestRunEntry:
             with pytest.raises(DimensionMismatchError, match="block sizes"):
                 call()
 
+    @pytest.mark.parametrize("reference", ["x_true", "x_ref"])
+    def test_non_finite_reference_rejected_before_the_first_snapshot(self, reference, monkeypatch):
+        import banach_sgd.solver as solver
+
+        def no_snapshot(*args, **kwargs):
+            raise AssertionError("snapshot taken despite a non-finite reference")
+
+        monkeypatch.setattr(solver, "residual_objective", no_snapshot)
+        _, x_true, op, obs = hilbert_problem(8, 4, seed=5)
+        x_true[3] = np.nan
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1)
+        with pytest.raises(InvalidInputError, match=f"{reference} contains non-finite entries"):
+            run(op, obs, cfg, **{reference: x_true})
+
     def test_step_builds_no_descriptor(self, monkeypatch):
         built = []
         original = SpaceDescriptor.__post_init__
