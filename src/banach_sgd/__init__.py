@@ -48,6 +48,7 @@ from .solver import (
     iterate_n,
     landweber_step,
     run,
+    run_seeds,
     sgd_step,
     step_size,
     stochastic_gradient,

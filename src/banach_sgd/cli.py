@@ -63,8 +63,7 @@ from .solver import (
     SlowDecaySchedule,
     SolverConfig,
     a_priori_stop_index,
-    run,
-    with_seed,
+    run_seeds,
 )
 from .spaces import SpaceDescriptor
 
@@ -141,7 +140,9 @@ class ExperimentConfig:
     matrix_csv: str | None = None
     signal_csv: str | None = None
     data_csv: str | None = None
-    midpoint_columns: bool | None = None
+    # n and midpoint_columns are the integral preset's. Having no default, neither
+    # may be null, and a preset that does not read them leaves them None.
+    midpoint_columns: bool | None = field(kw_only=True)
     echo: dict = field(default_factory=dict)
 
 
@@ -151,41 +152,44 @@ def _check_keys(section: str, data: dict, allowed):
         raise ConfigurationError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
 
 
-def _number(section: str, data: dict, key: str, kind=float):
-    """data[key] as kind.
+def _read(section: str, data: dict, key: str, kind: str = "float"):
+    """data[key] read as the annotation kind.
 
-    A number is a finite JSON number, never a bool, a string, NaN or an infinity;
-    an integer is an integral number.
+    A str is a string and a bool true or false. Any other kind is a finite JSON
+    number, never a bool, a string, NaN or an infinity, and an int an integral one.
     """
     if key not in data:
         raise ConfigurationError(f"{section} needs a {key!r} entry")
     value = data[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if isinstance(value, int) or math.isfinite(value) and (kind is float or value.is_integer()):
+    if kind in ("str", "bool"):
+        if isinstance(value, str if kind == "str" else bool):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, int) or math.isfinite(value) and (kind != "int" or value.is_integer()):
             try:
-                return kind(value)
+                return int(value) if kind == "int" else float(value)
             except OverflowError:  # an integer beyond the float range
                 pass
-    kind_name = "an integer" if kind is int else "a finite number"
-    raise ConfigurationError(f"{section}.{key} must be {kind_name}; got {reprlib.repr(value)}")
+    expected = {"str": "a string", "bool": "true or false", "int": "an integer"}.get(kind, "a finite number")
+    raise ConfigurationError(f"{section}.{key} must be {expected}; got {reprlib.repr(value)}")
 
 
 def _from_fields(section: str, cls, data: dict, **given):
     """cls built from its dataclass fields: a given field is passed in, any other is read from data.
 
-    A field annotated int is an integer, a str field is passed through as text, any
-    other is a finite number; a field whose default is None may be null, and a field
-    that data leaves out keeps its default.
+    Each field is read by _read as its annotation, X | None as X. A null is read only
+    where the default is None. A field that data leaves out keeps its default, or is
+    None when it is X | None without one.
     """
     kwargs = {}
     for f in fields(cls):
+        kind, _, optional = f.type.partition(" | ")
         if f.name in given:
             kwargs[f.name] = given[f.name]
-        elif f.name in data or f.default is MISSING:
-            value = data.get(f.name)
-            if f.type != "str" and not (f.default is None and value is None):
-                value = _number(section, data, f.name, int if f.type == "int" else float)
-            kwargs[f.name] = value
+        elif f.name in data and not (data[f.name] is None and f.default is None):
+            kwargs[f.name] = _read(section, data, f.name, kind)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            kwargs[f.name] = None if optional else _read(section, data, f.name, kind)  # names the missing key
     return cls(**kwargs)
 
 
@@ -215,13 +219,9 @@ def build_config(raw: dict) -> ExperimentConfig:
     defaults = {**_COMMON_DEFAULTS, **_PRESET_DEFAULTS[preset], "preset": preset}
     _check_keys(f"{preset} config", raw, defaults)
     merged = {**defaults, **raw}
-    for key in ("out_dir", "matrix_csv", "signal_csv", "data_csv"):  # a CSV path may also be null
-        value = merged.get(key, "")
-        if not isinstance(value, str) and (value is not None or key == "out_dir"):
-            raise ConfigurationError(f"config.{key} must be a string; got {reprlib.repr(value)}")
 
-    x_space = SpaceDescriptor(_number("config", merged, "r_x"), _number("config", merged, "p"))
-    n_batches, epochs, seeds = (_number("config", merged, k, int) for k in ("n_batches", "epochs", "seeds"))
+    x_space = SpaceDescriptor(_read("config", merged, "r_x"), _read("config", merged, "p"))
+    n_batches, epochs, seeds = (_read("config", merged, k, "int") for k in ("n_batches", "epochs", "seeds"))
     if n_batches < 1 or epochs < 1 or seeds < 1:
         raise ConfigurationError("n_batches, epochs and seeds must be >= 1")
     spec = merged["schedule"]
@@ -240,48 +240,28 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("a_priori stopping needs noisy data; noise kind 'none' gives delta = 0")
     solver = _from_fields(
         "config", SolverConfig, merged, x_space=x_space,
-        y_space=SpaceDescriptor(_number("config", merged, "r_y"), x_space.p), schedule=schedule, stopping=stopping,
+        y_space=SpaceDescriptor(_read("config", merged, "r_y"), x_space.p), schedule=schedule, stopping=stopping,
     )
     check_seed(solver.seed + seeds - 1, "the ensemble's last seed, seed + seeds - 1,")
 
-    n = geometry = phantom_noise = midpoint_columns = None
-    if preset == "integral":
-        n = _number("config", merged, "n", int)
-        check_signal_size(n)
-        check_partition(n, n_batches)
-        midpoint_columns = merged["midpoint_columns"]
-        if not isinstance(midpoint_columns, bool):
-            raise ConfigurationError(
-                f"config.midpoint_columns must be true or false; got {reprlib.repr(midpoint_columns)}"
-            )
-    elif preset == "ct":
+    own = {}  # the objects the preset builds from its own keys
+    if preset == "ct":
         geometry = _from_fields("config", RadonGeometry, merged)
         check_phantom_size(geometry.grid_side)
         check_partition(geometry.n_angles * geometry.n_detectors, n_batches)
-        phantom_noise = _from_spec("phantom_noise", merged["phantom_noise"], _NOISE_KINDS)
-    else:
-        if not merged["matrix_csv"]:
+        own = {"geometry": geometry,
+               "phantom_noise": _from_spec("phantom_noise", merged["phantom_noise"], _NOISE_KINDS)}
+    cfg = _from_fields("config", ExperimentConfig, merged, preset=preset, solver=solver, n_batches=n_batches,
+                       scale_in_l_max=scale_in_l_max, seeds=seeds, noise=noise, echo=merged, **own)
+    if preset == "integral":
+        check_signal_size(cfg.n)
+        check_partition(cfg.n, n_batches)
+    elif preset == "custom":
+        if not cfg.matrix_csv:
             raise ConfigurationError("custom preset needs matrix_csv")
-        if not merged["signal_csv"] and not merged["data_csv"]:
+        if not cfg.signal_csv and not cfg.data_csv:
             raise ConfigurationError("custom preset needs signal_csv or data_csv")
-
-    return ExperimentConfig(
-        preset=preset,
-        solver=solver,
-        scale_in_l_max=scale_in_l_max,
-        n=n,
-        n_batches=n_batches,
-        seeds=seeds,
-        noise=noise,
-        out_dir=merged["out_dir"],
-        geometry=geometry,
-        phantom_noise=phantom_noise,
-        matrix_csv=merged.get("matrix_csv"),
-        signal_csv=merged.get("signal_csv"),
-        data_csv=merged.get("data_csv"),
-        midpoint_columns=midpoint_columns,
-        echo=merged,
-    )
+    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -363,10 +343,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     marks.append(time.perf_counter())
 
     seeds = [solver.seed + j for j in range(cfg.seeds)]
-    # Landweber draws no random index, so its one run stands for every seed.
-    distinct = seeds[:1] if solver.method == "landweber" else seeds
-    results = [run(op, obs, with_seed(solver, s), x_true=x_true, x_ref=x_true) for s in distinct]
-    results *= len(seeds) // len(distinct)
+    results = run_seeds(op, obs, solver, cfg.seeds, x_true=x_true, x_ref=x_true)
     marks.append(time.perf_counter())
 
     out = Path(cfg.out_dir)

@@ -114,12 +114,18 @@ def residual_objective(residual: np.ndarray, op: BlockOperator, exponent: float)
     return value
 
 
-def delta_metrics(x, x_true):
-    """Normalised l1 and l2 reconstruction errors (delta1, delta2)."""
+def _paired(x, x_true):
+    """x and x_true as flat float vectors of one length."""
     x = np.asarray(x, dtype=float).ravel()
     xt = np.asarray(x_true, dtype=float).ravel()
     if x.shape != xt.shape:
         raise DimensionMismatchError("reconstruction and reference lengths differ")
+    return x, xt
+
+
+def delta_metrics(x, x_true):
+    """Normalised l1 and l2 reconstruction errors (delta1, delta2)."""
+    x, xt = _paired(x, x_true)
     n1 = float(np.sum(np.abs(xt)))
     n2 = float(np.sqrt(np.sum(xt * xt)))
     if n1 == 0.0 or n2 == 0.0:
@@ -133,8 +139,7 @@ def support_f1(x, x_true, threshold: float | None = None) -> float:
 
     The default threshold is 0.1 * max|x_true|.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    xt = np.asarray(x_true, dtype=float).ravel()
+    x, xt = _paired(x, x_true)
     if threshold is None:
         threshold = 0.1 * float(np.max(np.abs(xt)))
     if threshold <= 0:
@@ -196,22 +201,27 @@ class EnsembleTrace:
 def ensemble_stats(samples) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise sample mean and standard error over the rows (one per seed).
 
-    The standard error of a single row is 0.  A column of finite samples near
-    the float range can overflow in the sum or the squares; such a column is
-    recomputed from its samples divided by its max |value|, then scaled back.
-    Every other column is the plain numpy result, bit for bit.
+    The standard error is taken from the deviations off the first row, so equal
+    samples give exactly 0, as does a single row.  A column of finite samples
+    near the float range can overflow in the sum, the deviations or the squares;
+    such a column is recomputed from its samples divided by its max |value|, then
+    scaled back.  Every other column's mean is numpy's, bit for bit.
     """
     data = np.vstack(samples)
     n = data.shape[0]
+
+    def stderr_of(d):
+        return (d - d[0]).std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(d.shape[1])
+
     with np.errstate(over="ignore", invalid="ignore"):
         mean = data.mean(axis=0)
-        stderr = data.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+        stderr = stderr_of(data)
         redo = ~(np.isfinite(mean) & np.isfinite(stderr)) & np.isfinite(data).all(axis=0)
         if redo.any():
             scale = np.abs(data[:, redo]).max(axis=0)
             scaled = data[:, redo] / scale
             mean[redo] = scaled.mean(axis=0) * scale
-            stderr[redo] = scaled.std(axis=0, ddof=1) / math.sqrt(n) * scale  # n > 1 here: one finite row is its own mean
+            stderr[redo] = stderr_of(scaled) * scale
     return mean, stderr
 
 
@@ -229,8 +239,7 @@ def monte_carlo_mean(op, obs, cfg, n_seeds: int, field_name: str = "bregman",
         raise ConfigurationError("need at least 2 seeds for a standard error")
     if field_name not in ConvergenceRecord._COLUMNS:
         raise ConfigurationError(f"field_name must be one of {ConvergenceRecord._COLUMNS}; got {field_name!r}")
-    cfgs = [solver.with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]  # a bad seed fails before any run
-    records = [solver.run(op, obs, cfg_j, x_true=x_true, x_ref=x_ref).record for cfg_j in cfgs]
+    records = [r.record for r in solver.run_seeds(op, obs, cfg, n_seeds, x_true=x_true, x_ref=x_ref)]
     mean, stderr = ensemble_stats([r.column(field_name) for r in records])
     return EnsembleTrace(records[0].epoch, mean, stderr, n_seeds)
 
@@ -296,11 +305,11 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
     keeps every iterate's dual image inside the closure of range(A^T), which
     pins the limit to the minimum norm solution.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    r = x_space.r
+    op = BlockOperator([A], SpaceDescriptor.hilbert())  # both check their input, also for r = 2
+    obs = ObservationSet.from_full(y, op)
+    A, r = op.full_matrix, x_space.r
     if r == 2.0:
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+        sol, *_ = np.linalg.lstsq(A, obs.concatenated, rcond=None)
         return sol
     from . import solver
 
@@ -317,8 +326,6 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
         gauge = r
         norm = spectral * A.shape[1] ** (0.5 - 1.0 / r)
         mu = 0.9 * (r_conj / (2.0 * norm ** r_conj)) ** (1.0 / (r_conj - 1.0))
-    op = BlockOperator([A], SpaceDescriptor.hilbert())
-    obs = ObservationSet.from_full(y, op)
     cfg = solver.SolverConfig(
         x_space=SpaceDescriptor(r, gauge),
         y_space=SpaceDescriptor.hilbert(),

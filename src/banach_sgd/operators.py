@@ -187,24 +187,16 @@ class BlockOperator:
     def apply(self, i: int, x) -> np.ndarray:
         """A_i x."""
         self._check_index(i)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise DimensionMismatchError(f"expected input of length {self.input_dim}, got {x.shape}")
-        return self.blocks[i] @ x
+        return self.blocks[i] @ _operand(x, self.input_dim)
 
     def apply_adjoint(self, i: int, ys) -> np.ndarray:
         """A_i^T ys."""
         self._check_index(i)
-        ys = np.asarray(ys, dtype=float)
-        if ys.shape != (self.blocks[i].shape[0],):
-            raise DimensionMismatchError(
-                f"expected dual input of length {self.blocks[i].shape[0]}, got {ys.shape}"
-            )
-        return self.blocks[i].T @ ys
+        return self.blocks[i].T @ _operand(ys, self.blocks[i].shape[0])
 
     def apply_all(self, x) -> np.ndarray:
         """Full product A x with rows in block order."""
-        return self.full_matrix @ np.asarray(x, dtype=float)
+        return self.full_matrix @ _operand(x, self.input_dim)
 
     def _check_index(self, i: int):
         if not 0 <= i < self.n_blocks:

@@ -51,6 +51,7 @@ __all__ = [
     "initial_state",
     "iterate_n",
     "run",
+    "run_seeds",
     "with_seed",
 ]
 
@@ -291,6 +292,8 @@ def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
 def iterate_n(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
               n_iterations: int) -> IterationState:
     """Advance n_iterations from the zero start and return the final state."""
+    if n_iterations < 0:
+        raise ConfigurationError(f"n_iterations must be >= 0; got {n_iterations}")
     return _advance(_checked_start(op, obs, cfg), op, obs, cfg, n_iterations)
 
 
@@ -398,3 +401,18 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
         state = _advance(state, op, obs, cfg, min(until, total))
         rows.append(snapshot(state, step_size(cfg.schedule, state.k)))
     return RunResult(ConvergenceRecord.from_rows(rows), state)
+
+
+def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds: int,
+              x_true=None, x_ref=None) -> list[RunResult]:
+    """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order.
+
+    Every seed's config is built, so a bad seed fails, before the first run.  A
+    Landweber run draws no random index, so its one run stands for every seed.
+    """
+    if n_seeds < 1:
+        raise ConfigurationError(f"need at least 1 seed; got n_seeds = {n_seeds}")
+    cfgs = [with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
+    if cfg.method == "landweber":
+        return [run(op, obs, cfgs[0], x_true=x_true, x_ref=x_ref)] * n_seeds
+    return [run(op, obs, cfg_j, x_true=x_true, x_ref=x_ref) for cfg_j in cfgs]

@@ -219,6 +219,48 @@ class TestSpecReader:
         assert cfg.solver.stopping == APrioriStop(0.0, 0.9)
 
 
+class TestExperimentConfigReader:
+    """The top-level section is built by the same field reader as every other section."""
+
+    @pytest.mark.parametrize("key", ["n", "midpoint_columns", "out_dir"])
+    def test_null_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, key):
+        import banach_sgd.cli as cli
+
+        def no_build(cfg):
+            raise AssertionError(f"problem built despite a null {key}")
+
+        monkeypatch.setattr(cli, "_build_problem", no_build)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 100, "n_batches": 10, "out_dir": str(tmp_path / "out"), key: None}))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config.{key} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw,message", [
+        ({"preset": "custom", "matrix_csv": 5}, "config.matrix_csv must be a string; got 5"),
+        ({"preset": "custom", "matrix_csv": "A.csv", "data_csv": ["y"]}, "config.data_csv must be a string; got ['y']"),
+        ({"preset": "custom", "matrix_csv": "A.csv"}, "custom preset needs signal_csv or data_csv"),
+        ({"midpoint_columns": 1}, "config.midpoint_columns must be true or false; got 1"),
+        ({"n": "100"}, "config.n must be an integer; got '100'"),
+        ({"n": 30}, "need n >= 40 to resolve the signal plateaus, got 30"),
+        ({"method": 5}, "config.method must be a string; got 5"),
+    ])
+    def test_rejected_value_is_named(self, raw, message):
+        from banach_sgd import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as info:
+            build_config(raw)
+        assert str(info.value) == message
+
+    def test_fields_a_preset_does_not_read_are_none(self):
+        cfg = build_config({"n": 100.0, "n_batches": 10})
+        assert type(cfg.n) is int and cfg.n == 100 and cfg.midpoint_columns is True and cfg.matrix_csv is None
+        cfg = build_config({"preset": "ct"})
+        assert cfg.n is None and cfg.midpoint_columns is None and cfg.geometry.grid_side == 64
+        cfg = build_config({"preset": "custom", "matrix_csv": "A.csv", "data_csv": "y.csv", "signal_csv": None})
+        assert (cfg.matrix_csv, cfg.signal_csv, cfg.data_csv, cfg.n, cfg.geometry) == ("A.csv", None, "y.csv", None, None)
+
+
 class TestSingleFlagPath:
     def test_experiment_flags_match_the_equivalent_solve(self, tmp_path):
         flags = ["--n", "120", "--n-batches", "12", "--rx", "1.5", "--p", "1.5", "--epochs", "3", "--seeds", "2"]
@@ -401,11 +443,11 @@ class TestRunExperiment:
         assert ensemble == singles
 
     def test_landweber_runs_once_for_every_seed(self, tmp_path, monkeypatch):
-        import banach_sgd.cli as cli
+        import banach_sgd.solver as solver
 
         calls = []
-        solve = cli.run
-        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        solve = solver.run
+        monkeypatch.setattr(solver, "run", lambda *a, **k: calls.append(a) or solve(*a, **k))
         path = _write_config(tmp_path, n=200, n_batches=20, epochs=200, method="landweber", seeds=3,
                              schedule={"kind": "slow_decay", "scale": 0.05})
         assert main(["solve", str(path)]) == 0
@@ -415,9 +457,9 @@ class TestRunExperiment:
         assert json.loads((out / "manifest.json").read_text())["seeds"] == [0, 1, 2]
         header = (out / "trace_mean.csv").read_text().splitlines()[0].split(",")
         rows = np.loadtxt(out / "trace_mean.csv", delimiter=",", skiprows=1)
-        for j, name in enumerate(header):  # the mean of equal samples rounds, so the error is round-off
+        for j, name in enumerate(header):  # equal samples have no spread
             if name.endswith("_se"):
-                assert (rows[:, j] <= 1e-14 * np.abs(rows[:, j - 1])).all(), name
+                assert (rows[:, j] == 0).all(), name
 
     def test_overflowing_step_exits_2_naming_the_iteration(self, tmp_path, capsys):
         path = _write_config(tmp_path, n=100, n_batches=10, r_x=1.5, p=1.5,

@@ -15,6 +15,7 @@ from banach_sgd import (
     build_integral_operator,
     delta_metrics,
     exact_sparse_signal,
+    iterate_n,
     lr_norm,
     minimum_norm_solution,
     monte_carlo_mean,
@@ -206,12 +207,40 @@ def _small_problem(seed=11, n=8, nb=4):
 
 class TestMonteCarloMean:
     def test_landweber_has_zero_stderr(self):
-        _, x_true, op, obs = _small_problem()
-        L = np.linalg.norm(op.full_matrix, 2)
-        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT,
-                           schedule=ConstantSchedule(0.5 / L**2), method="landweber", epochs=10)
+        A, x_true, op, obs = _small_problem()
+        for L in (np.linalg.norm(op.full_matrix, 2), np.linalg.norm(A, 2)):  # the second rounds differently
+            cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT,
+                               schedule=ConstantSchedule(0.5 / L**2), method="landweber", epochs=10)
+            trace = monte_carlo_mean(op, obs, cfg, 5, "bregman", x_ref=x_true)
+            assert np.all(trace.stderr == 0.0)
+
+    def test_landweber_runs_once_and_keeps_the_serial_trace(self, monkeypatch):
+        import banach_sgd.solver as solver
+
+        A, x_true, op, obs = _small_problem()
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.5 / np.linalg.norm(A, 2)**2),
+                           method="landweber", epochs=10, seed=3)
+        serial = np.vstack([solver.run(op, obs, solver.with_seed(cfg, 3 + j), x_ref=x_true).record.bregman
+                            for j in range(5)])
+        calls = []
+        solve = solver.run
+        monkeypatch.setattr(solver, "run", lambda *a, **k: calls.append(a) or solve(*a, **k))
         trace = monte_carlo_mean(op, obs, cfg, 5, "bregman", x_ref=x_true)
-        assert np.all(trace.stderr == 0.0)
+        assert len(calls) == 1
+        assert np.array_equal(trace.mean, serial.mean(axis=0)) and np.all(trace.stderr == 0.0)
+
+    def test_run_seeds_gives_one_result_per_seed_in_order(self):
+        from banach_sgd import run, run_seeds, with_seed
+
+        _, x_true, op, obs = _small_problem(seed=17)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=3, seed=7)
+        results = run_seeds(op, obs, cfg, 3, x_true=x_true)
+        for j, result in enumerate(results):
+            single = run(op, obs, with_seed(cfg, 7 + j), x_true=x_true)
+            assert np.array_equal(result.state.x, single.state.x)
+            assert np.array_equal(result.record.delta2, single.record.delta2)
+        with pytest.raises(ConfigurationError):
+            run_seeds(op, obs, cfg, 0)
 
     def test_stderr_shrinks_with_seed_count(self):
         _, x_true, op, obs = _small_problem(seed=13)
@@ -279,6 +308,20 @@ class TestEnsembleStats:
             assert np.isfinite(mean[j]) and np.isfinite(se[j])
             assert mean[j] == pytest.approx(scaled.mean() * np.abs(rows[:, j]).max(), rel=1e-15)
             assert se[j] == pytest.approx(scaled.std(ddof=1) / np.sqrt(3) * np.abs(rows[:, j]).max(), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_equal_samples_have_zero_stderr(self, n):
+        rows = [np.array([0.1, 0.7])] * n
+        mean, se = ensemble_stats(rows)
+        assert np.array_equal(mean, np.vstack(rows).mean(axis=0)) and np.array_equal(se, [0.0, 0.0])
+
+    def test_mean_keeps_its_bits_and_stderr_its_value(self):
+        rng = np.random.Generator(np.random.Philox(key=9))
+        for _ in range(200):
+            rows = rng.normal(size=(8, 51)) * np.exp(rng.uniform(-20, 20))
+            mean, se = ensemble_stats(list(rows))
+            assert np.array_equal(mean, rows.mean(axis=0))
+            assert np.allclose(se, rows.std(axis=0, ddof=1) / np.sqrt(8), rtol=1e-14, atol=0)
 
     def test_single_row_has_zero_stderr(self):
         mean, se = ensemble_stats([np.array([1.5e308, 2.0])])
@@ -417,3 +460,26 @@ class TestConvergenceRecord:
                 epoch=[0], objective=[np.inf], residual=[1],
                 bregman=[1], delta1=[1], delta2=[1], step=[1],
             )
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda op, obs, cfg: op.apply_all(np.ones(7)), "DimensionMismatchError"),
+    (lambda op, obs, cfg: op.apply_all(np.ones((8, 2))), "DimensionMismatchError"),
+    (lambda op, obs, cfg: objective(np.ones(9), op, obs, 2.0), "DimensionMismatchError"),
+    (lambda op, obs, cfg: support_f1(np.ones(7), np.ones(8)), "DimensionMismatchError"),
+    (lambda op, obs, cfg: minimum_norm_solution(op.full_matrix, np.ones(7), HILBERT), "DimensionMismatchError"),
+    (lambda op, obs, cfg: minimum_norm_solution(op.full_matrix, [np.nan] + [1.0] * 7, HILBERT), "InvalidInputError"),
+    (lambda op, obs, cfg: iterate_n(op, obs, cfg, -1), "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, -1, [0.0, 0.1], n_seeds=2),
+     "ConfigurationError"),
+], ids=["apply_all-length", "apply_all-matrix", "objective", "support_f1", "minnorm-r2-length", "minnorm-r2-nan",
+        "iterate_n", "stability_probe"])
+def test_wrong_input_raises_a_typed_error(call, error):
+    import banach_sgd
+
+    _, _, op, obs = _small_problem()
+    cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(getattr(banach_sgd, error)):
+            call(op, obs, cfg)

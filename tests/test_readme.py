@@ -23,6 +23,13 @@ def test_library_example_runs(capsys):
     assert 0.0 < delta2 < 1.0 and delta1 > 0.0
 
 
+def test_every_library_name_resolves():
+    import banach_sgd
+
+    names = set(re.findall(r"\bbs\.(\w+)", README.read_text(encoding="utf-8")))  # not obs.noise_level
+    assert names and sorted(n for n in names if not hasattr(banach_sgd, n)) == []
+
+
 def test_command_lines_parse_and_experiments_build_their_config(monkeypatch):
     built = []
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: built.append(cfg) or 0)  # build, run nothing
