@@ -469,11 +469,13 @@ class TestConvergenceRecord:
     (lambda op, obs, cfg: support_f1(np.ones(7), np.ones(8)), "DimensionMismatchError"),
     (lambda op, obs, cfg: minimum_norm_solution(op.full_matrix, np.ones(7), HILBERT), "DimensionMismatchError"),
     (lambda op, obs, cfg: minimum_norm_solution(op.full_matrix, [np.nan] + [1.0] * 7, HILBERT), "InvalidInputError"),
+    (lambda op, obs, cfg: minimum_norm_solution(np.diag([1.0, np.nan]), [1.0, 1.0], SpaceDescriptor(1.5, 2.0), 10),
+     "InvalidInputError"),
     (lambda op, obs, cfg: iterate_n(op, obs, cfg, -1), "ConfigurationError"),
     (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, -1, [0.0, 0.1], n_seeds=2),
      "ConfigurationError"),
 ], ids=["apply_all-length", "apply_all-matrix", "objective", "support_f1", "minnorm-r2-length", "minnorm-r2-nan",
-        "iterate_n", "stability_probe"])
+        "minnorm-nan-matrix", "iterate_n", "stability_probe"])
 def test_wrong_input_raises_a_typed_error(call, error):
     import banach_sgd
 
