@@ -67,7 +67,7 @@ class ConvergenceRecord:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self._COLUMNS:
-            raise KeyError(name)
+            raise ConfigurationError(f"column must be one of {self._COLUMNS}; got {name!r}")
         return getattr(self, name)
 
     def to_csv(self, path):
@@ -305,7 +305,7 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
     keeps every iterate's dual image inside the closure of range(A^T), which
     pins the limit to the minimum norm solution.
     """
-    op = BlockOperator([A], SpaceDescriptor.hilbert())  # both check their input, also for r = 2
+    op = BlockOperator(A, SpaceDescriptor.hilbert())  # both check their input, also for r = 2
     obs = ObservationSet.from_full(y, op)
     A, r = op.full_matrix, x_space.r
     if r == 2.0:
@@ -317,17 +317,15 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
     r_conj = x_space.r_conj
     if r < 2.0:
         # gauge 2: the dual l^(r*) (r* > 2) is 2-smooth with constant r* - 1
-        gauge = 2.0
         mu = 0.9 / ((r_conj - 1.0) * spectral ** 2)
     else:
         # gauge r: the dual l^(r*) (r* < 2) is r*-smooth; use a safety factor 2.
         # The step needs ||A||_{l^r -> l^2} <= ||A||_2 n^(1/2 - 1/r), since
         # ||x||_2 <= n^(1/2 - 1/r) ||x||_r for x in R^n.
-        gauge = r
         norm = spectral * A.shape[1] ** (0.5 - 1.0 / r)
         mu = 0.9 * (r_conj / (2.0 * norm ** r_conj)) ** (1.0 / (r_conj - 1.0))
     cfg = solver.SolverConfig(
-        x_space=SpaceDescriptor(r, gauge),
+        x_space=SpaceDescriptor.for_norm(r),
         y_space=SpaceDescriptor.hilbert(),
         schedule=solver.ConstantSchedule(mu),
         method="landweber",

@@ -97,13 +97,6 @@ class CsrMatrix:
         return CsrMatrix(np.concatenate(([0], ends)), self.indices[entries], self.data[entries],
                          (rows.size, self.shape[1]))
 
-    @classmethod
-    def vstack(cls, blocks) -> "CsrMatrix":
-        ends = np.cumsum(np.concatenate([b.row_nnz for b in blocks]))
-        return cls(np.concatenate(([0], ends)), np.concatenate([b.indices for b in blocks]),
-                   np.concatenate([b.data for b in blocks]),
-                   (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
-
 
 class _CsrTranspose:
     """The transpose of a CsrMatrix, for products ``A.T @ y``."""
@@ -129,48 +122,47 @@ def _operand(v, size: int) -> np.ndarray:
 class BlockOperator:
     """A forward operator stored once, as one matrix whose rows are in block order.
 
-    ``full_matrix`` stacks the blocks, dense ``ndarray``s or ``CsrMatrix``es
-    alike; ``blocks[i]`` is the row-slice view of it that block i covers, so
-    the two cannot disagree.  ``row_maps[i]`` records which rows of the
-    original matrix block i holds, so the original row order can be recovered
-    after an interleaved partition.
+    ``full_matrix`` is a dense ``ndarray`` or a ``CsrMatrix``; ``block_sizes``
+    gives each block's row count (one block when None), and ``blocks[i]`` is
+    the row-slice view of ``full_matrix`` that block i covers, so the two
+    cannot disagree.  A C-contiguous float64 matrix is used as given, so an
+    in-place edit of it is seen by the operator; other dense input is copied
+    once to C order.  ``row_maps[i]`` records which rows of the original
+    matrix block i holds, so the original row order can be recovered after an
+    interleaved partition.
     """
 
-    blocks: list
+    full_matrix: np.ndarray | CsrMatrix
     output_space: SpaceDescriptor = field(default_factory=SpaceDescriptor.hilbert)
+    block_sizes: np.ndarray | None = None
     row_maps: list | None = None
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ConfigurationError("operator needs at least one block")
-        sparse = isinstance(self.blocks[0], CsrMatrix)
-        blocks = [b if isinstance(b, CsrMatrix) else np.asarray(b, dtype=float) for b in self.blocks]
-        for i, b in enumerate(blocks):
-            if isinstance(b, CsrMatrix) != sparse:
-                raise DimensionMismatchError(f"block {i} mixes sparse and dense storage")
-            if b.ndim != 2:
-                raise DimensionMismatchError(f"block {i} is not a matrix")
-            if b.shape[1] != blocks[0].shape[1]:
-                raise DimensionMismatchError(
-                    f"block {i} has {b.shape[1]} columns, expected {blocks[0].shape[1]}"
-                )
-            if b.shape[0] == 0:
-                raise DimensionMismatchError(f"block {i} has no rows")
-            if not np.isfinite(b.data if sparse else b).all():
-                raise InvalidInputError(f"block {i} contains non-finite entries")
-        offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
-        if sparse:
-            self.full_matrix = CsrMatrix.vstack(blocks)
-            self.blocks = [self.full_matrix.rows(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-        else:
-            self.full_matrix = np.concatenate(blocks)
-            self.blocks = np.split(self.full_matrix, offsets[1:-1])
+        sparse = isinstance(self.full_matrix, CsrMatrix)
+        if not sparse:
+            try:
+                self.full_matrix = np.ascontiguousarray(self.full_matrix, dtype=float)
+            except (TypeError, ValueError) as exc:  # a list of blocks of unequal shapes, say
+                raise DimensionMismatchError(f"operator needs a 2-D matrix: {exc}") from exc
+        A = self.full_matrix
+        if A.ndim != 2:
+            raise DimensionMismatchError(f"operator needs a 2-D matrix; got {A.ndim} dimensions")
+        sizes = np.asarray([A.shape[0]] if self.block_sizes is None else self.block_sizes)
+        if sizes.dtype.kind not in "iu" or sizes.ndim != 1 or not sizes.size or (sizes < 1).any() \
+                or sizes.sum() != A.shape[0]:
+            raise DimensionMismatchError(f"block sizes must be positive integers that sum to the {A.shape[0]} rows")
+        if not np.isfinite(A.data if sparse else A).all():
+            raise InvalidInputError("operator matrix contains non-finite entries")
+        self.block_sizes = sizes.astype(np.intp)
         # Segment boundaries of a block-ordered row vector (see apply_all), for
         # per-block reductions with np.ufunc.reduceat.
-        self.block_starts = offsets[:-1]
-        self.block_sizes = np.diff(offsets)
+        self.block_starts = np.cumsum(self.block_sizes) - self.block_sizes
+        if sparse:
+            self.blocks = [A.rows(a, a + m) for a, m in zip(self.block_starts, self.block_sizes)]
+        else:
+            self.blocks = np.split(A, self.block_starts[1:])
         if self.row_maps is None:
-            self.row_maps = np.split(np.arange(offsets[-1]), offsets[1:-1])
+            self.row_maps = np.split(np.arange(A.shape[0]), self.block_starts[1:])
 
     @property
     def n_blocks(self) -> int:
@@ -199,8 +191,8 @@ class BlockOperator:
         return self.full_matrix @ _operand(x, self.input_dim)
 
     def _check_index(self, i: int):
-        if not 0 <= i < self.n_blocks:
-            raise IndexError(f"block index {i} out of range [0, {self.n_blocks})")
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_blocks:
+            raise ConfigurationError(f"block index must be an integer in [0, {self.n_blocks}); got {i!r}")
 
 
 @dataclass
@@ -249,20 +241,16 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
         raise DimensionMismatchError("expected a matrix")
     n_rows = A.shape[0]
     check_partition(n_rows, n_batches)
-    maps = [np.arange(j, n_rows, n_batches) for j in range(n_batches)]
-    if isinstance(A, CsrMatrix):
-        blocks = [A.take(rows) for rows in maps]
-    else:
-        blocks = [A[j::n_batches] for j in range(n_batches)]
-    if output_space is None:
-        output_space = SpaceDescriptor.hilbert()
-    return BlockOperator(blocks, output_space, maps)
+    order = np.arange(n_rows).reshape(-1, n_batches).T.ravel()  # the rows of block 0, then of block 1, ...
+    stacked = A.take(order) if isinstance(A, CsrMatrix) else A[order]
+    return BlockOperator(stacked, output_space or SpaceDescriptor.hilbert(), [n_rows // n_batches] * n_batches,
+                         order.reshape(n_batches, -1))
 
 
 def check_partition(n_rows: int, n_batches: int) -> None:
     """partition_rows deals the rows into n_batches blocks of equal size."""
-    if n_batches < 1 or n_rows % n_batches != 0:
-        raise ConfigurationError(f"number of batches ({n_batches}) must divide the row count ({n_rows})")
+    if not isinstance(n_batches, (int, np.integer)) or n_batches < 1 or n_rows % n_batches != 0:
+        raise ConfigurationError(f"number of batches ({n_batches!r}) must divide the row count ({n_rows}) and be an integer")
 
 
 def integral_kernel(t, s):

@@ -24,6 +24,7 @@ from banach_sgd import (
     polyak_bound,
     rate_envelope,
     stability_probe,
+    stochastic_gradient,
     support_f1,
 )
 from banach_sgd.diagnostics import CSV_HEADER, ensemble_stats
@@ -41,13 +42,13 @@ class TestObjective:
         assert objective(x, op, obs, 2.0) == pytest.approx(0.0, abs=1e-25)
 
     def test_identity_block_example(self):
-        op = BlockOperator([np.eye(2)], HILBERT)
+        op = BlockOperator(np.eye(2), HILBERT)
         obs = ObservationSet([np.zeros(2)])
         assert objective(np.array([1.0, 1.0]), op, obs, 2.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_overflow_is_a_typed_error(self):
         # the residual and its norm are finite; only the objective's power overflows
-        op = BlockOperator([np.eye(1)], HILBERT)
+        op = BlockOperator(np.eye(1), HILBERT)
         obs = ObservationSet([np.zeros(1)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -72,7 +73,7 @@ class TestObjective:
     def test_unequal_blocks_match_per_block_lr_norm_oracle(self, ry, exponent):
         rng = np.random.Generator(np.random.Philox(key=4))
         blocks = [rng.normal(size=(m, 5)) for m in (1, 7, 3, 12)]
-        op = BlockOperator(blocks, SpaceDescriptor(ry, 2.0))
+        op = BlockOperator(np.vstack(blocks), SpaceDescriptor(ry, 2.0), [len(b) for b in blocks])
         x = rng.normal(size=5)
         data = [rng.normal(size=b.shape[0]) for b in blocks]
         data[2] = blocks[2] @ x  # one block with zero residual
@@ -299,7 +300,7 @@ class TestEnsembleStats:
             warnings.simplefilter("error")
             mean, se = ensemble_stats(list(rows))
         with np.errstate(over="ignore", invalid="ignore"):
-            plain_mean, plain_se = rows.mean(axis=0), rows.std(axis=0, ddof=1) / np.sqrt(3)
+            plain_mean, plain_se = rows.mean(axis=0), (rows - rows[0]).std(axis=0, ddof=1) / np.sqrt(3)
         for j in (0, 3):
             assert np.array_equal(mean[j], plain_mean[j], equal_nan=True)
             assert np.array_equal(se[j], plain_se[j], equal_nan=True)
@@ -427,7 +428,7 @@ class TestMinimumNormSolution:
         fast = minimum_norm_solution(A, y, x_space, landweber_steps=steps)
         # the same Landweber iteration through run, one snapshot per step
         mu = 0.9 / ((x_space.r_conj - 1.0) * np.linalg.norm(A, 2) ** 2)
-        op = BlockOperator([A], HILBERT)
+        op = BlockOperator(A, HILBERT)
         cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT,
                            schedule=ConstantSchedule(mu), method="landweber", epochs=steps)
         reference = run(op, ObservationSet.from_full(y, op), cfg).state.x
@@ -474,8 +475,16 @@ class TestConvergenceRecord:
     (lambda op, obs, cfg: iterate_n(op, obs, cfg, -1), "ConfigurationError"),
     (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, -1, [0.0, 0.1], n_seeds=2),
      "ConfigurationError"),
+    (lambda op, obs, cfg: op.apply(op.n_blocks, np.ones(8)), "ConfigurationError"),
+    (lambda op, obs, cfg: op.apply(-1, np.ones(8)), "ConfigurationError"),
+    (lambda op, obs, cfg: op.apply(1.5, np.ones(8)), "ConfigurationError"),
+    (lambda op, obs, cfg: stochastic_gradient(np.ones(8), obs, op, 5, HILBERT), "ConfigurationError"),
+    (lambda op, obs, cfg: ConvergenceRecord.from_rows([]).column("nope"), "ConfigurationError"),
+    (lambda op, obs, cfg: partition_rows(op.full_matrix, 2.0), "ConfigurationError"),
+    (lambda op, obs, cfg: partition_rows(op.full_matrix, "2"), "ConfigurationError"),
 ], ids=["apply_all-length", "apply_all-matrix", "objective", "support_f1", "minnorm-r2-length", "minnorm-r2-nan",
-        "minnorm-nan-matrix", "iterate_n", "stability_probe"])
+        "minnorm-nan-matrix", "iterate_n", "stability_probe", "apply-past-the-end", "apply-negative",
+        "apply-non-integer", "stochastic_gradient", "record-column", "partition-float", "partition-str"])
 def test_wrong_input_raises_a_typed_error(call, error):
     import banach_sgd
 

@@ -30,11 +30,11 @@ from banach_sgd.operators import check_partition, integral_kernel
 
 class TestBlockOperator:
     def test_apply_single_row(self):
-        op = BlockOperator([np.array([[1.0, 2.0]])])
+        op = BlockOperator(np.array([[1.0, 2.0]]))
         assert np.allclose(op.apply(0, np.array([1.0, 1.0])), [3.0])
 
     def test_apply_identity(self):
-        op = BlockOperator([np.eye(3)])
+        op = BlockOperator(np.eye(3))
         x = np.array([1.0, 2.0, 3.0])
         assert np.allclose(op.apply(0, x), x)
 
@@ -42,7 +42,7 @@ class TestBlockOperator:
         rng = np.random.Generator(np.random.Philox(key=1))
         B = rng.normal(size=(4, 3))
         x = rng.normal(size=3)
-        op = BlockOperator([B])
+        op = BlockOperator(B)
         manual = np.zeros(4)
         for i in range(4):
             for j in range(3):
@@ -51,17 +51,17 @@ class TestBlockOperator:
         assert np.allclose(op.apply(0, x), manual, rtol=1e-15)
 
     def test_adjoint_single_row(self):
-        op = BlockOperator([np.array([[1.0, 2.0]])])
+        op = BlockOperator(np.array([[1.0, 2.0]]))
         assert np.allclose(op.apply_adjoint(0, np.array([1.0])), [1.0, 2.0])
 
     def test_adjoint_zero(self):
-        op = BlockOperator([np.ones((2, 3))])
+        op = BlockOperator(np.ones((2, 3)))
         assert np.all(op.apply_adjoint(0, np.zeros(2)) == 0.0)
 
     def test_adjoint_pairing_identity(self):
         rng = np.random.Generator(np.random.Philox(key=2))
         B = rng.normal(size=(5, 4))
-        op = BlockOperator([B])
+        op = BlockOperator(B)
         for _ in range(10):
             u = rng.normal(size=5)
             x = rng.normal(size=4)
@@ -70,20 +70,50 @@ class TestBlockOperator:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_dimension_errors(self):
-        op = BlockOperator([np.ones((2, 3))])
-        with pytest.raises(IndexError):
+        op = BlockOperator(np.ones((2, 3)))
+        with pytest.raises(ConfigurationError):
             op.apply(1, np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             op.apply(0, np.zeros(2))
         with pytest.raises(DimensionMismatchError):
-            BlockOperator([np.ones((2, 3)), np.ones((2, 4))])
-        with pytest.raises(DimensionMismatchError):
-            BlockOperator([np.ones(3)])
+            BlockOperator(np.ones(3))
+
+    @pytest.mark.parametrize("sizes", [[0, 6], [7], [], [[2, 4]], [-2, 8], [2.0, 4.0]],
+                             ids=["zero", "too-many-rows", "empty", "2-D", "negative", "float"])
+    def test_block_sizes_must_be_positive_and_sum_to_the_rows(self, sizes):
+        with pytest.raises(DimensionMismatchError, match="block sizes"):
+            BlockOperator(np.ones((6, 3)), block_sizes=sizes)
+
+    @pytest.mark.parametrize("rows", [2, 1])
+    def test_old_list_of_blocks_is_not_a_matrix(self, rows):
+        with pytest.raises(DimensionMismatchError, match="2-D matrix"):
+            BlockOperator([np.ones((2, 3)), np.ones((rows, 3))])
+
+    def test_non_finite_dense_matrix_rejected(self):
+        with pytest.raises(InvalidInputError):
+            BlockOperator(np.array([[1.0, np.nan], [0.0, 1.0]]), block_sizes=[1, 1])
+
+    def test_c_contiguous_float_matrix_is_used_as_given(self):
+        A = np.arange(12.0).reshape(4, 3)
+        op = BlockOperator(A, block_sizes=[1, 3])
+        assert np.shares_memory(op.full_matrix, A)
+        A[2, 0] += 100.0  # an in-place edit of the caller's matrix reaches the blocks
+        assert op.apply(1, np.array([1.0, 0.0, 0.0]))[1] == 106.0
+
+    @pytest.mark.parametrize("layout", ["fortran", "column-strided", "integer"])
+    def test_other_dense_input_is_copied_once_to_c_order(self, layout):
+        base = np.arange(24.0).reshape(4, 6)
+        A = {"fortran": np.asfortranarray(base), "column-strided": base[:, ::2],
+             "integer": base.astype(int)}[layout]
+        op = BlockOperator(A, block_sizes=[3, 1])
+        assert op.full_matrix.flags.c_contiguous and op.full_matrix.dtype == np.float64
+        assert not np.shares_memory(op.full_matrix, A) and np.array_equal(op.full_matrix, A)
+        assert all(b.flags.c_contiguous for b in op.blocks)
 
     def test_ragged_blocks_are_views_of_one_matrix(self):
         rng = np.random.Generator(np.random.Philox(key=6))
         blocks = [rng.normal(size=(m, 4)) for m in (1, 5, 2)]
-        op = BlockOperator(blocks)
+        op = BlockOperator(np.vstack(blocks), block_sizes=[1, 5, 2])
         assert np.array_equal(op.full_matrix, np.vstack(blocks))
         assert op.total_rows == 8 and op.input_dim == 4
         for i, b in enumerate(blocks):
@@ -145,6 +175,9 @@ class TestPartitionRows:
             with pytest.raises(ConfigurationError, match="must divide the row count"):
                 check_partition(6, n_batches)
         check_partition(6, 3)
+
+    def test_numpy_integer_batch_count_is_valid(self):
+        assert partition_rows(np.ones((6, 2)), np.int64(3)).n_blocks == 3
 
     def test_inverse_map_reconstructs_original(self):
         rng = np.random.Generator(np.random.Philox(key=3))
@@ -361,7 +394,6 @@ class TestCsrMatrix:
         assert np.shares_memory(view.data, A.data) and np.shares_memory(view.indices, A.indices)
         order = [4, 1, 0, 5, 2]
         assert np.array_equal(A.take(order).toarray(), dense[order])
-        assert np.array_equal(CsrMatrix.vstack([A.rows(0, 2), A.rows(2, 6)]).toarray(), dense)
 
     def test_duplicate_columns_add_up(self):
         A = CsrMatrix([0, 3], [1, 1, 0], [1.0, 2.0, 4.0], (1, 2))
@@ -387,16 +419,22 @@ class TestCsrMatrix:
         est = boyd_operator_norm(A, 1.5, 2.0)
         assert est.value == 0.0 and est.converged
 
-    def test_mixed_or_row_less_blocks_rejected(self):
+    def test_row_less_block_rejected(self):
         _, A = self._ragged()
         with pytest.raises(DimensionMismatchError):
-            BlockOperator([A, np.ones((2, 4))])
-        with pytest.raises(DimensionMismatchError):
-            BlockOperator([A, A.rows(0, 0)])  # a block without rows
+            BlockOperator(A, block_sizes=[6, 0])  # a block without rows
+
+    def test_ragged_blocks_are_row_views(self):
+        dense, A = self._ragged()
+        op = BlockOperator(A, block_sizes=[2, 1, 3])
+        assert op.full_matrix is A and op.block_starts.tolist() == [0, 2, 3]
+        for block, (a, b) in zip(op.blocks, [(0, 2), (2, 3), (3, 6)]):
+            assert np.array_equal(block.toarray(), dense[a:b])
+            assert np.shares_memory(block.data, A.data) and np.shares_memory(block.indices, A.indices)
 
     def test_non_finite_block_rejected(self):
         with pytest.raises(InvalidInputError):
-            BlockOperator([CsrMatrix([0, 1], [0], [np.nan], (1, 2))])
+            BlockOperator(CsrMatrix([0, 1], [0], [np.nan], (1, 2)))
 
     @pytest.mark.parametrize("name", sorted(CT_GEOMETRIES))
     def test_operator_products_match_dense(self, name):
@@ -430,6 +468,19 @@ class TestCsrMatrix:
             sparse_est = boyd_operator_norm(op.blocks[b], 1.1, 1.1, tol=1e-8, max_iter=200, restarts=2)
             dense_est = boyd_operator_norm(dense.blocks[b], 1.1, 1.1, tol=1e-8, max_iter=200, restarts=2)
             assert sparse_est.value == pytest.approx(dense_est.value, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CT_GEOMETRIES))
+    def test_partition_stores_the_stacked_interleaved_blocks(self, name):
+        # the reference builds each interleaved block on its own and stacks them
+        A = build_radon_operator(CT_GEOMETRIES[name])
+        nb = CT_GEOMETRIES[name].n_angles
+        blocks = [A.take(np.arange(j, A.shape[0], nb)) for j in range(nb)]
+        stacked = partition_rows(A, nb).full_matrix
+        assert np.array_equal(stacked.indptr, np.concatenate(([0], np.cumsum(np.concatenate([b.row_nnz for b in blocks])))))
+        assert stacked.indices.tobytes() == np.concatenate([b.indices for b in blocks]).tobytes()
+        assert stacked.data.tobytes() == np.concatenate([b.data for b in blocks]).tobytes()
+        D = A.toarray()
+        assert partition_rows(D, nb).full_matrix.tobytes() == np.concatenate([D[j::nb] for j in range(nb)]).tobytes()
 
     def test_large_grid_is_built_without_a_dense_matrix(self):
         import tracemalloc

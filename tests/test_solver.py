@@ -164,7 +164,7 @@ class TestStoppingRules:
 
 class TestStochasticGradient:
     def test_zero_residual_gives_zero(self):
-        op = BlockOperator([np.eye(3)], HILBERT)
+        op = BlockOperator(np.eye(3), HILBERT)
         obs = ObservationSet([np.array([1.0, 2.0, 3.0])])
         g = stochastic_gradient(np.array([1.0, 2.0, 3.0]), obs, op, 0, SpaceDescriptor(2.0, 2.0))
         assert np.all(g == 0.0)
@@ -177,7 +177,7 @@ class TestStochasticGradient:
 
     def test_scalar_example(self):
         # A = (2), x = 1, y = 0, Hilbert: g = 2 * (2*1 - 0) = 4
-        op = BlockOperator([np.array([[2.0]])], HILBERT)
+        op = BlockOperator(np.array([[2.0]]), HILBERT)
         obs = ObservationSet([np.array([0.0])])
         g = stochastic_gradient(np.array([1.0]), obs, op, 0, SpaceDescriptor(2.0, 2.0))
         assert g == pytest.approx([4.0], abs=1e-15)
@@ -214,7 +214,7 @@ class TestSgdStep:
         assert new.k == 1
 
     def test_scalar_update(self):
-        op = BlockOperator([np.array([[2.0]])], HILBERT)
+        op = BlockOperator(np.array([[2.0]]), HILBERT)
         obs = ObservationSet([np.array([0.0])])
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=1)
         state = initial_state(op, cfg)
@@ -253,7 +253,7 @@ class TestLandweber:
     def test_single_block_hilbert_equals_sgd(self):
         rng = np.random.Generator(np.random.Philox(key=41))
         A = rng.normal(size=(5, 5))
-        op = BlockOperator([A], HILBERT)
+        op = BlockOperator(A, HILBERT)
         obs = ObservationSet([rng.normal(size=5)])
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1)
         s1 = initial_state(op, cfg)
@@ -267,7 +267,7 @@ class TestLandweber:
         rng = np.random.Generator(np.random.Philox(key=51))
         A = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         x_true = rng.normal(size=2)
-        op = BlockOperator([A], HILBERT)
+        op = BlockOperator(A, HILBERT)
         obs = ObservationSet([A @ x_true])
         L = np.linalg.norm(A, 2)
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT,
@@ -436,7 +436,7 @@ class TestRun:
             run(op, obs, cfg, x_ref=np.full(6, np.nan))
 
     def test_overflowing_residual_is_a_divergence(self):
-        op = BlockOperator([1e10 * np.eye(2)], HILBERT)
+        op = BlockOperator(1e10 * np.eye(2), HILBERT)
         obs = ObservationSet([np.ones(2)])
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290))
         with warnings.catch_warnings():
@@ -447,7 +447,7 @@ class TestRun:
     def test_overflow_inside_a_step_is_a_divergence(self):
         # iterate_n takes no snapshot: the second step's residual overflows to
         # inf inside the step itself, with no numpy warning escaping
-        op = BlockOperator([1e10 * np.eye(2)], HILBERT)
+        op = BlockOperator(1e10 * np.eye(2), HILBERT)
         obs = ObservationSet([np.ones(2)])
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290))
         with warnings.catch_warnings():
@@ -460,7 +460,7 @@ class TestRun:
     def test_overflow_inside_a_csr_or_landweber_step_is_a_divergence(self, method, sparse):
         # the steps skip BlockOperator's checks, so each product kind must still end in the typed error
         block = CsrMatrix([0, 1, 2], [0, 1], [1e10, 1e10], (2, 2)) if sparse else 1e10 * np.eye(2)
-        op = BlockOperator([block], HILBERT)
+        op = BlockOperator(block, HILBERT)
         obs = ObservationSet([np.ones(2)])
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290), method=method)
         with warnings.catch_warnings():
@@ -487,7 +487,7 @@ def _reference_iterate(op, obs, cfg, n_steps):
 
 def _ragged_problem():
     A = build_integral_operator(30)
-    op = BlockOperator([A[:4], A[4:15], A[15:16], A[16:]], HILBERT)
+    op = BlockOperator(A, HILBERT, [4, 11, 1, 14])
     y = A @ np.sin(np.arange(30.0))
     return op, ObservationSet.from_full(y, op)
 
@@ -653,7 +653,7 @@ class TestRunEntry:
         ([np.eye(3), np.eye(3)], [np.ones(2), np.ones(4)]),  # right total, wrong split
     ])
     def test_data_blocks_must_match_operator_blocks(self, blocks, data):
-        op = BlockOperator(blocks, HILBERT)
+        op = BlockOperator(np.vstack(blocks), HILBERT, [len(b) for b in blocks])
         obs = ObservationSet(data)
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.5), epochs=2)
         for call in (lambda: run(op, obs, cfg), lambda: iterate_n(op, obs, cfg, 3),
