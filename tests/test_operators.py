@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from banach_sgd import (
@@ -83,6 +85,20 @@ class TestBlockOperator:
     def test_block_sizes_must_be_positive_and_sum_to_the_rows(self, sizes):
         with pytest.raises(DimensionMismatchError, match="block sizes"):
             BlockOperator(np.ones((6, 3)), block_sizes=sizes)
+
+    @pytest.mark.parametrize("maps", [[[0], [1, 2, 3]], [[0, 0], [0, 0]], [[0, 1], [2, 4]], [[-1, 0], [1, 2]],
+                                      [[0, 1], [2, 10 ** 12]], [[0.0, 1.0], [2.0, 3.0]], [[0, 1, 2, 3]],
+                                      [[[0, 1]], [[2, 3]]]],
+                             ids=["wrong-sizes", "repeated-row", "out-of-range", "negative", "huge", "float",
+                                  "one-map", "2-D-map"])
+    def test_row_maps_must_permute_the_rows_by_block(self, maps):
+        with pytest.raises(DimensionMismatchError, match="row maps"):
+            BlockOperator(np.eye(4), block_sizes=[2, 2], row_maps=maps)
+
+    def test_permuted_row_maps_split_the_data(self):
+        op = BlockOperator(np.eye(4), block_sizes=[2, 2], row_maps=[[3, 0], [2, 1]])
+        obs = ObservationSet.from_full([10.0, 11.0, 12.0, 13.0], op)
+        assert [b.tolist() for b in obs.blocks] == [[13.0, 10.0], [12.0, 11.0]]
 
     @pytest.mark.parametrize("rows", [2, 1])
     def test_old_list_of_blocks_is_not_a_matrix(self, rows):
@@ -363,7 +379,52 @@ CT_GEOMETRIES = {
 }
 
 
+@st.composite
+def _csr_and_vector(draw):
+    """(indptr, indices, data, shape, x): rows of 0-4 entries, so empty rows fall
+    anywhere, and a column may repeat within a row."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    counts = draw(st.lists(st.one_of(st.just(0), st.integers(1, 4)), min_size=m, max_size=m))
+    nnz = sum(counts)
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=nnz, max_size=nnz))
+    vals = draw(st.lists(st.floats(-1e3, 1e3), min_size=nnz, max_size=nnz))
+    x = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    return np.concatenate(([0], np.cumsum(counts))), cols, vals, (m, n), np.array(x)
+
+
 class TestCsrMatrix:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=_csr_and_vector(), cut=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+    @example(case=([0, 0, 0], [], [], (2, 3), np.array([1.0, -2.0, 3.0])), cut=(0, 2))  # no stored entries
+    @example(case=([0, 3], [1, 1, 0], [1.0, 2.0, 4.0], (1, 2), np.array([1.0, 10.0])), cut=(0, 1))  # one row
+    @example(case=([0, 0, 2, 2, 3, 3], [0, 2, 1], [1.0, -1.0, 5.0], (5, 3), np.array([2.0, 3.0, 4.0])),
+             cut=(2, 5))  # leading, middle and trailing empty rows; a view that starts mid-data
+    def test_forward_product_is_a_segment_sum(self, case, cut):
+        indptr, cols, vals, shape, x = case
+        A = CsrMatrix(indptr, cols, vals, shape)
+        m = shape[0]
+        out = A @ x
+        # the bincount over a per-entry row index that A @ x used to run
+        spread = np.bincount(np.repeat(np.arange(m), np.diff(indptr)), weights=A.data * x[A.indices], minlength=m)
+        scale = np.abs(A.toarray()) @ np.abs(x)
+        assert out.dtype == np.float64 and out.shape == (m,)
+        assert np.all(np.abs(out - A.toarray() @ x) <= 1e-13 * scale)
+        assert np.all(np.abs(out - spread) <= 1e-13 * scale)
+        assert np.all(out[A.row_nnz == 0] == 0.0)
+        a, b = min(cut[0], m - 1), min(max(cut), m)
+        if a < b:
+            view = A.rows(a, b)
+            assert np.all(np.abs(view @ x - out[a:b]) <= 1e-13 * scale[a:b])
+            assert np.all((view @ x)[view.row_nnz == 0] == 0.0)
+
+    def test_block_views_hold_no_per_entry_array_of_their_own(self):
+        op = partition_rows(build_radon_operator(CT_GEOMETRIES["criterion10"]), 60)
+        parent = op.full_matrix
+        for view in op.blocks:
+            per_entry = [v for v in vars(view).values()
+                         if isinstance(v, np.ndarray) and v.shape == view.data.shape]
+            assert per_entry and all(np.shares_memory(v, parent.data) or np.shares_memory(v, parent.indices) for v in per_entry)
+
     def _ragged(self):
         # rows 1, 3 and 5 are empty, the last one included
         dense = np.array([[0.0, 1.5, 0.0, 2.0],
