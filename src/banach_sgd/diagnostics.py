@@ -258,10 +258,10 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
                     noise_seed: int = 0) -> StabilityResult:
     """Couple clean and noisy runs through identical index draws.
 
-    For every requested noise level the clean data is perturbed by a Gaussian
-    direction rescaled to that exact level, both runs are advanced k_fixed
-    iterations with the same random indices, and the mean Bregman distance,
-    primal norm gap and dual-map gap between the two end states are reported.
+    Seed j's clean run and its noisy run at each level (the clean data plus a
+    Gaussian direction from Philox key noise_seed + j, rescaled to that exact
+    level) advance k_fixed iterations with the same random indices; the mean
+    Bregman distance, primal gap and dual-map gap of their end states are reported.
     """
     from . import solver
 
@@ -270,28 +270,19 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     y_clean = np.asarray(y_clean, dtype=float).ravel()
     obs_clean = ObservationSet.from_full(y_clean, op)
     deltas = np.asarray(deltas, dtype=float)
-    ry = op.output_space.r
-    rx_conj = cfg.x_space.r_conj
-    breg = np.zeros(deltas.size)
-    primal = np.zeros(deltas.size)
-    dual = np.zeros(deltas.size)
-    cfgs = [solver.with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
-    clean_runs = [solver.iterate_n(op, obs_clean, cfg_j, k_fixed) for cfg_j in cfgs]
-    # each seed's noise direction and its l^ry norm, drawn once for every level
-    directions = [np.random.Generator(np.random.Philox(key=noise_seed + j)).normal(size=y_clean.size)
-                  for j in range(n_seeds)] if (deltas > 0).any() else []
-    norms = [lr_norm(d, ry) for d in directions]
-    for di, delta in enumerate(deltas):
-        acc = np.zeros(3)
-        for j, cfg_j in enumerate(cfgs):
-            xi = delta * directions[j] / norms[j] if delta > 0 else np.zeros_like(y_clean)
+    gaps = np.zeros((deltas.size, 3))  # per level: Bregman, primal and dual gaps, summed in seed order
+    for j in range(n_seeds):
+        cfg_j = solver.with_seed(cfg, cfg.seed + j)
+        clean = solver.iterate_n(op, obs_clean, cfg_j, k_fixed)
+        direction = np.random.Generator(np.random.Philox(key=noise_seed + j)).normal(size=y_clean.size)
+        norm = lr_norm(direction, op.output_space.r)
+        for di, delta in enumerate(deltas):
+            xi = delta * direction / norm if delta > 0 else np.zeros_like(y_clean)
             obs_noisy = ObservationSet.from_full(y_clean + xi, op, noise_level=float(delta))
             noisy = solver.iterate_n(op, obs_noisy, cfg_j, k_fixed)
-            acc[0] += bregman_distance(noisy.x, clean_runs[j].x, cfg.x_space)
-            acc[1] += lr_norm(noisy.x - clean_runs[j].x, cfg.x_space.r)
-            acc[2] += lr_norm(noisy.dual_x - clean_runs[j].dual_x, rx_conj)
-        breg[di], primal[di], dual[di] = acc / n_seeds
-    return StabilityResult(deltas, breg, primal, dual)
+            gaps[di] += (bregman_distance(noisy.x, clean.x, cfg.x_space), lr_norm(noisy.x - clean.x, cfg.x_space.r),
+                         lr_norm(noisy.dual_x - clean.dual_x, cfg.x_space.r_conj))
+    return StabilityResult(deltas, *(gaps / n_seeds).T)
 
 
 def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int = 100_000) -> np.ndarray:

@@ -129,16 +129,15 @@ class BlockOperator:
     the row-slice view of ``full_matrix`` that block i covers, so the two
     cannot disagree.  A C-contiguous float64 matrix is used as given, so an
     in-place edit of it is seen by the operator; other dense input is copied
-    once to C order.  ``row_maps[i]`` lists the ``block_sizes[i]`` rows of the
-    original matrix that block i holds, the maps together a permutation of the
-    rows, so the original row order can be recovered after an interleaved
-    partition.
+    once to C order.  ``row_order[k]`` is the original row that stored row k
+    holds (``np.arange(m)`` when None), so an interleaved partition can be
+    undone.
     """
 
     full_matrix: np.ndarray | CsrMatrix
     output_space: SpaceDescriptor = field(default_factory=SpaceDescriptor.hilbert)
     block_sizes: np.ndarray | None = None
-    row_maps: list | None = None
+    row_order: np.ndarray | None = None
 
     def __post_init__(self):
         sparse = isinstance(self.full_matrix, CsrMatrix)
@@ -164,16 +163,13 @@ class BlockOperator:
             self.blocks = [A.rows(a, a + m) for a, m in zip(self.block_starts, self.block_sizes)]
         else:
             self.blocks = np.split(A, self.block_starts[1:])
-        if self.row_maps is None:
-            self.row_maps = np.split(np.arange(A.shape[0]), self.block_starts[1:])
-        # A permutation check by counting, not sorting: np.sort would page in
-        # code that no run otherwise uses, about 0.13 MB of peak RSS.
-        maps = [np.asarray(r) for r in self.row_maps]
-        if [r.shape for r in maps] != [(m,) for m in self.block_sizes.tolist()] \
-                or any(r.dtype.kind not in "iu" for r in maps) \
-                or not (min(r.min() for r in maps) >= 0 and max(r.max() for r in maps) < A.shape[0]) \
-                or (np.bincount(np.concatenate(maps).astype(np.intp)) != 1).any():
-            raise DimensionMismatchError(f"row maps must permute the {A.shape[0]} rows, map i holding block_sizes[i] of them")
+        order = np.arange(A.shape[0]) if self.row_order is None else np.asarray(self.row_order)
+        # A permutation check by counting, not sorting (np.sort would page in code that no run
+        # otherwise uses, about 0.13 MB of peak RSS), the range first so that bincount stays small.
+        if order.shape != (A.shape[0],) or order.dtype.kind not in "iu" or order.min() < 0 \
+                or order.max() >= A.shape[0] or (np.bincount(order.astype(np.intp)) != 1).any():
+            raise DimensionMismatchError(f"row order must be a permutation of the {A.shape[0]} rows")
+        self.row_order = order
 
     @property
     def n_blocks(self) -> int:
@@ -231,7 +227,7 @@ class ObservationSet:
         y = np.asarray(y_full, dtype=float).ravel()
         if y.size != op.total_rows:
             raise DimensionMismatchError(f"data length {y.size} != operator rows {op.total_rows}")
-        return cls([y[idx] for idx in op.row_maps], noise_level)
+        return cls(np.split(y[op.row_order], op.block_starts[1:]), noise_level)
 
 
 def check_blocks_match(op: BlockOperator, obs: ObservationSet):
@@ -254,8 +250,7 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
     check_partition(n_rows, n_batches)
     order = np.arange(n_rows).reshape(-1, n_batches).T.ravel()  # the rows of block 0, then of block 1, ...
     stacked = A.take(order) if isinstance(A, CsrMatrix) else A[order]
-    return BlockOperator(stacked, output_space or SpaceDescriptor.hilbert(), [n_rows // n_batches] * n_batches,
-                         order.reshape(n_batches, -1))
+    return BlockOperator(stacked, output_space or SpaceDescriptor.hilbert(), [n_rows // n_batches] * n_batches, order)
 
 
 def check_partition(n_rows: int, n_batches: int) -> None:

@@ -361,6 +361,37 @@ class TestStabilityProbe:
         assert a.primal_gap[0] > a.primal_gap[1]
         assert b.primal_gap[0] > b.primal_gap[1]
 
+    def test_values_are_the_seed_coupled_runs_summed_in_seed_order(self):
+        from banach_sgd import bregman_distance, with_seed
+
+        A = build_integral_operator(40)
+        y = A @ exact_sparse_signal(40)
+        y_space = SpaceDescriptor(1.5, 2.0)
+        op = partition_rows(A, 5, y_space)
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.3, 2.0), y_space=y_space, schedule=ConstantSchedule(0.05),
+                           epochs=1, seed=4)
+        k, deltas, noise_seed = 12, [0.0, 1e-2], 3
+        res = stability_probe(op, y, cfg, k, deltas, n_seeds=2, noise_seed=noise_seed)
+        # rebuilt by hand: seed j's clean and noisy runs share with_seed(cfg, cfg.seed + j), and its
+        # noise direction comes from Philox key noise_seed + j, scaled to the exact l^1.5 level
+        clean_obs = ObservationSet.from_full(y, op)
+        gaps = np.zeros((len(deltas), 3))
+        for j in range(2):
+            cfg_j = with_seed(cfg, cfg.seed + j)
+            clean = iterate_n(op, clean_obs, cfg_j, k)
+            direction = np.random.Generator(np.random.Philox(key=noise_seed + j)).normal(size=y.size)
+            for di, delta in enumerate(deltas):
+                xi = delta * direction / lr_norm(direction, 1.5) if delta > 0 else np.zeros_like(y)
+                noisy = iterate_n(op, ObservationSet.from_full(y + xi, op, noise_level=delta), cfg_j, k)
+                gaps[di] += (bregman_distance(noisy.x, clean.x, cfg.x_space), lr_norm(noisy.x - clean.x, 1.3),
+                             lr_norm(noisy.dual_x - clean.dual_x, cfg.x_space.r_conj))
+        expected = gaps / 2
+        assert expected[0, 1:].tolist() == [0.0, 0.0] and (expected[1] > 0).all()  # equal states at level 0
+        assert np.array_equal(res.deltas, deltas)
+        assert np.array_equal(res.bregman_gap, expected[:, 0])
+        assert np.array_equal(res.primal_gap, expected[:, 1])
+        assert np.array_equal(res.dual_gap, expected[:, 2])
+
     def test_each_clean_run_is_computed_once(self, monkeypatch):
         import banach_sgd.solver as solver
 

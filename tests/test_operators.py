@@ -86,17 +86,15 @@ class TestBlockOperator:
         with pytest.raises(DimensionMismatchError, match="block sizes"):
             BlockOperator(np.ones((6, 3)), block_sizes=sizes)
 
-    @pytest.mark.parametrize("maps", [[[0], [1, 2, 3]], [[0, 0], [0, 0]], [[0, 1], [2, 4]], [[-1, 0], [1, 2]],
-                                      [[0, 1], [2, 10 ** 12]], [[0.0, 1.0], [2.0, 3.0]], [[0, 1, 2, 3]],
-                                      [[[0, 1]], [[2, 3]]]],
-                             ids=["wrong-sizes", "repeated-row", "out-of-range", "negative", "huge", "float",
-                                  "one-map", "2-D-map"])
-    def test_row_maps_must_permute_the_rows_by_block(self, maps):
-        with pytest.raises(DimensionMismatchError, match="row maps"):
-            BlockOperator(np.eye(4), block_sizes=[2, 2], row_maps=maps)
+    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 0, 1, 1], [0, 1, 2, 4], [-1, 0, 1, 2], [0, 1, 2, 10 ** 12],
+                                       [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]]],
+                             ids=["wrong-length", "repeated-row", "out-of-range", "negative", "huge", "float", "2-D"])
+    def test_row_order_must_permute_the_rows(self, order):
+        with pytest.raises(DimensionMismatchError, match="row order"):
+            BlockOperator(np.eye(4), block_sizes=[2, 2], row_order=order)
 
-    def test_permuted_row_maps_split_the_data(self):
-        op = BlockOperator(np.eye(4), block_sizes=[2, 2], row_maps=[[3, 0], [2, 1]])
+    def test_permuted_row_order_splits_the_data(self):
+        op = BlockOperator(np.eye(4), block_sizes=[2, 2], row_order=np.array([3, 0, 2, 1], dtype=np.uint64))
         obs = ObservationSet.from_full([10.0, 11.0, 12.0, 13.0], op)
         assert [b.tolist() for b in obs.blocks] == [[13.0, 10.0], [12.0, 11.0]]
 
@@ -200,8 +198,7 @@ class TestPartitionRows:
         full = rng.normal(size=(20, 7))
         op = partition_rows(full, 5)
         rebuilt = np.empty_like(full)
-        for block, rows in zip(op.blocks, op.row_maps):
-            rebuilt[rows] = block
+        rebuilt[op.row_order] = op.full_matrix
         assert np.array_equal(rebuilt, full)
 
     def test_blocks_share_one_stacked_matrix(self):
