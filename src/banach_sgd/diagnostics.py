@@ -9,7 +9,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
-from .operators import BlockOperator, ObservationSet, check_blocks_match, save_matrix_csv
+from .operators import BlockOperator, CsrMatrix, ObservationSet, check_blocks_match, check_count, save_matrix_csv
 from .spaces import SpaceDescriptor, bregman_distance, lr_norm
 
 __all__ = [
@@ -235,8 +235,7 @@ def monte_carlo_mean(op, obs, cfg, n_seeds: int, field_name: str = "bregman",
     """
     from . import solver  # deferred to avoid a module cycle
 
-    if n_seeds < 2:
-        raise ConfigurationError("need at least 2 seeds for a standard error")
+    check_count(n_seeds, "n_seeds, for a standard error,", 2)
     if field_name not in ConvergenceRecord._COLUMNS:
         raise ConfigurationError(f"field_name must be one of {ConvergenceRecord._COLUMNS}; got {field_name!r}")
     records = [r.record for r in solver.run_seeds(op, obs, cfg, n_seeds, x_true=x_true, x_ref=x_ref)]
@@ -265,11 +264,12 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     """
     from . import solver
 
-    if n_seeds < 1:
-        raise ConfigurationError(f"need at least 1 seed; got n_seeds = {n_seeds}")
+    check_count(n_seeds, "n_seeds")
     y_clean = np.asarray(y_clean, dtype=float).ravel()
     obs_clean = ObservationSet.from_full(y_clean, op)
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1:
+        raise ConfigurationError(f"deltas must be a 1-D sequence of noise levels; got shape {deltas.shape}")
     gaps = np.zeros((deltas.size, 3))  # per level: Bregman, primal and dual gaps, summed in seed order
     for j in range(n_seeds):
         cfg_j = solver.with_seed(cfg, cfg.seed + j)
@@ -296,6 +296,8 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
     keeps every iterate's dual image inside the closure of range(A^T), which
     pins the limit to the minimum norm solution.
     """
+    if isinstance(A, CsrMatrix):  # lstsq and the spectral norm need the dense matrix
+        raise ConfigurationError("minimum_norm_solution needs a dense matrix; got a CsrMatrix")
     op = BlockOperator(A, SpaceDescriptor.hilbert())  # both check their input, also for r = 2
     obs = ObservationSet.from_full(y, op)
     A, r = op.full_matrix, x_space.r

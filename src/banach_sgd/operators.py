@@ -24,6 +24,7 @@ __all__ = [
     "NormEstimate",
     "partition_rows",
     "check_partition",
+    "check_count",
     "build_integral_operator",
     "check_signal_size",
     "exact_sparse_signal",
@@ -86,13 +87,19 @@ class CsrMatrix:
 
     def rows(self, start: int, stop: int) -> "CsrMatrix":
         """Rows start .. stop-1 as a view of this matrix's indices and data."""
+        if not (isinstance(start, (int, np.integer)) and isinstance(stop, (int, np.integer))
+                and 0 <= start <= stop <= self.shape[0]):
+            raise DimensionMismatchError(f"rows {start!r}:{stop!r} must be an ordered integer slice of [0, {self.shape[0]})")
         lo, hi = self.indptr[start], self.indptr[stop]
         return CsrMatrix(self.indptr[start:stop + 1] - lo, self.indices[lo:hi], self.data[lo:hi],
                          (stop - start, self.shape[1]))
 
     def take(self, rows) -> "CsrMatrix":
         """A new matrix of the given rows, in the given order."""
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= self.shape[0]):
+            raise DimensionMismatchError(f"rows to take must be a 1-D sequence of integers in [0, {self.shape[0]})")
+        rows = rows.astype(np.intp)
         counts = self.row_nnz[rows]
         ends = np.cumsum(counts)
         entries = np.repeat(self.indptr[rows] - (ends - counts), counts) + np.arange(counts.sum())
@@ -255,8 +262,15 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
 
 def check_partition(n_rows: int, n_batches: int) -> None:
     """partition_rows deals the rows into n_batches blocks of equal size."""
-    if not isinstance(n_batches, (int, np.integer)) or n_batches < 1 or n_rows % n_batches != 0:
-        raise ConfigurationError(f"number of batches ({n_batches!r}) must divide the row count ({n_rows}) and be an integer")
+    check_count(n_batches, f"number of batches, which must divide the row count ({n_rows}),")
+    if n_rows % n_batches != 0:
+        raise ConfigurationError(f"number of batches ({n_batches}) must divide the row count ({n_rows})")
+
+
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """A count (of batches, seeds, steps, ...) is an int or numpy integer of at least minimum."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}; got {value!r}")
 
 
 def integral_kernel(t, s):
@@ -325,8 +339,8 @@ class RadonGeometry:
     pixel_size: float
 
     def __post_init__(self):
-        if self.grid_side < 1 or self.n_angles < 1 or self.n_detectors < 1:
-            raise ConfigurationError("grid_side, n_angles and n_detectors must be >= 1")
+        for name in ("grid_side", "n_angles", "n_detectors"):
+            check_count(getattr(self, name), name)
         if self.pixel_size <= 0:
             raise ConfigurationError("pixel_size must be positive")
         if self.angle_step <= 0:
@@ -506,8 +520,10 @@ def boyd_operator_norm(
         raise DimensionMismatchError("expected a matrix")
     if not (1.0 < rx < math.inf and 1.0 < ry < math.inf):
         raise ConfigurationError("exponents must lie in (1, inf)")
-    if restarts < 1 or max_iter < 1 or not tol >= 0.0:
-        raise ConfigurationError(f"need restarts, max_iter >= 1 and tol >= 0; got {restarts}, {max_iter}, {tol}")
+    check_count(restarts, "restarts")
+    check_count(max_iter, "max_iter")
+    if not tol >= 0.0:
+        raise ConfigurationError(f"tol must be >= 0; got {tol}")
     if not A.any():
         return NormEstimate(0.0, True, 0, starts=0)
     nonnegative = bool(np.all((A.data if isinstance(A, CsrMatrix) else A) >= 0.0))

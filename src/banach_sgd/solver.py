@@ -23,7 +23,7 @@ import numpy as np
 from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
 from .exceptions import ConfigurationError, InvalidInputError, IterationInvariantError
 from .noise import check_seed
-from .operators import BlockOperator, ObservationSet, check_blocks_match
+from .operators import BlockOperator, ObservationSet, check_blocks_match, check_count
 from .spaces import (
     SpaceDescriptor,
     bregman_distance,
@@ -175,8 +175,7 @@ class SolverConfig:
                 )
         elif self.q is not None:
             raise ConfigurationError("q is only meaningful for generalized_kaczmarz")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
+        check_count(self.epochs, "epochs", 0)
         check_seed(self.seed)
         if not isinstance(self.schedule, StepSchedule):
             raise ConfigurationError(f"unknown schedule: {self.schedule!r}")
@@ -292,8 +291,7 @@ def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
 def iterate_n(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
               n_iterations: int) -> IterationState:
     """Advance n_iterations from the zero start and return the final state."""
-    if n_iterations < 0:
-        raise ConfigurationError(f"n_iterations must be >= 0; got {n_iterations}")
+    check_count(n_iterations, "n_iterations", 0)
     return _advance(_checked_start(op, obs, cfg), op, obs, cfg, n_iterations)
 
 
@@ -328,8 +326,8 @@ def estimate_constants(desc: SpaceDescriptor, dim: int, samples: int = 200,
     p D(z, w) / ||w - z||^p over random primal pairs, deflated by 0.8.  In the
     Hilbert case both raw ratios are identically 1.
     """
-    if dim < 1 or samples < 1:
-        raise ConfigurationError("dim and samples must be >= 1")
+    check_count(dim, "dim")
+    check_count(samples, "samples")
     rng = np.random.Generator(np.random.Philox(key=seed))
     dual = desc.dual
     g_max = 0.0
@@ -410,8 +408,7 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
     Every seed's config is built, so a bad seed fails, before the first run.  A
     Landweber run draws no random index, so its one run stands for every seed.
     """
-    if n_seeds < 1:
-        raise ConfigurationError(f"need at least 1 seed; got n_seeds = {n_seeds}")
+    check_count(n_seeds, "n_seeds")
     cfgs = [with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
     if cfg.method == "landweber":
         return [run(op, obs, cfgs[0], x_true=x_true, x_ref=x_ref)] * n_seeds

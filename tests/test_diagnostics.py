@@ -8,12 +8,16 @@ from banach_sgd import (
     ConfigurationError,
     ConstantSchedule,
     ConvergenceRecord,
+    CsrMatrix,
     InvalidInputError,
     ObservationSet,
+    RadonGeometry,
     SolverConfig,
     SpaceDescriptor,
+    boyd_operator_norm,
     build_integral_operator,
     delta_metrics,
+    estimate_constants,
     exact_sparse_signal,
     iterate_n,
     lr_norm,
@@ -23,6 +27,7 @@ from banach_sgd import (
     partition_rows,
     polyak_bound,
     rate_envelope,
+    run_seeds,
     stability_probe,
     stochastic_gradient,
     support_f1,
@@ -494,6 +499,9 @@ class TestConvergenceRecord:
             )
 
 
+_SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
+
+
 @pytest.mark.parametrize("call,error", [
     (lambda op, obs, cfg: op.apply_all(np.ones(7)), "DimensionMismatchError"),
     (lambda op, obs, cfg: op.apply_all(np.ones((8, 2))), "DimensionMismatchError"),
@@ -513,9 +521,31 @@ class TestConvergenceRecord:
     (lambda op, obs, cfg: ConvergenceRecord.from_rows([]).column("nope"), "ConfigurationError"),
     (lambda op, obs, cfg: partition_rows(op.full_matrix, 2.0), "ConfigurationError"),
     (lambda op, obs, cfg: partition_rows(op.full_matrix, "2"), "ConfigurationError"),
+    (lambda op, obs, cfg: minimum_norm_solution(_SPARSE, [1.0, 2.0], HILBERT), "ConfigurationError"),
+    (lambda op, obs, cfg: minimum_norm_solution(_SPARSE, [1.0, 2.0], SpaceDescriptor(1.5, 2.0), 10),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: iterate_n(op, obs, cfg, 2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2.5, [0.1], n_seeds=2), "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, [0.1], n_seeds=2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, [[0.1, 0.2]], n_seeds=2),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, 0.1, n_seeds=2), "ConfigurationError"),
+    (lambda op, obs, cfg: run_seeds(op, obs, cfg, 2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: monte_carlo_mean(op, obs, cfg, 2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: boyd_operator_norm(op.full_matrix, restarts=1.5), "ConfigurationError"),
+    (lambda op, obs, cfg: boyd_operator_norm(op.full_matrix, max_iter=1.5), "ConfigurationError"),
+    (lambda op, obs, cfg: estimate_constants(HILBERT, 2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: estimate_constants(HILBERT, 3, samples=2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=2.5),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: RadonGeometry(16.5, 6, 30.0, 23, 0.1), "ConfigurationError"),
 ], ids=["apply_all-length", "apply_all-matrix", "objective", "support_f1", "minnorm-r2-length", "minnorm-r2-nan",
         "minnorm-nan-matrix", "iterate_n", "stability_probe", "apply-past-the-end", "apply-negative",
-        "apply-non-integer", "stochastic_gradient", "record-column", "partition-float", "partition-str"])
+        "apply-non-integer", "stochastic_gradient", "record-column", "partition-float", "partition-str",
+        "minnorm-r2-sparse", "minnorm-sparse", "iterate_n-float", "stability_probe-float-steps",
+        "stability_probe-float-seeds", "stability_probe-2-D-levels", "stability_probe-scalar-levels",
+        "run_seeds-float", "monte_carlo_mean-float", "boyd-float-restarts", "boyd-float-max_iter",
+        "constants-float-dim", "constants-float-samples", "config-float-epochs", "radon-float-grid"])
 def test_wrong_input_raises_a_typed_error(call, error):
     import banach_sgd
 

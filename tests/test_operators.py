@@ -471,6 +471,17 @@ class TestCsrMatrix:
         with pytest.raises(DimensionMismatchError):
             A.T @ np.ones(4)
 
+    @pytest.mark.parametrize("select", [lambda A: A.rows(0, 5), lambda A: A.rows(2, 1), lambda A: A.rows(-1, 2),
+                                        lambda A: A.rows(0.5, 2), lambda A: A.take([3]), lambda A: A.take([-1]),
+                                        lambda A: A.take([1.7]), lambda A: A.take([[0, 1]])],
+                             ids=["rows-past-the-end", "rows-reversed", "rows-negative", "rows-float", "take-past-the-end",
+                                  "take-negative", "take-float", "take-2-D"])
+    def test_row_selection_outside_the_matrix_is_a_typed_error(self, select):
+        A = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
+        with pytest.raises(DimensionMismatchError, match=r"\[0, 2\)"):
+            select(A)
+        assert A.rows(1, 1).shape == (0, 2) and A.take([]).shape == (0, 2)
+
     def test_zero_matrix_norm_is_zero(self):
         A = CsrMatrix([0, 0, 0], [], [], (2, 3))
         assert not A.any()
@@ -639,7 +650,8 @@ class TestBoydNorm:
         est = boyd_operator_norm(A, 2, 2, tol=0.0, max_iter=3)
         assert not est.converged and est.iterations == 3
 
-    @pytest.mark.parametrize("settings", [{"max_iter": 0}, {"tol": np.nan}, {"tol": -1e-8}, {"restarts": 0}])
+    @pytest.mark.parametrize("settings", [{"max_iter": 0}, {"tol": np.nan}, {"tol": -1e-8}, {"restarts": 0},
+                                          {"max_iter": 1.5}, {"restarts": 1.5}])
     def test_iteration_settings_checked(self, settings):
         with pytest.raises(ConfigurationError):
             boyd_operator_norm(np.diag([3.0, 1.0]), 2, 2, **settings)

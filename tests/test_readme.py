@@ -61,3 +61,18 @@ def test_config_key_lists_match_the_cli_tables():
         keys, preset = part.rsplit(" for ", 1)
         listed[preset.strip("`")] = ticked(keys)
     assert listed == {preset: sorted(table) for preset, table in cli._PRESET_DEFAULTS.items()}
+
+
+def test_library_calls_name_real_parameters():
+    import inspect
+
+    import banach_sgd
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    calls = [(name, args) for name, args in re.findall(r"`(?:[^`(]*?\bbs\.)?(\w+)\(([^`()]*)\)`", text)
+             if hasattr(banach_sgd, name)]
+    assert {"BlockOperator", "APrioriStop"} <= {name for name, _ in calls}
+    for name, args in calls:
+        params = inspect.signature(getattr(banach_sgd, name)).parameters
+        listed = [a.split("=")[0].strip() for a in args.split(",")]
+        assert [a for a in listed if a not in params and a not in ("...", "…")] == [], name
