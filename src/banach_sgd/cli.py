@@ -242,7 +242,7 @@ def build_config(raw: dict) -> ExperimentConfig:
         "config", SolverConfig, merged, x_space=x_space,
         y_space=SpaceDescriptor(_read("config", merged, "r_y"), x_space.p), schedule=schedule, stopping=stopping,
     )
-    check_seed(solver.seed + seeds - 1, "the ensemble's last seed, seed + seeds - 1,")
+    check_seed(solver.seed, "seed", seeds)
 
     own = {}  # the objects the preset builds from its own keys
     if preset == "ct":

@@ -9,6 +9,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
+from .noise import check_seed, generator
 from .operators import BlockOperator, CsrMatrix, ObservationSet, check_blocks_match, check_count, save_matrix_csv
 from .spaces import SpaceDescriptor, bregman_distance, lr_norm
 
@@ -261,10 +262,13 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     Gaussian direction from Philox key noise_seed + j, rescaled to that exact
     level) advance k_fixed iterations with the same random indices; the mean
     Bregman distance, primal gap and dual-map gap of their end states are reported.
+    Both key ranges, from cfg.seed and from noise_seed, are checked before any run.
     """
     from . import solver
 
     check_count(n_seeds, "n_seeds")
+    check_seed(cfg.seed, "seed", n_seeds)
+    check_seed(noise_seed, "noise_seed", n_seeds)
     y_clean = np.asarray(y_clean, dtype=float).ravel()
     obs_clean = ObservationSet.from_full(y_clean, op)
     deltas = np.asarray(deltas, dtype=float)
@@ -274,7 +278,7 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     for j in range(n_seeds):
         cfg_j = solver.with_seed(cfg, cfg.seed + j)
         clean = solver.iterate_n(op, obs_clean, cfg_j, k_fixed)
-        direction = np.random.Generator(np.random.Philox(key=noise_seed + j)).normal(size=y_clean.size)
+        direction = generator(noise_seed + j).normal(size=y_clean.size)
         norm = lr_norm(direction, op.output_space.r)
         for di, delta in enumerate(deltas):
             xi = delta * direction / norm if delta > 0 else np.zeros_like(y_clean)

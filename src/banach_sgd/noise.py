@@ -1,8 +1,8 @@
 """Seeded data corruption models and exact noise-level measurement.
 
-All generators use numpy's Philox counter-based bit generator (Philox-4x64-10),
-so a given (data, spec) pair always produces the same output, independent of
-platform and call history.
+Every random stream of the package comes from ``generator``: numpy's Philox
+counter-based bit generator (Philox-4x64-10) under one checked key, so a given
+(data, spec) pair always gives the same output, whatever the platform and history.
 """
 
 from __future__ import annotations
@@ -24,16 +24,24 @@ __all__ = [
     "impulse_branch_low",
     "impulse_branch_high",
     "check_seed",
+    "generator",
     "RNG_ALGORITHM",
 ]
 
 RNG_ALGORITHM = "Philox-4x64-10 (numpy.random.Philox)"
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """A seed is a Philox key, which lies in [0, 2**128)."""
-    if not 0 <= seed < 2**128:
-        raise ConfigurationError(f"{name} must lie in [0, 2**128); got {reprlib.repr(seed)}")
+def check_seed(seed: int, name: str = "seed", count: int = 1) -> None:
+    """Seeds seed .. seed + count - 1 are Philox keys: integers (int or numpy) in [0, 2**128)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= 2**128 - count):
+        keys = f"{name} must be an integer" if count == 1 else f"{name} .. {name} + {count - 1} must be integers"
+        raise ConfigurationError(f"{keys} in [0, 2**128), the Philox key range; got {name} = {reprlib.repr(seed)}")
+
+
+def generator(key: int) -> np.random.Generator:
+    """The random stream of one checked Philox key."""
+    check_seed(key)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ def corrupt(y, spec, norm_exponent: float = 2.0):
     noise level rather than the nominal one.
     """
     y = np.asarray(y, dtype=float).ravel()
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rng = generator(spec.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, naming the model
         if isinstance(spec, GaussianNoise):
             noisy = y + rng.normal(0.0, spec.sigma, size=y.size) if spec.sigma > 0 else y.copy()

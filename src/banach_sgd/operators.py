@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import ConfigurationError, DataFormatError, DimensionMismatchError, InvalidInputError
+from .noise import generator
 from .spaces import SpaceDescriptor, duality_map, lr_norm
 
 __all__ = [
@@ -528,7 +529,7 @@ def boyd_operator_norm(
         return NormEstimate(0.0, True, 0, starts=0)
     nonnegative = bool(np.all((A.data if isinstance(A, CsrMatrix) else A) >= 0.0))
     starts = 1 if nonnegative and rx >= ry else restarts
-    rng = np.random.Generator(np.random.Philox(key=0))
+    rng = generator(0)
     best = None
     for s in range(starts):
         x0 = rng.random(A.shape[1]) + 0.1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
 from .exceptions import ConfigurationError, InvalidInputError, IterationInvariantError
-from .noise import check_seed
+from .noise import check_seed, generator
 from .operators import BlockOperator, ObservationSet, check_blocks_match, check_count
 from .spaces import (
     SpaceDescriptor,
@@ -214,7 +214,7 @@ class IterationState:
 def initial_state(op: BlockOperator, cfg: SolverConfig) -> IterationState:
     """Zero start; J_p(0) = 0 lies in the closure of range(A^T) for free."""
     n = op.input_dim
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng = generator(cfg.seed)
     return IterationState(np.zeros(n), np.zeros(n), 0, rng)
 
 
@@ -328,7 +328,7 @@ def estimate_constants(desc: SpaceDescriptor, dim: int, samples: int = 200,
     """
     check_count(dim, "dim")
     check_count(samples, "samples")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = generator(seed)
     dual = desc.dual
     g_max = 0.0
     c_min = math.inf
@@ -405,11 +405,11 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
               x_true=None, x_ref=None) -> list[RunResult]:
     """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order.
 
-    Every seed's config is built, so a bad seed fails, before the first run.  A
-    Landweber run draws no random index, so its one run stands for every seed.
+    All seeds are checked before the first run; each config is built as it runs.
+    A Landweber run draws no random index, so its one run stands for every seed.
     """
     check_count(n_seeds, "n_seeds")
-    cfgs = [with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
+    check_seed(cfg.seed, "seed", n_seeds)
     if cfg.method == "landweber":
-        return [run(op, obs, cfgs[0], x_true=x_true, x_ref=x_ref)] * n_seeds
-    return [run(op, obs, cfg_j, x_true=x_true, x_ref=x_ref) for cfg_j in cfgs]
+        return [run(op, obs, cfg, x_true=x_true, x_ref=x_ref)] * n_seeds
+    return [run(op, obs, with_seed(cfg, cfg.seed + j), x_true=x_true, x_ref=x_ref) for j in range(n_seeds)]
