@@ -143,8 +143,8 @@ def support_f1(x, x_true, threshold: float | None = None) -> float:
     x, xt = _paired(x, x_true)
     if threshold is None:
         threshold = 0.1 * float(np.max(np.abs(xt)))
-    if threshold <= 0:
-        raise ConfigurationError("threshold must be positive")
+    if not threshold > 0:
+        raise ConfigurationError(f"threshold must be positive; got {threshold}")
     predicted = np.abs(x) > threshold
     actual = np.abs(xt) > 0
     tp = int(np.sum(predicted & actual))
@@ -160,13 +160,13 @@ def polyak_bound(delta0: float, alpha: float, steps) -> np.ndarray:
 
     Entry n of the result bounds d_n; entry 0 equals delta0.
     """
-    if delta0 < 0:
-        raise InvalidInputError("delta0 must be >= 0")
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be > 0")
+    if not 0.0 <= delta0 < math.inf:
+        raise InvalidInputError(f"delta0 must be finite and >= 0; got {delta0}")
+    if not 0.0 < alpha < math.inf:
+        raise ConfigurationError(f"alpha must be finite and > 0; got {alpha}")
     mu = np.asarray(steps, dtype=float)
-    if mu.size and mu.min() <= 0:
-        raise ConfigurationError("step sizes must be positive")
+    if not ((0.0 < mu) & (mu < math.inf)).all():
+        raise ConfigurationError("step sizes must be positive and finite")
     sums = np.concatenate([[0.0], np.cumsum(mu)])
     return delta0 * (1.0 + alpha * delta0 ** alpha * sums) ** (-1.0 / alpha)
 
@@ -178,11 +178,13 @@ def rate_envelope(delta0: float, alpha: float, per_step) -> np.ndarray:
     for alpha > 1 it is delta0 * (1 + (alpha-1) delta0^(alpha-1)
     sum_{j<=k} c_j)^(-1/(alpha-1)).  Entry 0 equals delta0.
     """
-    if delta0 < 0:
-        raise InvalidInputError("delta0 must be >= 0")
-    if alpha < 1.0:
-        raise ConfigurationError("alpha must be >= 1")
+    if not 0.0 <= delta0 < math.inf:
+        raise InvalidInputError(f"delta0 must be finite and >= 0; got {delta0}")
+    if not 1.0 <= alpha < math.inf:
+        raise ConfigurationError(f"alpha must be finite and >= 1; got {alpha}")
     c = np.asarray(per_step, dtype=float)
+    if not ((0.0 <= c) & (c < math.inf)).all():
+        raise ConfigurationError("per-step rates must be finite and >= 0")
     sums = np.concatenate([[0.0], np.cumsum(c)])
     if alpha == 1.0:
         return delta0 * np.exp(-sums)
@@ -208,7 +210,10 @@ def ensemble_stats(samples) -> tuple[np.ndarray, np.ndarray]:
     such a column is recomputed from its samples divided by its max |value|, then
     scaled back.  Every other column's mean is numpy's, bit for bit.
     """
-    data = np.vstack(samples)
+    try:
+        data = np.vstack(samples)
+    except ValueError as exc:  # no rows, or rows of unequal length
+        raise DimensionMismatchError(f"samples must be one or more rows of one length: {exc}") from exc
     n = data.shape[0]
 
     def stderr_of(d):

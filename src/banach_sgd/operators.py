@@ -289,8 +289,7 @@ def build_integral_operator(n: int, midpoint_columns: bool = True) -> np.ndarray
     with midpoint_columns=False the nodes are (2k+1)/n, which run outside the
     interval and are kept only for comparison runs.
     """
-    if n < 2:
-        raise ConfigurationError(f"discretisation size must be >= 2, got {n}")
+    check_count(n, "discretisation size", 2)
     t = np.arange(n, dtype=float) / n
     if midpoint_columns:
         s = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
@@ -306,8 +305,8 @@ def build_integral_operator(n: int, midpoint_columns: bool = True) -> np.ndarray
 
 def check_signal_size(n: int) -> None:
     """exact_sparse_signal resolves its plateaus from n = 40 on."""
-    if n < 40:
-        raise ConfigurationError(f"need n >= 40 to resolve the signal plateaus, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 40:  # check_count's rule, with the plateau reason
+        raise ConfigurationError(f"need n >= 40 to resolve the signal plateaus, got {n!r}")
 
 
 def exact_sparse_signal(n: int) -> np.ndarray:
@@ -342,11 +341,11 @@ class RadonGeometry:
     def __post_init__(self):
         for name in ("grid_side", "n_angles", "n_detectors"):
             check_count(getattr(self, name), name)
-        if self.pixel_size <= 0:
-            raise ConfigurationError("pixel_size must be positive")
-        if self.angle_step <= 0:
-            raise ConfigurationError("angle_step must be positive")
-        if self.n_angles * self.angle_step > 180.0 + 1e-9:
+        if not 0.0 < self.pixel_size < math.inf:
+            raise ConfigurationError(f"pixel_size must be positive and finite; got {self.pixel_size}")
+        if not 0.0 < self.angle_step < math.inf:
+            raise ConfigurationError(f"angle_step must be positive and finite; got {self.angle_step}")
+        if not self.n_angles * self.angle_step <= 180.0 + 1e-9:
             raise ConfigurationError(
                 f"angle coverage {self.n_angles * self.angle_step} deg exceeds 180 deg"
             )
@@ -361,20 +360,6 @@ class RadonGeometry:
 
     def angles_deg(self) -> np.ndarray:
         return np.arange(self.n_angles, dtype=float) * self.angle_step
-
-
-def radon_ray_row(geom: RadonGeometry, angle_deg: float, offset: float) -> np.ndarray:
-    """Intersection lengths of one ray with every pixel of the grid.
-
-    The ray is the line {x : x . n = offset} with normal
-    n = (cos angle, sin angle); pixel (i, j) covers the square centred at
-    x = (j + 0.5 - g/2) h, y = (g/2 - i - 0.5) h and the result is indexed
-    row-major.  Rays that miss the grid give a zero row.
-    """
-    _, pixels, lengths = _trace_rays(geom, angle_deg, np.array([offset], dtype=float))
-    row = np.zeros(geom.grid_side ** 2)
-    row[pixels] = lengths
-    return row
 
 
 def build_radon_operator(geom: RadonGeometry) -> CsrMatrix:
@@ -401,7 +386,8 @@ def _trace_rays(geom: RadonGeometry, angle_deg: float, offsets: np.ndarray):
     crossings with the pixel edge lines inside the clip window are sorted, and
     every segment between consecutive crossings lies in one pixel.  Returns
     (ray, pixel, length) triplets sorted by ray, then pixel; a ray that
-    misses the grid gives none.
+    misses the grid gives none.  The normal is n = (cos angle, sin angle), and pixel
+    i * g + j covers the square centred at ((j + 0.5 - g/2) h, (g/2 - i - 0.5) h).
     """
     g = geom.grid_side
     h = geom.pixel_size
@@ -455,8 +441,7 @@ _PHANTOM_DISKS = (
 
 def check_phantom_size(grid_side: int) -> None:
     """sparse_disk_phantom draws its disks on grids from 16 x 16 on."""
-    if grid_side < 16:
-        raise ConfigurationError(f"grid_side must be >= 16, got {grid_side}")
+    check_count(grid_side, "grid_side", 16)
 
 
 def sparse_disk_phantom(grid_side: int) -> np.ndarray:

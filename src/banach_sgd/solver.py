@@ -88,10 +88,9 @@ class SlowDecaySchedule:
     def __post_init__(self):
         if not 0.0 < self.scale < math.inf:
             raise ConfigurationError(f"scale must be positive and finite; got {self.scale}")
-        if self.n_batches < 1:
-            raise ConfigurationError("n_batches must be >= 1")
-        if self.p_conj <= 1:
-            raise ConfigurationError("conjugate power must be > 1")
+        check_count(self.n_batches, "n_batches")
+        if not 1.0 < self.p_conj < math.inf:
+            raise ConfigurationError(f"conjugate power must be finite and > 1; got {self.p_conj}")
 
     def at(self, k: int) -> float:
         return self.scale / (1.0 + 0.05 * (k / self.n_batches) ** (1.0 / self.p_conj + 0.01))
@@ -303,8 +302,8 @@ class ConstantsConfig:
     C_p: float
 
     def __post_init__(self):
-        if self.G_pstar <= 0 or self.C_p <= 0:
-            raise ConfigurationError("geometry constants must be positive")
+        if not (0.0 < self.G_pstar < math.inf and 0.0 < self.C_p < math.inf):
+            raise ConfigurationError(f"geometry constants must be positive and finite; got {self.G_pstar}, {self.C_p}")
 
 
 def theoretical_max_step(constants: ConstantsConfig, l_max: float, p_conj: float) -> float:
@@ -312,9 +311,12 @@ def theoretical_max_step(constants: ConstantsConfig, l_max: float, p_conj: float
 
     Solves mu^(p*-1) = p* / (G_{p*} L_max^{p*}).
     """
-    if l_max <= 0 or p_conj <= 1:
-        raise ConfigurationError("need l_max > 0 and p* > 1")
-    return (p_conj / (constants.G_pstar * l_max ** p_conj)) ** (1.0 / (p_conj - 1.0))
+    if not (0.0 < l_max < math.inf and 1.0 < p_conj < math.inf):
+        raise ConfigurationError(f"need finite l_max > 0 and p* > 1; got l_max = {l_max}, p* = {p_conj}")
+    try:
+        return (p_conj / (constants.G_pstar * l_max ** p_conj)) ** (1.0 / (p_conj - 1.0))
+    except (OverflowError, ZeroDivisionError) as exc:  # Python float powers raise rather than give inf
+        raise ConfigurationError(f"the step bound for l_max = {l_max}, p* = {p_conj} leaves the float range") from exc
 
 
 def estimate_constants(desc: SpaceDescriptor, dim: int, samples: int = 200,

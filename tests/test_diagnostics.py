@@ -7,11 +7,13 @@ from banach_sgd import (
     BlockOperator,
     ConfigurationError,
     ConstantSchedule,
+    ConstantsConfig,
     ConvergenceRecord,
     CsrMatrix,
     InvalidInputError,
     ObservationSet,
     RadonGeometry,
+    SlowDecaySchedule,
     SolverConfig,
     SpaceDescriptor,
     boyd_operator_norm,
@@ -28,9 +30,12 @@ from banach_sgd import (
     polyak_bound,
     rate_envelope,
     run_seeds,
+    sparse_disk_phantom,
     stability_probe,
     stochastic_gradient,
     support_f1,
+    theoretical_max_step,
+    with_seed,
 )
 from banach_sgd.diagnostics import CSV_HEADER, ensemble_stats
 
@@ -415,6 +420,10 @@ class TestStabilityProbe:
         deltas = [1e-1, 1e-2, 1e-3]
         stability_probe(op, y, cfg, k_fixed=5, deltas=deltas, n_seeds=4)
         assert len(calls) == 4 * (len(deltas) + 1)
+        calls.clear()
+        with pytest.raises(ConfigurationError, match="noise_seed"):  # the last key, 2**128 + 2, is out of range
+            stability_probe(op, y, cfg, k_fixed=5, deltas=deltas, n_seeds=4, noise_seed=2**128 - 1)
+        assert calls == []
 
     def test_no_seeds_rejected(self):
         A = build_integral_operator(60)
@@ -539,13 +548,56 @@ _SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
     (lambda op, obs, cfg: SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=2.5),
      "ConfigurationError"),
     (lambda op, obs, cfg: RadonGeometry(16.5, 6, 30.0, 23, 0.1), "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, [0.1], n_seeds=2, noise_seed=-1),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, [0.1], n_seeds=2, noise_seed=2.5),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, [0.1], n_seeds=2, noise_seed=2**128 - 1),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, with_seed(cfg, 2**128 - 1), 2, [0.1], n_seeds=2),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: run_seeds(op, obs, with_seed(cfg, 2**128 - 1), 2), "ConfigurationError"),
+    (lambda op, obs, cfg: estimate_constants(HILBERT, 3, seed=-1), "ConfigurationError"),
+    (lambda op, obs, cfg: estimate_constants(HILBERT, 3, seed=2**128), "ConfigurationError"),
+    (lambda op, obs, cfg: estimate_constants(HILBERT, 3, seed=2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: build_integral_operator(2.5), "ConfigurationError"),
+    (lambda op, obs, cfg: build_integral_operator("3"), "ConfigurationError"),
+    (lambda op, obs, cfg: exact_sparse_signal(40.5), "ConfigurationError"),
+    (lambda op, obs, cfg: sparse_disk_phantom(16.5), "ConfigurationError"),
+    (lambda op, obs, cfg: RadonGeometry(16, 6, np.nan, 23, 0.1), "ConfigurationError"),
+    (lambda op, obs, cfg: RadonGeometry(16, 6, 30.0, 23, np.nan), "ConfigurationError"),
+    (lambda op, obs, cfg: RadonGeometry(16, 6, 30.0, 23, np.inf), "ConfigurationError"),
+    (lambda op, obs, cfg: SlowDecaySchedule(1.0, 2.5, 2.0), "ConfigurationError"),
+    (lambda op, obs, cfg: SlowDecaySchedule(1.0, 2, np.nan), "ConfigurationError"),
+    (lambda op, obs, cfg: ConstantsConfig(np.nan, 1.0), "ConfigurationError"),
+    (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), np.nan, 2.0), "ConfigurationError"),
+    (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), 1.0, np.inf), "ConfigurationError"),
+    (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), 1e-200, 2.0), "ConfigurationError"),
+    (lambda op, obs, cfg: support_f1(np.ones(3), np.ones(3), threshold=np.nan), "ConfigurationError"),
+    (lambda op, obs, cfg: polyak_bound(np.nan, 1.0, [0.1]), "InvalidInputError"),
+    (lambda op, obs, cfg: polyak_bound(1.0, np.nan, [0.1]), "ConfigurationError"),
+    (lambda op, obs, cfg: polyak_bound(1.0, 1.0, [np.nan]), "ConfigurationError"),
+    (lambda op, obs, cfg: rate_envelope(np.nan, 1.0, [0.1]), "InvalidInputError"),
+    (lambda op, obs, cfg: rate_envelope(1.0, np.nan, [0.1]), "ConfigurationError"),
+    (lambda op, obs, cfg: rate_envelope(1.0, 2.0, [np.nan]), "ConfigurationError"),
+    (lambda op, obs, cfg: rate_envelope(np.inf, 2.0, [0.1]), "InvalidInputError"),
+    (lambda op, obs, cfg: ensemble_stats([]), "DimensionMismatchError"),
+    (lambda op, obs, cfg: ensemble_stats([np.ones(2), np.ones(3)]), "DimensionMismatchError"),
 ], ids=["apply_all-length", "apply_all-matrix", "objective", "support_f1", "minnorm-r2-length", "minnorm-r2-nan",
         "minnorm-nan-matrix", "iterate_n", "stability_probe", "apply-past-the-end", "apply-negative",
         "apply-non-integer", "stochastic_gradient", "record-column", "partition-float", "partition-str",
         "minnorm-r2-sparse", "minnorm-sparse", "iterate_n-float", "stability_probe-float-steps",
         "stability_probe-float-seeds", "stability_probe-2-D-levels", "stability_probe-scalar-levels",
         "run_seeds-float", "monte_carlo_mean-float", "boyd-float-restarts", "boyd-float-max_iter",
-        "constants-float-dim", "constants-float-samples", "config-float-epochs", "radon-float-grid"])
+        "constants-float-dim", "constants-float-samples", "config-float-epochs", "radon-float-grid",
+        "probe-negative-noise-seed", "probe-float-noise-seed", "probe-last-noise-seed", "probe-last-seed",
+        "run_seeds-last-seed", "constants-negative-seed", "constants-seed-past-2**128", "constants-float-seed",
+        "integral-float-size", "integral-str-size", "signal-float-size", "phantom-float-size",
+        "radon-nan-angle-step", "radon-nan-pixel", "radon-inf-pixel", "slow-decay-float-batches",
+        "slow-decay-nan-power", "constants-nan", "max-step-nan-l_max", "max-step-inf-power",
+        "max-step-underflow", "support_f1-nan-threshold", "polyak-nan-delta0", "polyak-nan-alpha",
+        "polyak-nan-step", "envelope-nan-delta0", "envelope-nan-alpha", "envelope-nan-rate",
+        "envelope-inf-delta0", "ensemble-empty", "ensemble-ragged"])
 def test_wrong_input_raises_a_typed_error(call, error):
     import banach_sgd
 

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import banach_sgd
 from banach_sgd import (
     ConstantSchedule,
     GaussianNoise,
@@ -158,9 +162,19 @@ class TestValidation:
     ])
     def test_seed_is_a_philox_key(self, make):
         make(2**128 - 1)
-        for seed in (-1, 2**128):
+        for seed in (-1, 2**128, 2.5, "3", None):
             with pytest.raises(ConfigurationError, match="seed"):
                 make(seed)
+
+
+def test_only_noise_constructs_a_random_generator():
+    """Every random stream comes from noise.generator, the one place that checks its Philox key."""
+    package = Path(banach_sgd.__file__).parent
+    construction = re.compile(r"\b(Philox|Generator|default_rng)\s*\(")
+    offenders = [f"{path.name}:{number}" for path in sorted(package.glob("*.py")) if path.name != "noise.py"
+                 for number, line in enumerate(path.read_text().splitlines(), start=1) if construction.search(line)]
+    assert offenders == []
+    assert construction.search((package / "noise.py").read_text())
 
 
 class TestOverflow:
