@@ -116,11 +116,14 @@ def residual_objective(residual: np.ndarray, op: BlockOperator, exponent: float)
 
 
 def _paired(x, x_true):
-    """x and x_true as flat float vectors of one length."""
+    """x and x_true as finite flat float vectors of one length."""
     x = np.asarray(x, dtype=float).ravel()
     xt = np.asarray(x_true, dtype=float).ravel()
     if x.shape != xt.shape:
         raise DimensionMismatchError("reconstruction and reference lengths differ")
+    for name, v in (("x", x), ("x_true", xt)):
+        if not np.isfinite(v).all():
+            raise InvalidInputError(f"{name} contains non-finite entries")
     return x, xt
 
 
@@ -160,15 +163,12 @@ def polyak_bound(delta0: float, alpha: float, steps) -> np.ndarray:
 
     Entry n of the result bounds d_n; entry 0 equals delta0.
     """
-    if not 0.0 <= delta0 < math.inf:
-        raise InvalidInputError(f"delta0 must be finite and >= 0; got {delta0}")
     if not 0.0 < alpha < math.inf:
         raise ConfigurationError(f"alpha must be finite and > 0; got {alpha}")
     mu = np.asarray(steps, dtype=float)
     if not ((0.0 < mu) & (mu < math.inf)).all():
         raise ConfigurationError("step sizes must be positive and finite")
-    sums = np.concatenate([[0.0], np.cumsum(mu)])
-    return delta0 * (1.0 + alpha * delta0 ** alpha * sums) ** (-1.0 / alpha)
+    return _majorant(delta0, alpha, mu)
 
 
 def rate_envelope(delta0: float, alpha: float, per_step) -> np.ndarray:
@@ -178,17 +178,28 @@ def rate_envelope(delta0: float, alpha: float, per_step) -> np.ndarray:
     for alpha > 1 it is delta0 * (1 + (alpha-1) delta0^(alpha-1)
     sum_{j<=k} c_j)^(-1/(alpha-1)).  Entry 0 equals delta0.
     """
-    if not 0.0 <= delta0 < math.inf:
-        raise InvalidInputError(f"delta0 must be finite and >= 0; got {delta0}")
     if not 1.0 <= alpha < math.inf:
         raise ConfigurationError(f"alpha must be finite and >= 1; got {alpha}")
     c = np.asarray(per_step, dtype=float)
     if not ((0.0 <= c) & (c < math.inf)).all():
         raise ConfigurationError("per-step rates must be finite and >= 0")
-    sums = np.concatenate([[0.0], np.cumsum(c)])
-    if alpha == 1.0:
+    return _majorant(delta0, alpha - 1.0, c)
+
+
+def _majorant(delta0: float, a: float, rates: np.ndarray) -> np.ndarray:
+    """delta0 (1 + a delta0^a S_n)^(-1/a) over the partial sums S_0 = 0, S_n of rates; delta0 exp(-S_n) at a = 0.
+
+    The power is taken in log space, so no term overflows for any finite delta0.
+    At S_0 the log term is -inf and the factor exactly 1, so entry 0 is delta0.
+    """
+    if not 0.0 <= delta0 < math.inf:
+        raise InvalidInputError(f"delta0 must be finite and >= 0; got {delta0}")
+    sums = np.concatenate([[0.0], np.cumsum(rates)])
+    if a == 0.0:
         return delta0 * np.exp(-sums)
-    return delta0 * (1.0 + (alpha - 1.0) * delta0 ** (alpha - 1.0) * sums) ** (-1.0 / (alpha - 1.0))
+    with np.errstate(divide="ignore"):  # log 0 = -inf, at delta0 = 0 and at S_0
+        log_u = np.log(sums) + (math.log(a) + a * np.log(delta0))
+    return delta0 * np.exp(-np.logaddexp(0.0, log_u) / a)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DataFormatError, DimensionMismatchError, InvalidInputError
 from .noise import generator
-from .spaces import SpaceDescriptor, duality_map, lr_norm
+from .spaces import SpaceDescriptor, _powers, duality_map, lr_norm
 
 __all__ = [
     "CsrMatrix",
@@ -529,7 +529,6 @@ def boyd_operator_norm(
 def _boyd_single_start(A, rx, ry, tol, max_iter, x0) -> NormEstimate:
     y_desc = SpaceDescriptor(ry, ry)
     rx_conj = rx / (rx - 1.0)
-    dual_desc = SpaceDescriptor(rx_conj, rx_conj)
     x = x0 / lr_norm(x0, rx)
     prev = -math.inf
     history = []
@@ -541,11 +540,11 @@ def _boyd_single_start(A, rx, ry, tol, max_iter, x0) -> NormEstimate:
         if estimate == 0.0:
             return NormEstimate(0.0, True, it, tuple(history))
         z = A.T @ duality_map(y, y_desc)
-        xn = duality_map(z, dual_desc)
-        nxn = lr_norm(xn, rx)
-        if nxn == 0.0:
+        # J_dual(z) / ||J_dual(z)||_rx is b / s^(1/rx), as ||b||_rx^rx = sum a^(rx*) = s; max|z| cancels.
+        b, s, m = _powers(z, rx_conj)
+        if m == 0.0:
             return NormEstimate(estimate, True, it, tuple(history))
-        x = xn / nxn
+        x = b / s ** (1.0 / rx)
         if abs(estimate - prev) < tol:
             return NormEstimate(estimate, True, it, tuple(history))
         prev = estimate

@@ -314,9 +314,12 @@ def theoretical_max_step(constants: ConstantsConfig, l_max: float, p_conj: float
     if not (0.0 < l_max < math.inf and 1.0 < p_conj < math.inf):
         raise ConfigurationError(f"need finite l_max > 0 and p* > 1; got l_max = {l_max}, p* = {p_conj}")
     try:
-        return (p_conj / (constants.G_pstar * l_max ** p_conj)) ** (1.0 / (p_conj - 1.0))
-    except (OverflowError, ZeroDivisionError) as exc:  # Python float powers raise rather than give inf
-        raise ConfigurationError(f"the step bound for l_max = {l_max}, p* = {p_conj} leaves the float range") from exc
+        step = (p_conj / (constants.G_pstar * l_max ** p_conj)) ** (1.0 / (p_conj - 1.0))
+    except (OverflowError, ZeroDivisionError):  # Python float powers raise rather than give inf
+        step = math.inf
+    if not 0.0 < step < math.inf:  # a bound that underflows to 0 is no step either
+        raise ConfigurationError(f"the step bound for l_max = {l_max}, p* = {p_conj} leaves the float range")
+    return step
 
 
 def estimate_constants(desc: SpaceDescriptor, dim: int, samples: int = 200,

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banach_sgd import (
     BlockOperator,
@@ -155,6 +157,65 @@ class TestSupportF1:
         x_true = np.array([0.0, 5.0])
         assert support_f1(np.array([0.4, 5.0]), x_true) == 1.0  # 0.4 < 0.1 * 5
         assert support_f1(np.array([0.6, 5.0]), x_true) == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("metric", [delta_metrics, support_f1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_named(metric, bad):
+    v = np.array([1.0, bad, 0.0])
+    with pytest.raises(InvalidInputError, match="^x contains non-finite entries"):
+        metric(v, np.ones(3))
+    with pytest.raises(InvalidInputError, match="^x_true contains non-finite entries"):
+        metric(np.ones(3), v)
+
+
+def _first_majorant(delta0, a, rates):
+    """delta0 (1 + a delta0^a S_n)^(-1/a) as first written, over the partial sums S_n of rates."""
+    sums = np.concatenate([[0.0], np.cumsum(rates)])
+    return delta0 * (1.0 + a * delta0 ** a * sums) ** (-1.0 / a)
+
+
+def _existing_majorant_calls():
+    """(bound, delta0, alpha, rates, a) of the Polyak and alpha > 1 envelope tests, a the formula's exponent."""
+    yield polyak_bound, 1.0, 1.0, [0.1], 1.0
+    yield polyak_bound, 3.0, 0.7, np.full(50, 0.05), 0.7
+    yield polyak_bound, 0.0, 2.0, [0.1, 0.2, 0.3], 2.0
+    # TestPolyakBound's random recursions, then criterion 6's.
+    for key, d_lo, d_hi, alpha_hi, size, mu_hi in ((5, 0.1, 3.0, 2.0, 30, 0.5), (6, 0.05, 5.0, 2.5, 40, 0.4)):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(100):
+            d0 = rng.uniform(d_lo, d_hi)
+            alpha = rng.uniform(0.2, alpha_hi)
+            yield polyak_bound, d0, alpha, rng.uniform(0.0, mu_hi, size=size) / d0 ** alpha, alpha
+    yield rate_envelope, 3.5, 2.0, [0.0, 0.0], 1.0
+    yield rate_envelope, 2.0, 1.0 + 1e-8, np.full(25, 0.07), (1.0 + 1e-8) - 1.0
+
+
+class TestMajorantFormula:
+    def test_agrees_with_the_first_formula(self):
+        for bound, delta0, alpha, rates, a in _existing_majorant_calls():
+            got = bound(delta0, alpha, rates)
+            assert got[0] == delta0
+            # The first formula raises 1 + x, rounded, to the power -1/a, so it
+            # carries about eps/a of error: 1e-8 at a = 1e-8, where the log form
+            # is within 5e-15 of a 50-digit reference.
+            rtol = max(1e-12, 4 * np.finfo(float).eps / a)
+            assert np.allclose(got, _first_majorant(delta0, a, rates), rtol=rtol, atol=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(delta0=st.floats(0.0, 1.7e308), alpha=st.floats(1e-3, 1e3),
+           rates=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8))
+    def test_finite_for_every_finite_start(self, delta0, alpha, rates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bound in (polyak_bound(delta0, alpha, rates), rate_envelope(delta0, 1.0 + alpha, rates)):
+                assert bound[0] == delta0
+                assert np.isfinite(bound).all() and (bound >= 0.0).all() and (np.diff(bound) <= 0.0).all()
+
+    def test_huge_start_no_longer_overflows(self):
+        # d (1 + a d^a S)^(-1/a) tends to (a S)^(-1/a) as d^a S grows.
+        assert polyak_bound(1e300, 2.0, [0.1])[1] == pytest.approx(0.2 ** -0.5, rel=1e-12)
+        assert rate_envelope(1e300, 3.0, [0.1])[1] == pytest.approx(0.2 ** -0.5, rel=1e-12)
 
 
 class TestPolyakBound:
@@ -573,6 +634,8 @@ _SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
     (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), np.nan, 2.0), "ConfigurationError"),
     (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), 1.0, np.inf), "ConfigurationError"),
     (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), 1e-200, 2.0), "ConfigurationError"),
+    (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), 1e300, 1.01), "ConfigurationError"),
+    (lambda op, obs, cfg: theoretical_max_step(ConstantsConfig(1.0, 1.0), 1e-160, 2.0), "ConfigurationError"),
     (lambda op, obs, cfg: support_f1(np.ones(3), np.ones(3), threshold=np.nan), "ConfigurationError"),
     (lambda op, obs, cfg: polyak_bound(np.nan, 1.0, [0.1]), "InvalidInputError"),
     (lambda op, obs, cfg: polyak_bound(1.0, np.nan, [0.1]), "ConfigurationError"),
@@ -595,8 +658,8 @@ _SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
         "integral-float-size", "integral-str-size", "signal-float-size", "phantom-float-size",
         "radon-nan-angle-step", "radon-nan-pixel", "radon-inf-pixel", "slow-decay-float-batches",
         "slow-decay-nan-power", "constants-nan", "max-step-nan-l_max", "max-step-inf-power",
-        "max-step-underflow", "support_f1-nan-threshold", "polyak-nan-delta0", "polyak-nan-alpha",
-        "polyak-nan-step", "envelope-nan-delta0", "envelope-nan-alpha", "envelope-nan-rate",
+        "max-step-underflow", "max-step-zero", "max-step-inf", "support_f1-nan-threshold", "polyak-nan-delta0",
+        "polyak-nan-alpha", "polyak-nan-step", "envelope-nan-delta0", "envelope-nan-alpha", "envelope-nan-rate",
         "envelope-inf-delta0", "ensemble-empty", "ensemble-ragged"])
 def test_wrong_input_raises_a_typed_error(call, error):
     import banach_sgd

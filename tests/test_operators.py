@@ -19,8 +19,10 @@ from banach_sgd import (
     boyd_operator_norm,
     build_integral_operator,
     build_radon_operator,
+    duality_map,
     exact_sparse_signal,
     load_matrix_csv,
+    lr_norm,
     max_block_norm,
     partition_rows,
     save_matrix_csv,
@@ -654,11 +656,55 @@ class TestBoydNorm:
         est = boyd_operator_norm(A, 2, 2, tol=0.0, max_iter=3)
         assert not est.converged and est.iterations == 3
 
+    @pytest.mark.parametrize("problem", ["ct", "integral"])
+    def test_normalising_from_the_powers_keeps_the_first_formula(self, problem, monkeypatch):
+        # Criterion 10's l^1.1 CT arm and criterion 4's integral problem, at the CLI's norm settings.
+        if problem == "ct":
+            op, rx = partition_rows(build_radon_operator(RadonGeometry(64, 60, 3.0, 95, 0.1)), 60,
+                                    SpaceDescriptor(1.1, 2.0)), 1.1
+        else:
+            op, rx = partition_rows(build_integral_operator(200), 20), 1.5
+        settings = {"tol": 1e-8, "max_iter": 500, "restarts": 8}
+        new = block_norms(op, rx, **settings)
+        monkeypatch.setattr(operators, "_boyd_single_start", _boyd_single_start_oracle)
+        old = block_norms(op, rx, **settings)
+        assert [e.iterations for e in new] == [e.iterations for e in old]
+        assert [e.starts for e in new] == [e.starts for e in old]
+        for n, o in zip(new, old):
+            assert abs(n.value - o.value) <= 1e-13 * o.value
+
     @pytest.mark.parametrize("settings", [{"max_iter": 0}, {"tol": np.nan}, {"tol": -1e-8}, {"restarts": 0},
                                           {"max_iter": 1.5}, {"restarts": 1.5}])
     def test_iteration_settings_checked(self, settings):
         with pytest.raises(ConfigurationError):
             boyd_operator_norm(np.diag([3.0, 1.0]), 2, 2, **settings)
+
+
+def _boyd_single_start_oracle(A, rx, ry, tol, max_iter, x0):
+    """One start as first written: x = J_dual(z) / ||J_dual(z)||_rx through duality_map and lr_norm."""
+    y_desc = SpaceDescriptor(ry, ry)
+    rx_conj = rx / (rx - 1.0)
+    dual_desc = SpaceDescriptor(rx_conj, rx_conj)
+    x = x0 / lr_norm(x0, rx)
+    prev = -math.inf
+    history = []
+    estimate = 0.0
+    for it in range(1, max_iter + 1):
+        y = A @ x
+        estimate = lr_norm(y, ry)
+        history.append(estimate)
+        if estimate == 0.0:
+            return operators.NormEstimate(0.0, True, it, tuple(history))
+        z = A.T @ duality_map(y, y_desc)
+        xn = duality_map(z, dual_desc)
+        nxn = lr_norm(xn, rx)
+        if nxn == 0.0:
+            return operators.NormEstimate(estimate, True, it, tuple(history))
+        x = xn / nxn
+        if abs(estimate - prev) < tol:
+            return operators.NormEstimate(estimate, True, it, tuple(history))
+        prev = estimate
+    return operators.NormEstimate(estimate, False, max_iter, tuple(history))
 
 
 def _multistart_reference(A, rx, ry, tol, max_iter, restarts=8):

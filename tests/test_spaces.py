@@ -330,6 +330,37 @@ class TestProperties:
         assert (got.view(np.int64) == want.view(np.int64))[scaled_nonzero].all()
 
     @_PROPERTY
+    @given(x=_VECTOR, r=_R, p=_P)
+    def test_inverse_map_agrees_with_the_dual_map(self, x, r, p):
+        desc = SpaceDescriptor(r, p)
+        dual = desc.dual
+        try:
+            want = duality_map(x, dual)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError, match="overflows"):
+                inverse_duality_map(x, desc)
+            return
+        got = inverse_duality_map(x, desc)
+        # Both multiply the same (r*-1)-th powers by a scale.  Only the sum in
+        # the norm differs, b . a against sum(a^r*), each within n ulps; the
+        # scale raises it to (p*-r*)/r*, and each Python power adds an ulp.
+        tol = 4 * np.finfo(float).eps * (x.size + 1) * (1.0 + abs(dual.p - dual.r))
+        assert (np.abs(got - want) <= tol * np.abs(want) + 2 * np.finfo(float).smallest_subnormal).all()
+
+    @_PROPERTY
+    @given(x=_VECTOR, r=_R, p=_P)
+    def test_inverse_map_is_the_dual_map_bit_for_bit_without_a_norm_pass(self, x, r, p):
+        # p* == r* needs no norm and r* == 2 no power, so both delegate to duality_map.
+        for desc in (SpaceDescriptor(r, r), SpaceDescriptor(2.0, p)):
+            try:
+                want = duality_map(x, desc.dual)
+            except InvalidInputError:
+                with pytest.raises(InvalidInputError, match="overflows"):
+                    inverse_duality_map(x, desc)
+                continue
+            assert inverse_duality_map(x, desc).tobytes() == want.tobytes()
+
+    @_PROPERTY
     @given(pairs=st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=12), r=_R, p=_P)
     def test_bregman_distance_is_nonnegative(self, pairs, r, p):
         z, w = np.array(pairs).T
