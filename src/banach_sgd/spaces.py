@@ -105,6 +105,32 @@ def _powers(x, r: float) -> tuple[np.ndarray, float, float]:
     return b, s, m
 
 
+def _screen_rows(X) -> tuple[np.ndarray, list]:
+    """_screen of each row of a 2-D array: |X| over each row's max|x|, and the maxima as floats.
+
+    A zero row stays zero.  With _lr_norm_rows, row i gets the 1-D arithmetic bit for bit: the same
+    ufuncs in the same order, pairwise sums along axis 1 as np.sum takes them, and Python-float powers
+    for the per-row scalars (numpy array powers can differ in the last bit).
+    """
+    a = np.abs(X)
+    m = np.maximum.reduce(a, axis=1)
+    ms = m.tolist()
+    if not all(map(math.isfinite, ms)):
+        raise InvalidInputError("vector contains non-finite entries")
+    if 0.0 in ms:
+        m[m == 0.0] = 1.0
+    a /= m[:, None] if len(ms) > 1 else m[0]  # a scalar divides one row about 0.3 us faster
+    return a, ms
+
+
+def _lr_norm_rows(a, ms, r: float) -> list:
+    """lr_norm of each row, from _screen_rows's output."""
+    norms = [m * s ** (1.0 / r) for m, s in zip(ms, np.add.reduce(a ** r, axis=1).tolist())]
+    if math.inf in norms:
+        raise InvalidInputError(f"l^r norm overflows the float range (max|x| = {max(ms):.3g}, r = {r:.3g})")
+    return norms
+
+
 def lr_norm(x, r: float) -> float:
     """(sum |x_j|^r)^(1/r).  Scaled by max|x_j| so large exponents stay stable.
 

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banach_sgd import (
@@ -211,6 +211,29 @@ class TestMajorantFormula:
             for bound in (polyak_bound(delta0, alpha, rates), rate_envelope(delta0, 1.0 + alpha, rates)):
                 assert bound[0] == delta0
                 assert np.isfinite(bound).all() and (bound >= 0.0).all() and (np.diff(bound) <= 0.0).all()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(delta0=st.floats(0.0, 1.7e308), alpha=st.floats(1e-3, 1.7e308),
+           rates=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.7e308)), min_size=1, max_size=8))
+    @example(delta0=10.0, alpha=1e308, rates=[0.1])
+    @example(delta0=1.0, alpha=1.0, rates=[1e308, 1e308])
+    def test_finite_for_every_finite_exponent_and_rate(self, delta0, alpha, rates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = [polyak_bound(delta0, alpha, [max(r, 1e-300) for r in rates]),
+                      rate_envelope(delta0, 1.0 + alpha, rates), rate_envelope(delta0, 1.0, rates)]
+            for bound in bounds:
+                assert bound[0] == delta0
+                assert np.isfinite(bound).all() and (bound >= 0.0).all() and (np.diff(bound) <= 0.0).all()
+
+    def test_huge_exponent_or_rates_keep_their_limits(self):
+        # At a = 1e308 the factor (1 + a d^a S)^(-1/a) is 1/d times (a S)^(-1/a), about 1;
+        # at a = 1 and S = 2e308 it is 1 / (1 + S), a subnormal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert polyak_bound(10.0, 1e308, [0.1]) == pytest.approx([10.0, 1.0], rel=1e-12)
+            assert polyak_bound(1.0, 1.0, [1e308, 1e308]) == pytest.approx([1.0, 1e-308, 5e-309], rel=1e-12)
+            assert (rate_envelope(2.0, 1.0, [1e308, 1e308]) == [2.0, 0.0, 0.0]).all()
 
     def test_huge_start_no_longer_overflows(self):
         # d (1 + a d^a S)^(-1/a) tends to (a S)^(-1/a) as d^a S grows.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from banach_sgd import (
     CsrMatrix,
     DimensionMismatchError,
     InvalidInputError,
+    NormEstimate,
     ObservationSet,
     RadonGeometry,
     SpaceDescriptor,
@@ -30,6 +32,7 @@ from banach_sgd import (
 )
 from banach_sgd import operators
 from banach_sgd.operators import check_partition, integral_kernel
+from banach_sgd.spaces import _powers
 
 
 class TestBlockOperator:
@@ -657,17 +660,17 @@ class TestBoydNorm:
         assert not est.converged and est.iterations == 3
 
     @pytest.mark.parametrize("problem", ["ct", "integral"])
-    def test_normalising_from_the_powers_keeps_the_first_formula(self, problem, monkeypatch):
-        # Criterion 10's l^1.1 CT arm and criterion 4's integral problem, at the CLI's norm settings.
+    def test_normalising_from_the_powers_keeps_the_first_formula(self, problem):
+        # Criterion 10's l^1.1 CT arm and criterion 4's integral problem, at the CLI's norm settings:
+        # the start policy's 1 and 8 starts, each run serially with the first formula.
         if problem == "ct":
-            op, rx = partition_rows(build_radon_operator(RadonGeometry(64, 60, 3.0, 95, 0.1)), 60,
-                                    SpaceDescriptor(1.1, 2.0)), 1.1
+            op, rx, starts = partition_rows(build_radon_operator(RadonGeometry(64, 60, 3.0, 95, 0.1)), 60,
+                                            SpaceDescriptor(1.1, 2.0)), 1.1, 1
         else:
-            op, rx = partition_rows(build_integral_operator(200), 20), 1.5
-        settings = {"tol": 1e-8, "max_iter": 500, "restarts": 8}
-        new = block_norms(op, rx, **settings)
-        monkeypatch.setattr(operators, "_boyd_single_start", _boyd_single_start_oracle)
-        old = block_norms(op, rx, **settings)
+            op, rx, starts = partition_rows(build_integral_operator(200), 20), 1.5, 8
+        new = block_norms(op, rx, tol=1e-8, max_iter=500, restarts=8)
+        old = [_multistart_reference(b, rx, op.output_space.r, 1e-8, 500, starts, _boyd_single_start_oracle)
+               for b in op.blocks]
         assert [e.iterations for e in new] == [e.iterations for e in old]
         assert [e.starts for e in new] == [e.starts for e in old]
         for n, o in zip(new, old):
@@ -707,18 +710,52 @@ def _boyd_single_start_oracle(A, rx, ry, tol, max_iter, x0):
     return operators.NormEstimate(estimate, False, max_iter, tuple(history))
 
 
-def _multistart_reference(A, rx, ry, tol, max_iter, restarts=8):
-    """The estimate of `restarts` starts, the first positive and the rest sign-random, as every matrix ran them."""
+def _boyd_single_start(A, rx, ry, tol, max_iter, x0) -> NormEstimate:
+    """One start run alone: the serial kernel that the batched one replaced, kept as its reference."""
+    y_desc = SpaceDescriptor(ry, ry)
+    rx_conj = rx / (rx - 1.0)
+    x = x0 / lr_norm(x0, rx)
+    prev = -math.inf
+    history = []
+    estimate = 0.0
+    for it in range(1, max_iter + 1):
+        y = A @ x
+        estimate = lr_norm(y, ry)
+        history.append(estimate)
+        if estimate == 0.0:
+            return NormEstimate(0.0, True, it, tuple(history))
+        z = A.T @ duality_map(y, y_desc)
+        # J_dual(z) / ||J_dual(z)||_rx is b / s^(1/rx), as ||b||_rx^rx = sum a^(rx*) = s; max|z| cancels.
+        b, s, m = _powers(z, rx_conj)
+        if m == 0.0:
+            return NormEstimate(estimate, True, it, tuple(history))
+        x = b / s ** (1.0 / rx)
+        if abs(estimate - prev) < tol:
+            return NormEstimate(estimate, True, it, tuple(history))
+        prev = estimate
+    return NormEstimate(estimate, False, max_iter, tuple(history))
+
+
+def _boyd_starts_drawn(n, restarts):
+    """The starts boyd_operator_norm draws, in order: the first positive, the rest sign-random."""
     rng = np.random.Generator(np.random.Philox(key=0))
-    best = None
+    starts = []
     for s in range(restarts):
-        x0 = rng.random(A.shape[1]) + 0.1
+        x0 = rng.random(n) + 0.1
         if s > 0:
-            x0 *= rng.choice([-1.0, 1.0], size=A.shape[1])
-        cand = operators._boyd_single_start(A, rx, ry, tol, max_iter, x0)
+            x0 *= rng.choice([-1.0, 1.0], size=n)
+        starts.append(x0)
+    return starts
+
+
+def _multistart_reference(A, rx, ry, tol, max_iter, restarts=8, single_start=_boyd_single_start):
+    """The estimate of `restarts` starts, each run alone, as every matrix ran them; the first largest wins."""
+    best = None
+    for x0 in _boyd_starts_drawn(A.shape[1], restarts):
+        cand = single_start(A, rx, ry, tol, max_iter, x0)
         if best is None or cand.value > best.value:
             best = cand
-    return best
+    return replace(best, starts=restarts)
 
 
 class TestBoydStartPolicy:
@@ -769,6 +806,51 @@ class TestBoydStartPolicy:
         estimates = block_norms(op, 2.0, tol=1e-10)
         assert len(calls) == len(estimates) == op.n_blocks
         assert max_block_norm(op, 2.0, tol=1e-10) == max(e.value for e in estimates)
+
+
+class TestBatchedStarts:
+    """boyd_operator_norm runs its starts as the rows of one batch; each row must equal its start run alone."""
+
+    # Columns 0-1 carry the norm; column 2 holds only 1e-200, so a start along it has a
+    # positive estimate and a dual vector A^T J(Ax) that underflows to zero; column 3 is
+    # empty, so a start along it has a zero estimate.
+    EDGE = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, -3.0, 0.0, 0.0], [0.0, 0.0, 1e-200, 0.0]])
+    EDGE_STARTS = np.array([[0.3, 0.9, 0.2, 0.1], [0.0, 0.0, 1.0, 0.0], [-0.7, 0.2, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0], [0.5, -0.4, 0.0, 3.0]])
+
+    @staticmethod
+    def _csr(M):
+        rows, cols = np.nonzero(M)
+        return CsrMatrix(np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=M.shape[0])))),
+                         cols, M[rows, cols], M.shape)
+
+    @staticmethod
+    def _assert_rows_are_serial_starts(A, rx, ry, tol, max_iter, X):
+        serial = [_boyd_single_start(A, rx, ry, tol, max_iter, x0) for x0 in X]
+        assert operators._boyd_starts(A, rx, ry, tol, max_iter, np.array(X)) == serial
+        return serial
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("rx,ry,max_iter", [(1.5, 2.0, 10), (1.2, 3.0, 7), (3.0, 2.0, 20)])
+    def test_rows_that_stop_apart_equal_their_serial_starts(self, sparse, rx, ry, max_iter):
+        A = self._csr(self.EDGE) if sparse else self.EDGE
+        serial = self._assert_rows_are_serial_starts(A, rx, ry, 1e-13, max_iter, self.EDGE_STARTS)
+        # Rows 3 and 1 stop at once, on a zero estimate and a zero dual vector; of the
+        # rest, one runs out of iterations and one converges before the last.
+        assert [(e.value == 0.0, e.converged, e.iterations) for e in serial[1:4:2]] == [(False, True, 1), (True, True, 1)]
+        assert any(not e.converged and e.iterations == max_iter for e in serial)
+        assert any(e.converged and 1 < e.iterations < max_iter for e in serial)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("rx,ry", [(1.5, 2.0), (2.0, 1.5), (1.2, 3.0), (2.0, 2.0)])
+    def test_eight_mixed_sign_starts_equal_their_serial_starts(self, sparse, rx, ry):
+        M = np.random.Generator(np.random.Philox(key=21)).normal(size=(12, 40))
+        M[np.abs(M) < 0.6] = 0.0
+        A = self._csr(M) if sparse else M
+        for tol, max_iter in ((1e-12, 300), (0.0, 6)):
+            serial = self._assert_rows_are_serial_starts(A, rx, ry, tol, max_iter, _boyd_starts_drawn(40, 8))
+            best = boyd_operator_norm(A, rx, ry, tol=tol, max_iter=max_iter)
+            assert best == replace(max(serial, key=lambda e: e.value), starts=8)
 
 
 class TestBlockBalance:
