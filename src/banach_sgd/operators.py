@@ -520,7 +520,8 @@ def boyd_operator_norm(
         x0[...] = rng.random(A.shape[1]) + 0.1
         if s > 0:
             x0 *= rng.choice([-1.0, 1.0], size=A.shape[1])
-    best = max(_boyd_starts(A, rx, ry, tol, max_iter, X), key=lambda e: e.value)  # the first largest
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is the screen's to reject
+        best = max(_boyd_starts(A, rx, ry, tol, max_iter, X), key=lambda e: e.value)  # the first largest
     return replace(best, starts=starts)
 
 
@@ -570,7 +571,11 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
 
 
 def _row_products(A, X, adjoint: bool = False) -> np.ndarray:
-    """A @ x, or A.T @ x, for every row x of X, each bit for bit the 1-D product."""
+    """A @ x, or A.T @ x, for every row x of X, each bit for bit the 1-D product.
+
+    Callers hold np.errstate(over="ignore", invalid="ignore") around their whole loop, so an overflow is left
+    to their screen to reject; a context per call cost the 3366 calls of the 60 CT blocks' estimate about 5 ms.
+    """
     if isinstance(A, CsrMatrix):  # per-entry work, with no call overhead to save: row by row
         M = A.T if adjoint else A
         return (M @ X[0])[None] if len(X) == 1 else np.stack([M @ x for x in X])

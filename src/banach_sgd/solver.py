@@ -13,6 +13,7 @@ where j_e is the duality map of the output l^r space with power e.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import reprlib
@@ -23,14 +24,9 @@ import numpy as np
 from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
 from .exceptions import ConfigurationError, InvalidInputError, IterationInvariantError
 from .noise import check_seed, generator
-from .operators import BlockOperator, ObservationSet, check_blocks_match, check_count
-from .spaces import (
-    SpaceDescriptor,
-    bregman_distance,
-    duality_map,
-    inverse_duality_map,
-    lr_norm,
-)
+from .operators import BlockOperator, ObservationSet, _row_products, check_blocks_match, check_count
+from .spaces import (SpaceDescriptor, _bregman_rows, _lr_norm_rows, _screen_rows, bregman_distance, duality_map,
+                     inverse_duality_map, lr_norm)
 
 __all__ = [
     "PolynomialSchedule",
@@ -370,51 +366,103 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
     k(obs.noise_level) with power cfg.x_space.p.  The run is fully
     determined by (cfg.seed, op, obs).
     """
-    state = _checked_start(op, obs, cfg, x_true=x_true, x_ref=x_ref)
-    per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
-    total = (cfg.epochs * per_epoch if cfg.stopping is None
-             else a_priori_stop_index(cfg.stopping, obs.noise_level, cfg.x_space.p))
-
-    def snapshot(state, mu):
-        x = state.x  # finite: a step raises rather than return a non-finite iterate
-        # One full pass gives the residual norm and the objective.  Run entry
-        # checked data and x_ref, so a non-finite or overflowing value is divergence.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                quantity = "residual"
-                full_res = op.apply_all(x) - obs.concatenated
-                res = lr_norm(full_res, cfg.y_space.r)
-                quantity = "objective"
-                obj = residual_objective(full_res, op, cfg.gradient_exponent)
-            quantity = "Bregman distance"
-            breg = bregman_distance(x, x_ref, cfg.x_space) if x_ref is not None else math.nan
-        except InvalidInputError as exc:
-            raise IterationInvariantError(
-                f"diverged at iteration {state.k} (non-finite or overflowing {quantity}, "
-                f"step size mu = {mu:.3g}); reduce the step size"
-            ) from exc
-        if x_true is not None:
-            d1, d2 = delta_metrics(x, x_true)
-        else:
-            d1 = d2 = math.nan
-        return (state.k / per_epoch, obj, res, breg, d1, d2, mu)
-
-    rows = [snapshot(state, step_size(cfg.schedule, 1))]
-    for until in range(per_epoch, total + per_epoch, per_epoch):
-        state = _advance(state, op, obs, cfg, min(until, total))
-        rows.append(snapshot(state, step_size(cfg.schedule, state.k)))
-    return RunResult(ConvergenceRecord.from_rows(rows), state)
+    return run_seeds(op, obs, cfg, 1, x_true=x_true, x_ref=x_ref)[0]
 
 
 def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds: int,
               x_true=None, x_ref=None) -> list[RunResult]:
-    """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order.
+    """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order, bit for bit.
 
-    All seeds are checked before the first run; each config is built as it runs.
-    A Landweber run draws no random index, so its one run stands for every seed.
+    Every seed's config and start are built and checked before the first step.  The seeds advance in
+    lockstep, each on its own random stream, with one snapshot of all of them per epoch; a failure raises
+    the lowest failing seed's error.  A Landweber run draws no random index, so it runs once for all seeds.
     """
     check_count(n_seeds, "n_seeds")
     check_seed(cfg.seed, "seed", n_seeds)
-    if cfg.method == "landweber":
+    if cfg.method == "landweber" and n_seeds > 1:
         return [run(op, obs, cfg, x_true=x_true, x_ref=x_ref)] * n_seeds
-    return [run(op, obs, with_seed(cfg, cfg.seed + j), x_true=x_true, x_ref=x_ref) for j in range(n_seeds)]
+    cfgs = [with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
+    states = [_checked_start(op, obs, c, x_true=x_true, x_ref=x_ref) for c in cfgs]
+    per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
+    total = (cfg.epochs * per_epoch if cfg.stopping is None
+             else a_priori_stop_index(cfg.stopping, obs.noise_level, cfg.x_space.p))
+    snapshot = _snapshot_kernel(op, obs, cfg, x_true, x_ref)
+    records, error = [[] for _ in cfgs], None
+    for until in range(0, total + per_epoch, per_epoch):
+        until, mu = min(until, total), step_size(cfg.schedule, max(until, 1))
+        # A failing seed drops out with every later seed: only a lower seed's error can replace its own.
+        for j, c in enumerate(cfgs[:len(states)]):
+            try:
+                states[j] = _advance(states[j], op, obs, c, until)
+            except IterationInvariantError as exc:
+                error, states = exc, states[:j]
+                break
+        if not states:
+            break
+        X = np.stack([s.x for s in states])
+        try:
+            rows = snapshot(X, until, mu)
+        except IterationInvariantError:  # the records end here
+            rows = []
+        # The error is the first row's that fails alone, found outside the handler so that it carries no
+        # trace of the batch's.
+        for j in range(0 if rows else len(X)):
+            try:
+                snapshot(X[j:j + 1], until, mu)
+            except IterationInvariantError as exc:
+                error, states = exc, states[:j]
+                break
+        for record, row in zip(records, rows):
+            record.append((until / per_epoch, *row, mu))
+    if error is not None:
+        raise error
+    return [RunResult(ConvergenceRecord.from_rows(r), s) for r, s in zip(records, states)]
+
+
+def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
+    """snapshot(X, k, mu): (objective, residual, Bregman, delta1, delta2) of each row x of X, bit for bit
+    what residual_objective, lr_norm, bregman_distance and delta_metrics give x alone.
+
+    ||x_ref|| and x_true's norms are taken once.  A residual, objective or Bregman distance that is not
+    finite, checked in that order over all rows, raises IterationInvariantError; for one row it is x's own.
+    """
+    desc, n = cfg.x_space, op.input_dim
+    ref_term = None  # ||x_ref||^p / p, or None to leave an odd-shaped or overflowing x_ref to bregman_distance
+    if x_ref is not None and np.shape(x_ref) == (n,):
+        x_ref = np.asarray(x_ref, dtype=float)
+        with contextlib.suppress(InvalidInputError, OverflowError):
+            ref_term = lr_norm(x_ref, desc.r) ** desc.p / desc.p
+    if x_true is not None:
+        xt = np.asarray(x_true, dtype=float).ravel()
+        n1, n2 = float(np.sum(np.abs(xt))), float(np.sum(xt * xt))
+        plain = xt.shape == (n,) and n1 > 0.0 and n2 > 0.0  # else delta_metrics raises
+
+    def snapshot(X, k, mu):
+        nan = [math.nan] * len(X)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                quantity = "residual"
+                R = _row_products(op.full_matrix, X) - obs.concatenated
+                res = _lr_norm_rows(*_screen_rows(R), op.output_space.r)
+                quantity = "objective"
+                obj = residual_objective(R, op, cfg.gradient_exponent)
+                quantity = "Bregman distance"
+                breg = nan if ref_term is None else _bregman_rows(X, x_ref, ref_term, desc)
+                if x_ref is not None and not all(map(math.isfinite, breg)):  # raises as for the first such x alone
+                    breg = [bregman_distance(x, x_ref, desc) for x in X]
+        except InvalidInputError as exc:
+            raise IterationInvariantError(
+                f"diverged at iteration {k} (non-finite or overflowing {quantity}, "
+                f"step size mu = {mu:.3g}); reduce the step size"
+            ) from exc
+        if x_true is None:
+            d1 = d2 = nan
+        elif plain:
+            D = xt - X
+            d1 = [e / n1 for e in np.add.reduce(np.abs(D), axis=1).tolist()]
+            d2 = [math.sqrt(e) / math.sqrt(n2) for e in np.add.reduce(D * D, axis=1).tolist()]
+        else:
+            d1, d2 = zip(*[delta_metrics(x, x_true) for x in X])
+        return list(zip(obj, res, breg, d1, d2))
+
+    return snapshot

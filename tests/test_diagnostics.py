@@ -364,7 +364,7 @@ class TestMonteCarloMean:
         def no_run(*args, **kwargs):
             raise AssertionError("ran despite an unknown column")
 
-        monkeypatch.setattr(solver, "run", no_run)
+        monkeypatch.setattr(solver, "sgd_step", no_run)  # every seed's steps go through it
         _, _, op, obs = _small_problem()
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1)
         with pytest.raises(ConfigurationError, match="bogus"):
@@ -374,7 +374,8 @@ class TestMonteCarloMean:
         import banach_sgd.solver as solver
 
         calls = []
-        monkeypatch.setattr(solver, "run", lambda *args, **kwargs: calls.append(args))
+        start = solver._checked_start  # every seed's run starts here, with run_seeds in lockstep too
+        monkeypatch.setattr(solver, "_checked_start", lambda *a, **k: calls.append(a) or start(*a, **k))
         _, _, op, obs = _small_problem()
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1,
                            seed=2**128 - 1)
@@ -508,6 +509,20 @@ class TestStabilityProbe:
         with pytest.raises(ConfigurationError, match="noise_seed"):  # the last key, 2**128 + 2, is out of range
             stability_probe(op, y, cfg, k_fixed=5, deltas=deltas, n_seeds=4, noise_seed=2**128 - 1)
         assert calls == []
+
+    @pytest.mark.parametrize("deltas", [[0.1, -0.1], [0.1, np.nan], [np.inf], [[0.1, 0.2]]])
+    def test_every_noise_level_checked_before_any_run(self, deltas, monkeypatch):
+        import banach_sgd.solver as solver
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before checking the noise levels")
+
+        monkeypatch.setattr(solver, "iterate_n", no_run)
+        A = build_integral_operator(60)
+        op = partition_rows(A, 6, HILBERT)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=1)
+        with pytest.raises(ConfigurationError, match="deltas"):
+            stability_probe(op, A @ exact_sparse_signal(60), cfg, k_fixed=2000, deltas=deltas, n_seeds=2)
 
     def test_no_seeds_rejected(self):
         A = build_integral_operator(60)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -675,6 +676,16 @@ class TestBoydNorm:
         assert [e.starts for e in new] == [e.starts for e in old]
         for n, o in zip(new, old):
             assert abs(n.value - o.value) <= 1e-13 * o.value
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_overflowing_product_is_the_typed_error_alone(self, sparse):
+        # A @ x overflows on the first iteration; numpy's warning must not escape before the screen's error.
+        dense = np.array([[1e300, 1e300], [1e300, 1.0]])
+        A = CsrMatrix([0, 2, 4], [0, 1, 0, 1], dense.ravel(), (2, 2)) if sparse else dense
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                boyd_operator_norm(A, 1.5, 1.5)
 
     @pytest.mark.parametrize("settings", [{"max_iter": 0}, {"tol": np.nan}, {"tol": -1e-8}, {"restarts": 0},
                                           {"max_iter": 1.5}, {"restarts": 1.5}])

@@ -23,9 +23,11 @@ from banach_sgd import (
     bregman_distance,
     build_integral_operator,
     build_radon_operator,
+    delta_metrics,
     dual_pairing,
     duality_map,
     estimate_constants,
+    exact_sparse_signal,
     initial_state,
     inverse_duality_map,
     iterate_n,
@@ -34,6 +36,7 @@ from banach_sgd import (
     objective,
     partition_rows,
     run,
+    run_seeds,
     sgd_step,
     sparse_disk_phantom,
     step_size,
@@ -41,6 +44,8 @@ from banach_sgd import (
     theoretical_max_step,
     with_seed,
 )
+from banach_sgd import solver
+from banach_sgd.diagnostics import residual_objective
 
 HILBERT = SpaceDescriptor.hilbert()
 
@@ -468,6 +473,127 @@ class TestRun:
             with pytest.raises(IterationInvariantError, match="iteration 2") as info:
                 iterate_n(op, obs, cfg, 2)
         assert "mu = 1e+290" in str(info.value)
+
+
+def _snapshot_problem(sparse):
+    """A dense or CSR operator with its data, and a generalized Kaczmarz config with p != r in x."""
+    if sparse:
+        op, obs, space = _ct_problem()
+        return op, obs, SolverConfig(x_space=SpaceDescriptor(1.1, 2.0), y_space=space, schedule=ConstantSchedule(0.1),
+                                     method="generalized_kaczmarz", q=1.1)
+    A = build_integral_operator(40)
+    y_space = SpaceDescriptor(1.5, 2.0)
+    op = partition_rows(A, 8, y_space)
+    obs = ObservationSet.from_full(A @ exact_sparse_signal(40) + 0.01, op)
+    return op, obs, SolverConfig(x_space=SpaceDescriptor(1.3, 2.5), y_space=y_space, schedule=ConstantSchedule(0.1),
+                                 method="generalized_kaczmarz", q=1.7)
+
+
+def _iterates(n_rows, n, seed=0):
+    """n_rows iterates near unit scale, row 1 zero and row 2 of scale 1e100."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    X = rng.normal(size=(n_rows, n)) * np.exp(rng.uniform(-2.0, 2.0, size=(n_rows, 1)))
+    X[1:2] = 0.0
+    X[2:3] *= 1e100
+    return X
+
+
+class TestSnapshotKernel:
+    """run and run_seeds take each epoch's snapshots as the rows of one batch; every row must be what
+    the 1-D functions give that iterate alone, bit for bit."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("n_rows", [1, 3, 8])
+    @pytest.mark.parametrize("refs", ["both", "x_true", "x_ref", "neither"])
+    def test_rows_equal_the_one_dimensional_quantities(self, sparse, n_rows, refs):
+        op, obs, cfg = _snapshot_problem(sparse)
+        rng = np.random.Generator(np.random.Philox(key=n_rows))
+        x_true = rng.normal(size=op.input_dim) if refs in ("both", "x_true") else None
+        x_ref = rng.normal(size=op.input_dim) if refs in ("both", "x_ref") else None
+        X = _iterates(n_rows, op.input_dim, seed=n_rows)
+        rows = solver._snapshot_kernel(op, obs, cfg, x_true, x_ref)(X, 7, 0.1)
+        for x, row in zip(X, rows, strict=True):
+            residual = op.apply_all(x) - obs.concatenated
+            expected = (residual_objective(residual, op, cfg.gradient_exponent), lr_norm(residual, op.output_space.r),
+                        np.nan if x_ref is None else bregman_distance(x, x_ref, cfg.x_space),
+                        *((np.nan, np.nan) if x_true is None else delta_metrics(x, x_true)))
+            assert np.array_equal(row, expected, equal_nan=True)
+
+    def test_a_failing_row_raises_the_error_of_its_iterate_alone(self):
+        # Row 1's residual overflows; row 0's residual is finite but its Bregman distance overflows.
+        A = np.full((2, 3), 1e-200)
+        A[:, 2] = 1e300
+        op = BlockOperator(A, HILBERT)
+        obs = ObservationSet([np.ones(2)])
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1))
+        X = np.array([[1e200, 1e200, 0.0], [0.0, 0.0, 1e10]])
+        snapshot = solver._snapshot_kernel(op, obs, cfg, None, np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows, quantity in ((X, "residual"), (X[:1], "Bregman distance"), (X[1:], "residual")):
+                with pytest.raises(IterationInvariantError, match=f"iteration 5 .*overflowing {quantity}, step size mu = 0.1") as info:
+                    snapshot(rows, 5, 0.1)
+                assert isinstance(info.value.__cause__, InvalidInputError)
+        with pytest.raises(InvalidInputError) as alone:
+            bregman_distance(X[0], np.ones(3), HILBERT)
+        with pytest.raises(IterationInvariantError) as info:
+            snapshot(X[:1], 5, 0.1)
+        assert str(info.value.__cause__) == str(alone.value)
+
+    def test_run_seeds_takes_one_batch_per_epoch_and_run_one_row(self, monkeypatch):
+        batches = []
+        make = solver._snapshot_kernel
+
+        def counted(*args):
+            snapshot = make(*args)
+            return lambda X, k, mu: batches.append(X.shape) or snapshot(X, k, mu)
+
+        monkeypatch.setattr(solver, "_snapshot_kernel", counted)
+        _, x_true, op, obs = hilbert_problem(8, 4, seed=13)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=3)
+        run_seeds(op, obs, cfg, 5, x_true=x_true)
+        assert batches == [(5, 8)] * 4
+        batches.clear()
+        run(op, obs, cfg, x_true=x_true)
+        assert batches == [(1, 8)] * 4
+
+
+def _diverging_problem():
+    """Row 7 is 1e140 times the rest, so a seed diverges at its second or third draw of that row."""
+    rng = np.random.Generator(np.random.Philox(key=3))
+    A = rng.normal(size=(8, 6)) * 0.1
+    A[7] *= 1e140
+    op = BlockOperator(A, HILBERT, [1] * 8)
+    return op, ObservationSet.from_full(np.ones(8), op)
+
+
+class TestLockstepDivergence:
+    """The seeds advance together, but a failure raises what a loop of single-seed runs raised first:
+    the lowest failing seed's error, whichever seed failed first in time."""
+
+    @pytest.mark.parametrize("x_space,q,first,n_seeds,expected", [
+        # seed 6 fails inside a step at iteration 37, seed 7 in the snapshot at 8, seed 8 in a step at 3
+        (HILBERT, None, 6, 3, "non-finite or overflowing residual or dual iterate at iteration 37"),
+        # seed 0 fails in the residual at 16, seed 2 in the objective at 8
+        (SpaceDescriptor(1.5, 2.0), 1.1, 0, 3, "diverged at iteration 16 (non-finite or overflowing residual"),
+        # the same epoch: seed 7 fails in the objective, seed 8 in the residual, which the batch checks first
+        (SpaceDescriptor(1.5, 2.0), 1.1, 7, 2, "diverged at iteration 8 (non-finite or overflowing objective"),
+    ])
+    def test_the_lowest_failing_seed_raises(self, x_space, q, first, n_seeds, expected):
+        op, obs = _diverging_problem()
+        cfg = SolverConfig(x_space=x_space, y_space=HILBERT, schedule=ConstantSchedule(1.0),
+                           method="sgd" if q is None else "generalized_kaczmarz", q=q, epochs=6, seed=first)
+        serial = []
+        for j in range(n_seeds):
+            with pytest.raises(IterationInvariantError) as info:
+                run(op, obs, with_seed(cfg, first + j), x_ref=np.ones(6))
+            serial.append(str(info.value))
+        assert serial[0].startswith(expected) and serial[-1] != serial[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationInvariantError) as info:
+                run_seeds(op, obs, cfg, n_seeds, x_ref=np.ones(6))
+        assert str(info.value) == serial[0]
 
 
 def _reference_iterate(op, obs, cfg, n_steps):
