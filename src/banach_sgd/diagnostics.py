@@ -95,23 +95,27 @@ def objective(x, op: BlockOperator, obs: ObservationSet, exponent: float) -> flo
     return residual_objective(residual, op, exponent)
 
 
-def residual_objective(residual: np.ndarray, op: BlockOperator, exponent: float):
+def residual_objective(residual: np.ndarray, op: BlockOperator, exponent: float) -> float:
     """The objective from a block-ordered full residual A x - y, one segment per block.
 
     Each block norm is scaled by the block's max |r_j| like lr_norm, so large
     output exponents stay stable; an all-zero block keeps the scale 1.  Raises
     InvalidInputError, and lets no numpy warning escape, when the objective
-    overflows.  A 2-D residual gives the list of its rows' objectives, each bit
-    for bit the row's own.
+    overflows.
     """
+    return _objective_rows(np.asarray(residual)[None], op, exponent)[0]
+
+
+def _objective_rows(R: np.ndarray, op: BlockOperator, exponent: float) -> list:
+    """residual_objective of each row of a 2-D R, each bit for bit the row's own."""
     ry = op.output_space.r
-    a = np.abs(residual)
-    m = np.maximum.reduceat(a, op.block_starts, axis=-1)
+    a = np.abs(R)
+    m = np.maximum.reduceat(a, op.block_starts, axis=1)
     m[m == 0.0] = 1.0
-    norms = m * np.add.reduceat((a / np.repeat(m, op.block_sizes, axis=-1)) ** ry, op.block_starts, axis=-1) ** (1.0 / ry)
+    norms = m * np.add.reduceat((a / np.repeat(m, op.block_sizes, axis=1)) ** ry, op.block_starts, axis=1) ** (1.0 / ry)
     with np.errstate(over="ignore"):
-        values = (np.add.reduce(norms ** exponent, axis=-1) / (exponent * op.n_blocks)).tolist()
-    for value in values if isinstance(values, list) else [values]:
+        values = (np.add.reduce(norms ** exponent, axis=1) / (exponent * op.n_blocks)).tolist()
+    for value in values:
         if not math.isfinite(value):
             raise InvalidInputError(f"objective overflows the float range ({value})")
     return values

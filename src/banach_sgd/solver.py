@@ -13,7 +13,6 @@ where j_e is the duality map of the output l^r space with power e.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import reprlib
@@ -21,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import ConvergenceRecord, delta_metrics, residual_objective
-from .exceptions import ConfigurationError, InvalidInputError, IterationInvariantError
+from .diagnostics import ConvergenceRecord, _objective_rows
+from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError, IterationInvariantError
 from .noise import check_seed, generator
 from .operators import BlockOperator, ObservationSet, _row_products, check_blocks_match, check_count
 from .spaces import (SpaceDescriptor, _bregman_rows, _lr_norm_rows, _screen_rows, bregman_distance, duality_map,
@@ -222,6 +221,8 @@ def _checked_start(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, **
         )
     check_blocks_match(op, obs)
     for name, ref in references.items():
+        if ref is not None and np.shape(ref) != (op.input_dim,):
+            raise DimensionMismatchError(f"{name} has shape {np.shape(ref)}; the operator takes {op.input_dim} entries")
         if ref is not None and not np.isfinite(ref).all():
             raise InvalidInputError(f"{name} contains non-finite entries")
     return initial_state(op, cfg)
@@ -361,7 +362,8 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
 
     x_ref is the reference for the Bregman column (usually the minimum norm
     solution); x_true feeds the normalised l1/l2 error columns.  Both are
-    optional, leaving NaN columns, and must be finite when given.  An
+    optional, leaving NaN columns; when given, each must be a finite vector
+    of length op.input_dim, and x_true nonzero.  An
     a-priori cfg.stopping replaces cfg.epochs: the run stops at
     k(obs.noise_level) with power cfg.x_space.p.  The run is fully
     determined by (cfg.seed, op, obs).
@@ -371,12 +373,9 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
 
 def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds: int,
               x_true=None, x_ref=None) -> list[RunResult]:
-    """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order, bit for bit.
-
-    Every seed's config and start are built and checked before the first step.  The seeds advance in
-    lockstep, each on its own random stream, with one snapshot of all of them per epoch; a failure raises
-    the lowest failing seed's error.  A Landweber run draws no random index, so it runs once for all seeds.
-    """
+    """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order, bit for bit.  Every start
+    is checked before the first step; the seeds advance in lockstep, one snapshot batch per epoch, and a failure
+    raises the lowest failing seed's error.  A Landweber run serves every seed."""
     check_count(n_seeds, "n_seeds")
     check_seed(cfg.seed, "seed", n_seeds)
     if cfg.method == "landweber" and n_seeds > 1:
@@ -389,12 +388,12 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
     snapshot = _snapshot_kernel(op, obs, cfg, x_true, x_ref)
     records, error = [[] for _ in cfgs], None
     for until in range(0, total + per_epoch, per_epoch):
-        until, mu = min(until, total), step_size(cfg.schedule, max(until, 1))
-        # A failing seed drops out with every later seed: only a lower seed's error can replace its own.
+        until = min(until, total)
+        mu = step_size(cfg.schedule, max(until, 1))
         for j, c in enumerate(cfgs[:len(states)]):
             try:
                 states[j] = _advance(states[j], op, obs, c, until)
-            except IterationInvariantError as exc:
+            except IterationInvariantError as exc:  # later seeds drop out: only a lower seed's error can replace it
                 error, states = exc, states[:j]
                 break
         if not states:
@@ -402,10 +401,8 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
         X = np.stack([s.x for s in states])
         try:
             rows = snapshot(X, until, mu)
-        except IterationInvariantError:  # the records end here
+        except IterationInvariantError:  # the first row that fails alone, below, gives the error
             rows = []
-        # The error is the first row's that fails alone, found outside the handler so that it carries no
-        # trace of the batch's.
         for j in range(0 if rows else len(X)):
             try:
                 snapshot(X[j:j + 1], until, mu)
@@ -420,49 +417,40 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
 
 
 def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
-    """snapshot(X, k, mu): (objective, residual, Bregman, delta1, delta2) of each row x of X, bit for bit
-    what residual_objective, lr_norm, bregman_distance and delta_metrics give x alone.
-
-    ||x_ref|| and x_true's norms are taken once.  A residual, objective or Bregman distance that is not
-    finite, checked in that order over all rows, raises IterationInvariantError; for one row it is x's own.
-    """
-    desc, n = cfg.x_space, op.input_dim
-    ref_term = None  # ||x_ref||^p / p, or None to leave an odd-shaped or overflowing x_ref to bregman_distance
-    if x_ref is not None and np.shape(x_ref) == (n,):
-        x_ref = np.asarray(x_ref, dtype=float)
-        with contextlib.suppress(InvalidInputError, OverflowError):
-            ref_term = lr_norm(x_ref, desc.r) ** desc.p / desc.p
+    """snapshot(X, k, mu): (objective, residual, Bregman, delta1, delta2) of each row x of X, bit for bit what
+    the 1-D functions give x alone.  A non-finite residual, objective or Bregman distance, checked in that order
+    over all rows, raises IterationInvariantError; for one row it is x's own."""
+    desc = cfg.x_space
+    nw = None if x_ref is None else lr_norm(x_ref, desc.r)
     if x_true is not None:
-        xt = np.asarray(x_true, dtype=float).ravel()
+        xt = np.asarray(x_true, dtype=float)
         n1, n2 = float(np.sum(np.abs(xt))), float(np.sum(xt * xt))
-        plain = xt.shape == (n,) and n1 > 0.0 and n2 > 0.0  # else delta_metrics raises
+        if n1 == 0.0 or n2 == 0.0:
+            raise InvalidInputError("reference signal must be nonzero")
 
     def snapshot(X, k, mu):
         nan = [math.nan] * len(X)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge iterate's delta errors are inf, not a warning
+            try:
                 quantity = "residual"
                 R = _row_products(op.full_matrix, X) - obs.concatenated
                 res = _lr_norm_rows(*_screen_rows(R), op.output_space.r)
                 quantity = "objective"
-                obj = residual_objective(R, op, cfg.gradient_exponent)
+                obj = _objective_rows(R, op, cfg.gradient_exponent)
                 quantity = "Bregman distance"
-                breg = nan if ref_term is None else _bregman_rows(X, x_ref, ref_term, desc)
+                breg = nan if x_ref is None else _bregman_rows(X, x_ref, nw, desc)
                 if x_ref is not None and not all(map(math.isfinite, breg)):  # raises as for the first such x alone
                     breg = [bregman_distance(x, x_ref, desc) for x in X]
-        except InvalidInputError as exc:
-            raise IterationInvariantError(
-                f"diverged at iteration {k} (non-finite or overflowing {quantity}, "
-                f"step size mu = {mu:.3g}); reduce the step size"
-            ) from exc
-        if x_true is None:
-            d1 = d2 = nan
-        elif plain:
+            except InvalidInputError as exc:
+                raise IterationInvariantError(
+                    f"diverged at iteration {k} (non-finite or overflowing {quantity}, "
+                    f"step size mu = {mu:.3g}); reduce the step size"
+                ) from exc
+            if x_true is None:
+                return list(zip(obj, res, breg, nan, nan))
             D = xt - X
             d1 = [e / n1 for e in np.add.reduce(np.abs(D), axis=1).tolist()]
             d2 = [math.sqrt(e) / math.sqrt(n2) for e in np.add.reduce(D * D, axis=1).tolist()]
-        else:
-            d1, d2 = zip(*[delta_metrics(x, x_true) for x in X])
         return list(zip(obj, res, breg, d1, d2))
 
     return snapshot

@@ -131,24 +131,20 @@ def _lr_norm_rows(a, ms, r: float) -> list:
     return norms
 
 
-def _bregman_rows(X, w, w_term: float, desc: SpaceDescriptor) -> list:
-    """bregman_distance(x, w, desc) of each row x of a finite 2-D X, bit for bit, given w_term = ||w||^p / p.
-
-    A row's entry is not finite, with no numpy warning, where bregman_distance raises.  One sum of r-th
-    powers per row gives both ||x|| and the norm in the duality map's scale.
-    """
+def _bregman_rows(X, w, nw: float, desc: SpaceDescriptor) -> list:
+    """bregman_distance(x, w, desc) of each row x of a finite 2-D X, bit for bit, given nw = ||w||.
+    Where bregman_distance raises, the row's entry is not finite and no numpy warning escapes."""
     r, p = desc.r, desc.p
     a, ms = _screen_rows(X)
     sums = np.add.reduce(a ** r, axis=1).tolist()
-    if r != 2.0:
-        a **= r - 1.0
+    a **= r - 1.0
     a *= np.sign(X)  # before the scale, as multiplying by a sign is exact
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for row, m, s in zip(a, ms, sums):
             try:  # duality_map's scale m^(p-1) ||a||^(p-r), and lr_norm's m ||a||
                 scale = m ** (p - 1.0) * (s ** (1.0 / r)) ** (p - r) if m > 0.0 else 0.0
-                out.append((m * s ** (1.0 / r)) ** p / desc.p_conj + w_term - float(np.dot(row * scale, w)))
+                out.append((m * s ** (1.0 / r)) ** p / desc.p_conj + nw ** p / p - float(np.dot(row * scale, w)))
             except OverflowError:
                 out.append(math.inf)
     return out

@@ -7,8 +7,9 @@ from banach_sgd import (
     APrioriStop,
     BlockOperator,
     ConfigurationError,
-    CsrMatrix,
     ConstantSchedule,
+    ConvergenceRecord,
+    CsrMatrix,
     ConstantsConfig,
     DimensionMismatchError,
     InvalidInputError,
@@ -557,6 +558,49 @@ class TestSnapshotKernel:
         run(op, obs, cfg, x_true=x_true)
         assert batches == [(1, 8)] * 4
 
+    def test_a_huge_iterate_gives_inf_delta_errors_without_a_warning(self):
+        # At iteration 1 the iterate's delta sums overflow while its residual and objective are finite;
+        # the objective diverges at iteration 2.
+        A, x_true = build_integral_operator(60), exact_sparse_signal(60)
+        op = partition_rows(A, 1)
+        obs = ObservationSet.from_full(A @ x_true, op, 0.01)
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT, schedule=ConstantSchedule(1e200),
+                           method="generalized_kaczmarz", q=1.5, epochs=4, seed=5)
+        x1 = iterate_n(op, obs, cfg, 1).x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = solver._snapshot_kernel(op, obs, cfg, x_true, None)(x1[None], 1, 1e200)
+            assert np.isfinite(row[:2]).all() and row[4] == np.inf
+            with pytest.raises(IterationInvariantError, match=r"iteration 2 \(non-finite or overflowing objective"):
+                run_seeds(op, obs, cfg, 2, x_true=x_true)
+
+    @pytest.mark.parametrize("schedule", [PolynomialSchedule(0.5, 0.75), SlowDecaySchedule(0.5, 5, 2.0)],
+                             ids=["polynomial", "slow_decay"])
+    def test_a_priori_stop_between_epoch_ends_keeps_the_serial_record(self, schedule):
+        # k(delta) = 64 is not a multiple of the 5 blocks: the last snapshot falls at 64, with mu_64, not mu_65.
+        A, x_true, op, _ = hilbert_problem(10, 5, seed=21)
+        obs = ObservationSet.from_full(A @ x_true, op, noise_level=0.1)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=schedule, stopping=APrioriStop(), seed=4)
+        total = a_priori_stop_index(cfg.stopping, obs.noise_level, cfg.x_space.p)
+        assert total == 64
+
+        def serial(cfg):  # the record the serial loop built, from the 1-D functions
+            rows = []
+            for k in [*range(0, total, op.n_blocks), total]:
+                x = iterate_n(op, obs, cfg, k).x
+                residual = op.apply_all(x) - obs.concatenated
+                rows.append((k / op.n_blocks, residual_objective(residual, op, cfg.gradient_exponent),
+                             lr_norm(residual, 2.0), bregman_distance(x, x_true, HILBERT), *delta_metrics(x, x_true),
+                             step_size(schedule, max(k, 1))))
+            return np.array(rows)
+
+        def columns(result):
+            return np.column_stack([result.record.column(c) for c in ConvergenceRecord._COLUMNS])
+
+        assert np.array_equal(columns(run(op, obs, cfg, x_true=x_true, x_ref=x_true)), serial(cfg))
+        for j, result in enumerate(run_seeds(op, obs, cfg, 3, x_true=x_true, x_ref=x_true)):
+            assert np.array_equal(columns(result), serial(with_seed(cfg, 4 + j)))
+
 
 def _diverging_problem():
     """Row 7 is 1e140 times the rest, so a seed diverges at its second or third draw of that row."""
@@ -794,12 +838,32 @@ class TestRunEntry:
         def no_snapshot(*args, **kwargs):
             raise AssertionError("snapshot taken despite a non-finite reference")
 
-        monkeypatch.setattr(solver, "residual_objective", no_snapshot)
+        monkeypatch.setattr(solver, "_objective_rows", no_snapshot)
         _, x_true, op, obs = hilbert_problem(8, 4, seed=5)
         x_true[3] = np.nan
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1)
         with pytest.raises(InvalidInputError, match=f"{reference} contains non-finite entries"):
             run(op, obs, cfg, **{reference: x_true})
+
+    @pytest.mark.parametrize("reference,value,error,match", [
+        ("x_true", np.ones(7), DimensionMismatchError, r"x_true has shape \(7,\)"),
+        ("x_ref", np.ones((8, 1)), DimensionMismatchError, r"x_ref has shape \(8, 1\)"),
+        ("x_true", np.zeros(8), InvalidInputError, "reference signal must be nonzero"),
+        ("x_true", np.full(8, 1e-200), InvalidInputError, "reference signal must be nonzero"),  # its squares underflow
+        # ||x_ref||^2 / 2 overflows: the k = 0 snapshot's Bregman distance, as in a serial run
+        ("x_ref", np.full(8, 1e200), IterationInvariantError, r"iteration 0 .*overflowing Bregman distance"),
+    ], ids=["x_true-length", "x_ref-2d", "x_true-zero", "x_true-underflow", "x_ref-overflow"])
+    def test_malformed_reference_rejected_before_the_first_step(self, reference, value, error, match, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("step taken despite a malformed reference")
+
+        monkeypatch.setattr(solver, "sgd_step", no_step)
+        _, _, op, obs = hilbert_problem(8, 4, seed=5)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1)
+        for call in (lambda: run(op, obs, cfg, **{reference: value}),
+                     lambda: run_seeds(op, obs, cfg, 3, **{reference: value})):
+            with pytest.raises(error, match=match):
+                call()
 
     def test_step_builds_no_descriptor(self, monkeypatch):
         built = []
