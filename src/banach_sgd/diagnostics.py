@@ -18,7 +18,6 @@ __all__ = [
     "EnsembleTrace",
     "StabilityResult",
     "objective",
-    "residual_objective",
     "delta_metrics",
     "support_f1",
     "polyak_bound",
@@ -92,22 +91,17 @@ def objective(x, op: BlockOperator, obs: ObservationSet, exponent: float) -> flo
     residual = op.apply_all(x) - obs.concatenated
     if not np.isfinite(residual).all():
         raise InvalidInputError("residual contains non-finite entries")
-    return residual_objective(residual, op, exponent)
+    return _objective_rows(residual[None], op, exponent)[0]
 
 
-def residual_objective(residual: np.ndarray, op: BlockOperator, exponent: float) -> float:
-    """The objective from a block-ordered full residual A x - y, one segment per block.
+def _objective_rows(R: np.ndarray, op: BlockOperator, exponent: float) -> list:
+    """The objective of each row of a 2-D R of block-ordered full residuals A x - y, each bit for bit the row's own.
 
     Each block norm is scaled by the block's max |r_j| like lr_norm, so large
     output exponents stay stable; an all-zero block keeps the scale 1.  Raises
     InvalidInputError, and lets no numpy warning escape, when the objective
     overflows.
     """
-    return _objective_rows(np.asarray(residual)[None], op, exponent)[0]
-
-
-def _objective_rows(R: np.ndarray, op: BlockOperator, exponent: float) -> list:
-    """residual_objective of each row of a 2-D R, each bit for bit the row's own."""
     ry = op.output_space.r
     a = np.abs(R)
     m = np.maximum.reduceat(a, op.block_starts, axis=1)
@@ -139,8 +133,9 @@ def delta_metrics(x, x_true):
     n1, n2 = float(np.sum(np.abs(xt))), float(np.sum(xt * xt))
     if n1 == 0.0 or n2 == 0.0:
         raise InvalidInputError("reference signal must be nonzero")
-    d = xt - x
-    return float(np.sum(np.abs(d))) / n1, math.sqrt(float(np.sum(d * d))) / math.sqrt(n2)
+    with np.errstate(over="ignore"):  # a huge x's errors are inf, as in the run's snapshots, not a warning
+        d = xt - x
+        return float(np.sum(np.abs(d))) / n1, math.sqrt(float(np.sum(d * d))) / math.sqrt(n2)
 
 
 def support_f1(x, x_true, threshold: float | None = None) -> float:
@@ -301,8 +296,11 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
         direction = generator(noise_seed + j).normal(size=y_clean.size)
         norm = lr_norm(direction, op.output_space.r)
         for di, delta in enumerate(deltas):
-            xi = delta * direction / norm if delta > 0 else np.zeros_like(y_clean)
-            obs_noisy = ObservationSet.from_full(y_clean + xi, op, noise_level=float(delta))
+            with np.errstate(over="ignore"):  # a level past the float range is the typed error below
+                y_noisy = y_clean + (delta * direction / norm if delta > 0 else np.zeros_like(y_clean))
+            if not np.isfinite(y_noisy).all():
+                raise InvalidInputError(f"noise level {delta} takes the noisy data past the float range")
+            obs_noisy = ObservationSet.from_full(y_noisy, op, noise_level=float(delta))
             noisy = solver.iterate_n(op, obs_noisy, cfg_j, k_fixed)
             gaps[di] += (bregman_distance(noisy.x, clean.x, cfg.x_space), lr_norm(noisy.x - clean.x, cfg.x_space.r),
                          lr_norm(noisy.dual_x - clean.dual_x, cfg.x_space.r_conj))
@@ -331,6 +329,8 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
     from . import solver
 
     spectral = np.linalg.norm(A, 2)
+    if spectral == 0.0:  # A = 0: zero is the minimum norm least-squares solution, as lstsq gives at r = 2
+        return np.zeros(A.shape[1])
     r_conj = x_space.r_conj
     if r < 2.0:
         # gauge 2: the dual l^(r*) (r* > 2) is 2-smooth with constant r* - 1

@@ -155,8 +155,8 @@ class BlockOperator:
             except (TypeError, ValueError) as exc:  # a list of blocks of unequal shapes, say
                 raise DimensionMismatchError(f"operator needs a 2-D matrix: {exc}") from exc
         A = self.full_matrix
-        if A.ndim != 2:
-            raise DimensionMismatchError(f"operator needs a 2-D matrix; got {A.ndim} dimensions")
+        if A.ndim != 2 or not A.shape[1]:
+            raise DimensionMismatchError(f"operator needs a 2-D matrix with at least one column; got shape {A.shape}")
         sizes = np.asarray([A.shape[0]] if self.block_sizes is None else self.block_sizes)
         if sizes.dtype.kind not in "iu" or sizes.ndim != 1 or not sizes.size or (sizes < 1).any() \
                 or sizes.sum() != A.shape[0]:

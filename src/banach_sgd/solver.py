@@ -373,47 +373,40 @@ def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
 
 def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds: int,
               x_true=None, x_ref=None) -> list[RunResult]:
-    """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order, bit for bit.  Every start
-    is checked before the first step; the seeds advance in lockstep, one snapshot batch per epoch, and a failure
-    raises the lowest failing seed's error.  A Landweber run serves every seed."""
+    """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order, bit for bit.  Run entry is
+    checked once, before the first step; the seeds advance in lockstep, one snapshot batch per epoch.  When that
+    fails, each seed re-runs alone in seed order, and the first to fail alone raises its error, the one a loop of
+    single-seed runs raises first; if none does, the batch's error is raised.  A Landweber run serves every seed."""
     check_count(n_seeds, "n_seeds")
     check_seed(cfg.seed, "seed", n_seeds)
     if cfg.method == "landweber" and n_seeds > 1:
         return [run(op, obs, cfg, x_true=x_true, x_ref=x_ref)] * n_seeds
-    cfgs = [with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
-    states = [_checked_start(op, obs, c, x_true=x_true, x_ref=x_ref) for c in cfgs]
+    _checked_start(op, obs, cfg, x_true=x_true, x_ref=x_ref)
     per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
     total = (cfg.epochs * per_epoch if cfg.stopping is None
              else a_priori_stop_index(cfg.stopping, obs.noise_level, cfg.x_space.p))
     snapshot = _snapshot_kernel(op, obs, cfg, x_true, x_ref)
-    records, error = [[] for _ in cfgs], None
-    for until in range(0, total + per_epoch, per_epoch):
-        until = min(until, total)
-        mu = step_size(cfg.schedule, max(until, 1))
-        for j, c in enumerate(cfgs[:len(states)]):
-            try:
-                states[j] = _advance(states[j], op, obs, c, until)
-            except IterationInvariantError as exc:  # later seeds drop out: only a lower seed's error can replace it
-                error, states = exc, states[:j]
-                break
-        if not states:
-            break
-        X = np.stack([s.x for s in states])
-        try:
-            rows = snapshot(X, until, mu)
-        except IterationInvariantError:  # the first row that fails alone, below, gives the error
-            rows = []
-        for j in range(0 if rows else len(X)):
-            try:
-                snapshot(X[j:j + 1], until, mu)
-            except IterationInvariantError as exc:
-                error, states = exc, states[:j]
-                break
-        for record, row in zip(records, rows):
-            record.append((until / per_epoch, *row, mu))
-    if error is not None:
-        raise error
-    return [RunResult(ConvergenceRecord.from_rows(r), s) for r, s in zip(records, states)]
+
+    def lockstep(cfgs):
+        states, records = [initial_state(op, c) for c in cfgs], [[] for _ in cfgs]
+        for until in range(0, total + per_epoch, per_epoch):
+            until = min(until, total)
+            mu = step_size(cfg.schedule, max(until, 1))
+            states = [_advance(s, op, obs, c, until) for s, c in zip(states, cfgs)]
+            for record, row in zip(records, snapshot(np.stack([s.x for s in states]), until, mu)):
+                record.append((until / per_epoch, *row, mu))
+        return [RunResult(ConvergenceRecord.from_rows(r), s) for r, s in zip(records, states)]
+
+    cfgs = [with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
+    try:
+        return lockstep(cfgs)
+    except IterationInvariantError as exc:
+        if n_seeds == 1:  # a batch of one already failed alone
+            raise
+        error = exc
+    for c in cfgs:  # outside the handler, so a seed's error carries only its own cause
+        lockstep([c])
+    raise error
 
 
 def _snapshot_kernel(op, obs, cfg, x_true, x_ref):

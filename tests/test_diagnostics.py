@@ -136,6 +136,19 @@ class TestDeltaMetrics:
         assert d1a / d1b == pytest.approx(10.0, rel=1e-9)
         assert d2a / d2b == pytest.approx(10.0, rel=1e-9)
 
+    def test_a_huge_reconstruction_gives_inf_without_a_warning_as_the_snapshot_does(self):
+        from banach_sgd import solver
+
+        x = np.full(3, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert delta_metrics(x, np.ones(3)) == (1e300, np.inf)
+            op = BlockOperator(np.full((2, 3), 1e-300))  # the residual and objective of x stay finite
+            cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1))
+            (row,) = solver._snapshot_kernel(op, ObservationSet.from_full(np.ones(2), op), cfg, np.ones(3), None)(
+                x[None], 1, 0.1)
+        assert row[3:] == delta_metrics(x, np.ones(3))
+
 
 class TestSupportF1:
     def test_perfect(self):
@@ -374,7 +387,7 @@ class TestMonteCarloMean:
         import banach_sgd.solver as solver
 
         calls = []
-        start = solver._checked_start  # every seed's run starts here, with run_seeds in lockstep too
+        start = solver._checked_start  # run entry, taken once per run_seeds call before any step
         monkeypatch.setattr(solver, "_checked_start", lambda *a, **k: calls.append(a) or start(*a, **k))
         _, _, op, obs = _small_problem()
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=1,
@@ -524,6 +537,15 @@ class TestStabilityProbe:
         with pytest.raises(ConfigurationError, match="deltas"):
             stability_probe(op, A @ exact_sparse_signal(60), cfg, k_fixed=2000, deltas=deltas, n_seeds=2)
 
+    def test_a_level_past_the_float_range_is_a_typed_error(self):
+        A = build_integral_operator(60)
+        op = partition_rows(A, 6, HILBERT)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"noise level 1e\+308"):
+                stability_probe(op, A @ exact_sparse_signal(60), cfg, k_fixed=5, deltas=[1e-2, 1e308], n_seeds=2)
+
     def test_no_seeds_rejected(self):
         A = build_integral_operator(60)
         op = partition_rows(A, 6, HILBERT)
@@ -561,6 +583,13 @@ class TestMinimumNormSolution:
         y = A @ exact_sparse_signal(n)
         sol = minimum_norm_solution(A, y, SpaceDescriptor(r, r), landweber_steps=3000)
         assert np.linalg.norm(A @ sol - y) < 0.1 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_zero_matrix_gives_zero(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = minimum_norm_solution(np.zeros((3, 3)), np.zeros(3), SpaceDescriptor(r, r))
+        assert sol.tolist() == [0.0, 0.0, 0.0]
 
     def test_matches_the_run_path_bit_for_bit(self):
         from banach_sgd import run

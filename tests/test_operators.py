@@ -109,6 +109,15 @@ class TestBlockOperator:
         with pytest.raises(DimensionMismatchError, match="2-D matrix"):
             BlockOperator([np.ones((2, 3)), np.ones((rows, 3))])
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_matrix_without_columns_rejected(self, sparse):
+        A = CsrMatrix(np.zeros(4, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), (3, 0)) if sparse \
+            else np.zeros((3, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match="at least one column"):
+                BlockOperator(A)
+
     def test_non_finite_dense_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
             BlockOperator(np.array([[1.0, np.nan], [0.0, 1.0]]), block_sizes=[1, 1])

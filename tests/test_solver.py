@@ -46,7 +46,6 @@ from banach_sgd import (
     with_seed,
 )
 from banach_sgd import solver
-from banach_sgd.diagnostics import residual_objective
 
 HILBERT = SpaceDescriptor.hilbert()
 
@@ -515,7 +514,7 @@ class TestSnapshotKernel:
         rows = solver._snapshot_kernel(op, obs, cfg, x_true, x_ref)(X, 7, 0.1)
         for x, row in zip(X, rows, strict=True):
             residual = op.apply_all(x) - obs.concatenated
-            expected = (residual_objective(residual, op, cfg.gradient_exponent), lr_norm(residual, op.output_space.r),
+            expected = (objective(x, op, obs, cfg.gradient_exponent), lr_norm(residual, op.output_space.r),
                         np.nan if x_ref is None else bregman_distance(x, x_ref, cfg.x_space),
                         *((np.nan, np.nan) if x_true is None else delta_metrics(x, x_true)))
             assert np.array_equal(row, expected, equal_nan=True)
@@ -589,7 +588,7 @@ class TestSnapshotKernel:
             for k in [*range(0, total, op.n_blocks), total]:
                 x = iterate_n(op, obs, cfg, k).x
                 residual = op.apply_all(x) - obs.concatenated
-                rows.append((k / op.n_blocks, residual_objective(residual, op, cfg.gradient_exponent),
+                rows.append((k / op.n_blocks, objective(x, op, obs, cfg.gradient_exponent),
                              lr_norm(residual, 2.0), bregman_distance(x, x_true, HILBERT), *delta_metrics(x, x_true),
                              step_size(schedule, max(k, 1))))
             return np.array(rows)
@@ -638,6 +637,50 @@ class TestLockstepDivergence:
             with pytest.raises(IterationInvariantError) as info:
                 run_seeds(op, obs, cfg, n_seeds, x_ref=np.ones(6))
         assert str(info.value) == serial[0]
+
+    @pytest.mark.parametrize("n_seeds,expected", [
+        # seed 6 runs its 3 epochs, seed 7 fails in its snapshot at 8: two batches of both, then 4 and 2 of one
+        (2, [(2, 6)] * 2 + [(1, 6)] * 6),
+        # seed 8 fails in a step at 3, before the second batch; it never re-runs, since seed 7 fails alone first
+        (3, [(3, 6)] + [(1, 6)] * 6),
+    ])
+    def test_a_failing_ensemble_re_runs_each_seed_alone_until_one_fails(self, n_seeds, expected, monkeypatch):
+        op, obs = _diverging_problem()
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1.0), epochs=3, seed=6)
+        run(op, obs, cfg, x_ref=np.ones(6))
+        with pytest.raises(IterationInvariantError) as serial:
+            run(op, obs, with_seed(cfg, 7), x_ref=np.ones(6))
+        batches = []
+        make = solver._snapshot_kernel
+
+        def recorded(*args):
+            snapshot = make(*args)
+            return lambda X, k, mu: batches.append(X.shape) or snapshot(X, k, mu)
+
+        monkeypatch.setattr(solver, "_snapshot_kernel", recorded)
+        with pytest.raises(IterationInvariantError) as info:
+            run_seeds(op, obs, cfg, n_seeds, x_ref=np.ones(6))
+        assert str(info.value) == str(serial.value) and batches == expected
+        assert str(info.value.__cause__) == str(serial.value.__cause__) and info.value.__cause__.__context__ is None
+
+    def test_a_batch_that_fails_when_no_seed_fails_alone_raises(self, monkeypatch):
+        make = solver._snapshot_kernel
+
+        def batch_only_failure(*args):
+            snapshot = make(*args)
+
+            def patched(X, k, mu):
+                if len(X) > 1 and k == 8:
+                    raise IterationInvariantError("the batch failed at 8")
+                return snapshot(X, k, mu)
+            return patched
+
+        monkeypatch.setattr(solver, "_snapshot_kernel", batch_only_failure)
+        _, x_true, op, obs = hilbert_problem(8, 4, seed=13)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=3)
+        assert run(op, obs, cfg).record.epoch.tolist() == [0, 1, 2, 3]
+        with pytest.raises(IterationInvariantError, match="the batch failed at 8"):
+            run_seeds(op, obs, cfg, 3, x_true=x_true)
 
 
 def _reference_iterate(op, obs, cfg, n_steps):
