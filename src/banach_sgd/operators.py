@@ -8,6 +8,7 @@ norms between l^r spaces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -514,22 +515,26 @@ def boyd_operator_norm(
         return NormEstimate(0.0, True, 0, starts=0)
     nonnegative = bool(np.all((A.data if isinstance(A, CsrMatrix) else A) >= 0.0))
     starts = 1 if nonnegative and rx >= ry else restarts
-    rng = generator(0)
-    X = np.empty((starts, A.shape[1]))
-    for s, x0 in enumerate(X):
-        x0[...] = rng.random(A.shape[1]) + 0.1
-        if s > 0:
-            x0 *= rng.choice([-1.0, 1.0], size=A.shape[1])
+    X = _boyd_start_matrix(A.shape[1], starts)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is the screen's to reject
         best = max(_boyd_starts(A, rx, ry, tol, max_iter, X), key=lambda e: e.value)  # the first largest
     return replace(best, starts=starts)
+
+
+@functools.lru_cache(maxsize=4)
+def _boyd_start_matrix(n: int, starts: int) -> np.ndarray:
+    """The starts on n columns, shared read-only: from Philox key 0, the first positive, the rest sign-random."""
+    rng = generator(0)  # each row draws its values, then (after the first) its signs
+    X = np.array([(rng.random(n) + 0.1) * (rng.choice([-1.0, 1.0], size=n) if s else 1.0) for s in range(starts)])
+    X.flags.writeable = False
+    return X
 
 
 def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
     """Boyd's iteration from every row of X at once; entry i is the NormEstimate of start X[i].
 
     A row leaves the batch when its start stops.  Each step is the one-start arithmetic row by row (see
-    _row_products and spaces._screen_rows), so every estimate is its start's run alone, bit for bit.
+    _row_products, spaces._screen_rows and _per_row), so every estimate is its start's run alone, bit for bit.
     """
     rx_conj, to_rx = rx / (rx - 1.0), 1.0 / rx
     X = X / np.array(_lr_norm_rows(*_screen_rows(X), rx))[:, None]
@@ -543,8 +548,7 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
         if ry != 2.0:
             a **= ry - 1.0
         try:
-            for i, m in enumerate(ms):
-                a[i] *= m ** (ry - 1.0)
+            a *= _per_row([m ** (ry - 1.0) for m in ms])
         except OverflowError:
             raise InvalidInputError(
                 f"duality map overflows the float range (max|y| = {max(ms):.3g}, r = {ry:.3g})") from None
@@ -553,7 +557,7 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
         # J_dual(z) / ||J_dual(z)||_rx is b / s^(1/rx), as ||b||_rx^rx = sum a^(rx*) = s; max|z| cancels.
         a, mz = _screen_rows(Z)
         B = a ** (rx_conj - 1.0)
-        s = [float(np.dot(B[i], a[i])) for i in range(len(mz))]  # one dot per row, as spaces._powers takes s
+        s = np.matmul(B[:, None, :], a[:, :, None]).ravel().tolist() if len(B) > 1 else [float(np.dot(B[0], a[0]))]
         B *= np.sign(Z)
         keep = []
         for i, start in enumerate(live):
@@ -562,12 +566,17 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
             if converged or it == max_iter:
                 estimates[start] = NormEstimate(norms[i], converged, it, tuple(histories[start]))
             else:
-                B[i] /= s[i] ** to_rx
                 prev[start] = norms[i]
                 keep.append(i)
         if not keep:
             return estimates
         X, live = (B, live) if len(keep) == len(live) else (B[keep], [live[i] for i in keep])
+        X /= _per_row([s[i] ** to_rx for i in keep])
+
+
+def _per_row(scalars: list):
+    """Per-row Python floats as one operand that scales each row exactly as its float alone; one row takes the float."""
+    return np.array(scalars)[:, None] if len(scalars) > 1 else scalars[0]
 
 
 def _row_products(A, X, adjoint: bool = False) -> np.ndarray:

@@ -546,6 +546,19 @@ class TestStabilityProbe:
             with pytest.raises(InvalidInputError, match=r"noise level 1e\+308"):
                 stability_probe(op, A @ exact_sparse_signal(60), cfg, k_fixed=5, deltas=[1e-2, 1e308], n_seeds=2)
 
+    def test_a_level_past_the_float_range_stops_before_any_run(self, monkeypatch):
+        import banach_sgd.solver as solver
+
+        calls = []
+        original = solver.iterate_n
+        monkeypatch.setattr(solver, "iterate_n", lambda *args: calls.append(args) or original(*args))
+        A = build_integral_operator(60)
+        op = partition_rows(A, 6, HILBERT)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=1)
+        with pytest.raises(InvalidInputError, match=r"noise level 1e\+308"):
+            stability_probe(op, A @ exact_sparse_signal(60), cfg, k_fixed=5, deltas=[1e-2, 1e308], n_seeds=2)
+        assert calls == []
+
     def test_no_seeds_rejected(self):
         A = build_integral_operator(60)
         op = partition_rows(A, 6, HILBERT)
@@ -590,6 +603,15 @@ class TestMinimumNormSolution:
             warnings.simplefilter("error")
             sol = minimum_norm_solution(np.zeros((3, 3)), np.zeros(3), SpaceDescriptor(r, r))
         assert sol.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    def test_a_step_past_the_float_range_is_a_typed_error(self, r):
+        # ||A||_2 = 1e-200: the r < 2 step divides by its square, which underflows; the r > 2 step overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="leaves the float range"):
+                minimum_norm_solution(np.eye(3) * 1e-200, np.ones(3) * 1e-200, SpaceDescriptor(r, r),
+                                      landweber_steps=10)
 
     def test_matches_the_run_path_bit_for_bit(self):
         from banach_sgd import run

@@ -873,6 +873,47 @@ class TestBatchedStarts:
             assert best == replace(max(serial, key=lambda e: e.value), starts=8)
 
 
+class TestSharedStarts:
+    """The start matrix is drawn once per (columns, starts) and shared, read-only, by every block and call."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        operators._boyd_start_matrix.cache_clear()
+        yield
+        operators._boyd_start_matrix.cache_clear()
+
+    @pytest.mark.parametrize("n,starts", [(40, 8), (200, 8), (4096, 1)])
+    def test_cached_starts_are_the_drawn_starts_and_read_only(self, n, starts):
+        X = operators._boyd_start_matrix(n, starts)
+        assert X.tobytes() == np.array(_boyd_starts_drawn(n, starts)).tobytes()
+        assert operators._boyd_start_matrix(n, starts) is X
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
+
+    def test_block_norms_draws_the_starts_once(self, monkeypatch):
+        op = partition_rows(build_integral_operator(200), 20)
+        keys = []
+        draw = operators.generator
+        monkeypatch.setattr(operators, "generator", lambda key: keys.append(key) or draw(key))
+        estimates = block_norms(op, 1.5, tol=1e-8, max_iter=500, restarts=8)
+        assert keys == [0] and [e.starts for e in estimates] == [8] * 20
+        block_norms(op, 1.5, tol=1e-8, max_iter=500, restarts=8)
+        assert keys == [0]
+
+    @pytest.mark.parametrize("problem", ["ct", "integral"])
+    def test_each_block_equals_its_serial_starts(self, problem):
+        # The CLI's norm settings on criterion 10's CT blocks (one start each) and the integral preset (eight).
+        if problem == "ct":
+            op, rx = partition_rows(build_radon_operator(CT_GEOMETRIES["criterion10"]), 60,
+                                    SpaceDescriptor(1.1, 2.0)), 1.1
+        else:
+            op, rx = partition_rows(build_integral_operator(200), 20), 1.5
+        estimates = block_norms(op, rx, tol=1e-8, max_iter=500, restarts=8)
+        assert estimates == [_multistart_reference(b, rx, op.output_space.r, 1e-8, 500, e.starts)
+                             for b, e in zip(op.blocks, estimates)]
+        assert {e.starts for e in estimates} == ({1} if problem == "ct" else {8})
+
+
 class TestBlockBalance:
     def test_integral_operator_blocks_are_balanced(self):
         A = build_integral_operator(200)
