@@ -293,17 +293,18 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     for j in range(n_seeds):
         direction = generator(noise_seed + j).normal(size=y_clean.size)
         norm = lr_norm(direction, op.output_space.r)
+        noisy_obs.append([])
         for delta in deltas:
             with np.errstate(over="ignore"):  # a level past the float range is the typed error below
                 y_noisy = y_clean + (delta * direction / norm if delta > 0 else np.zeros_like(y_clean))
             if not np.isfinite(y_noisy).all():
                 raise InvalidInputError(f"noise level {delta} takes the noisy data past the float range")
-            noisy_obs.append(ObservationSet.from_full(y_noisy, op, noise_level=float(delta)))
+            noisy_obs[j].append(ObservationSet.from_full(y_noisy, op, noise_level=float(delta)))
     gaps = np.zeros((deltas.size, 3))  # per level: Bregman, primal and dual gaps, summed in seed order
     for j in range(n_seeds):
         cfg_j = solver.with_seed(cfg, cfg.seed + j)
         clean = solver.iterate_n(op, obs_clean, cfg_j, k_fixed)
-        for di, obs_noisy in enumerate(noisy_obs[j * deltas.size:(j + 1) * deltas.size]):
+        for di, obs_noisy in enumerate(noisy_obs[j]):
             noisy = solver.iterate_n(op, obs_noisy, cfg_j, k_fixed)
             gaps[di] += (bregman_distance(noisy.x, clean.x, cfg.x_space), lr_norm(noisy.x - clean.x, cfg.x_space.r),
                          lr_norm(noisy.dual_x - clean.dual_x, cfg.x_space.r_conj))
@@ -335,7 +336,7 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
     if spectral == 0.0:  # A = 0: zero is the minimum norm least-squares solution, as lstsq gives at r = 2
         return np.zeros(A.shape[1])
     r_conj = x_space.r_conj
-    with np.errstate(divide="ignore", over="ignore"):  # a step past the float range is the typed error below
+    with np.errstate(divide="ignore", over="ignore"):  # a step past the float range is ConstantSchedule's typed error
         if r < 2.0:
             # gauge 2: the dual l^(r*) (r* > 2) is 2-smooth with constant r* - 1
             mu = 0.9 / ((r_conj - 1.0) * spectral ** 2)
@@ -345,8 +346,6 @@ def minimum_norm_solution(A, y, x_space: SpaceDescriptor, landweber_steps: int =
             # ||x||_2 <= n^(1/2 - 1/r) ||x||_r for x in R^n.
             norm = spectral * A.shape[1] ** (0.5 - 1.0 / r)
             mu = 0.9 * (r_conj / (2.0 * norm ** r_conj)) ** (1.0 / (r_conj - 1.0))
-    if not 0.0 < mu < math.inf:
-        raise ConfigurationError(f"the Landweber step for ||A||_2 = {spectral:.3g} leaves the float range at r = {r}")
     cfg = solver.SolverConfig(
         x_space=SpaceDescriptor.for_norm(r),
         y_space=SpaceDescriptor.hilbert(),

@@ -534,7 +534,7 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
     """Boyd's iteration from every row of X at once; entry i is the NormEstimate of start X[i].
 
     A row leaves the batch when its start stops.  Each step is the one-start arithmetic row by row (see
-    _row_products, spaces._screen_rows and _per_row), so every estimate is its start's run alone, bit for bit.
+    _row_products and spaces._screen_rows), so every estimate is its start's run alone, bit for bit.
     """
     rx_conj, to_rx = rx / (rx - 1.0), 1.0 / rx
     X = X / np.array(_lr_norm_rows(*_screen_rows(X), rx))[:, None]
@@ -548,7 +548,7 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
         if ry != 2.0:
             a **= ry - 1.0
         try:
-            a *= _per_row([m ** (ry - 1.0) for m in ms])
+            a *= np.array([m ** (ry - 1.0) for m in ms])[:, None]
         except OverflowError:
             raise InvalidInputError(
                 f"duality map overflows the float range (max|y| = {max(ms):.3g}, r = {ry:.3g})") from None
@@ -557,7 +557,7 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
         # J_dual(z) / ||J_dual(z)||_rx is b / s^(1/rx), as ||b||_rx^rx = sum a^(rx*) = s; max|z| cancels.
         a, mz = _screen_rows(Z)
         B = a ** (rx_conj - 1.0)
-        s = np.matmul(B[:, None, :], a[:, :, None]).ravel().tolist() if len(B) > 1 else [float(np.dot(B[0], a[0]))]
+        s = np.matmul(B[:, None, :], a[:, :, None]).ravel().tolist()
         B *= np.sign(Z)
         keep = []
         for i, start in enumerate(live):
@@ -571,12 +571,7 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
         if not keep:
             return estimates
         X, live = (B, live) if len(keep) == len(live) else (B[keep], [live[i] for i in keep])
-        X /= _per_row([s[i] ** to_rx for i in keep])
-
-
-def _per_row(scalars: list):
-    """Per-row Python floats as one operand that scales each row exactly as its float alone; one row takes the float."""
-    return np.array(scalars)[:, None] if len(scalars) > 1 else scalars[0]
+        X /= np.array([s[i] ** to_rx for i in keep])[:, None]
 
 
 def _row_products(A, X, adjoint: bool = False) -> np.ndarray:

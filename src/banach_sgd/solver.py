@@ -97,7 +97,7 @@ class ConstantSchedule:
 
     def __post_init__(self):
         if not 0.0 < self.mu0 < math.inf:
-            raise ConfigurationError(f"step size must be positive and finite; got {self.mu0}")
+            raise ConfigurationError(f"step size must be positive and inside the float range; got {self.mu0}")
 
     def at(self, k: int) -> float:
         return self.mu0
