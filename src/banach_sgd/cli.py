@@ -390,6 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             {"value": e.value, "iterations": e.iterations, "converged": e.converged} for e in estimates
         ],
         "seeds": seeds,
+        "work": [result.work() for result in results],
         "artifacts": artifacts,
         "timings_s": {phase: end - start for phase, start, end in zip(_PHASES, marks, marks[1:])},
         "environment": {

@@ -127,15 +127,49 @@ def _paired(x, x_true):
     return x, xt
 
 
-def delta_metrics(x, x_true):
-    """Normalised l1 and l2 reconstruction errors (delta1, delta2)."""
-    x, xt = _paired(x, x_true)
-    n1, n2 = float(np.sum(np.abs(xt))), float(np.sum(xt * xt))
-    if n1 == 0.0 or n2 == 0.0:
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _norms_rows(D) -> tuple[list, list]:
+    """The l1 and l2 norms of each row of a 2-D D, from the plain sums of |d| and d * d.  As in ensemble_stats,
+    a finite row's sum that overflows, or sum of squares below the normal range, is recomputed from the row
+    over its max |d| and scaled back; a row with an infinite entry keeps inf.  No numpy warning escapes."""
+    with np.errstate(over="ignore"):
+        l1 = np.add.reduce(np.abs(D), axis=1).tolist()
+        sq = np.add.reduce(D * D, axis=1).tolist()
+    l2 = [math.sqrt(s) for s in sq]
+    for i, (s1, s2) in enumerate(zip(l1, sq)):
+        if s1 == math.inf or not _TINY <= s2 < math.inf:
+            a = np.abs(D[i])
+            m = float(np.maximum.reduce(a))
+            if 0.0 < m < math.inf:
+                a /= m
+                if s1 == math.inf:
+                    l1[i] = m * float(np.add.reduce(a))
+                if not _TINY <= s2 < math.inf:
+                    l2[i] = m * math.sqrt(float(np.add.reduce(a * a)))
+    return l1, l2
+
+
+def _reference_norms(xt) -> tuple[float, float]:
+    """||x_true||_1 and ||x_true||_2, the denominators of delta1 and delta2."""
+    (n1,), (n2,) = _norms_rows(xt[None])
+    if n1 == 0.0:
         raise InvalidInputError("reference signal must be nonzero")
-    with np.errstate(over="ignore"):  # a huge x's errors are inf, as in the run's snapshots, not a warning
-        d = xt - x
-        return float(np.sum(np.abs(d))) / n1, math.sqrt(float(np.sum(d * d))) / math.sqrt(n2)
+    return n1, n2
+
+
+def _delta_rows(X, xt, norms) -> list:
+    """(delta1, delta2) of each row of a 2-D X against xt, given norms = _reference_norms(xt)."""
+    with np.errstate(over="ignore"):  # a huge x's errors are inf, not a warning
+        D = xt - X
+    return [(e1 / norms[0], e2 / norms[1]) for e1, e2 in zip(*_norms_rows(D))]
+
+
+def delta_metrics(x, x_true):
+    """Normalised l1 and l2 reconstruction errors (delta1, delta2), for any finite x and nonzero finite x_true."""
+    x, xt = _paired(x, x_true)
+    return _delta_rows(x[None], xt, _reference_norms(xt))[0]
 
 
 def support_f1(x, x_true, threshold: float | None = None) -> float:

@@ -17,10 +17,11 @@ import functools
 import math
 import reprlib
 from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
-from .diagnostics import ConvergenceRecord, _objective_rows
+from .diagnostics import ConvergenceRecord, _delta_rows, _objective_rows, _reference_norms
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError, IterationInvariantError
 from .noise import check_seed, generator
 from .operators import BlockOperator, ObservationSet, _row_products, check_blocks_match, check_count
@@ -234,52 +235,64 @@ def stochastic_gradient(x, obs: ObservationSet, op: BlockOperator, i: int,
     return op.apply_adjoint(i, duality_map(op.apply(i, x) - obs.blocks[i], space))
 
 
-def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, gradient: np.ndarray) -> IterationState:
-    """The step of every method: z <- z - mu * gradient, then x = J_p^{-1}(z)."""
-    dual = state.dual_x - mu * gradient
-    return IterationState(inverse_duality_map(dual, cfg.x_space), dual, state.k + 1, state.rng)
+def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, A, y) -> IterationState:
+    """The step of every method: z <- z - mu * A^T j(A x - y), then x = J_p^{-1}(z), advancing state itself."""
+    v = A @ state.x
+    v -= y
+    g = A.T @ duality_map(v, cfg.residual_space)
+    g *= mu
+    dual = state.dual_x - g
+    state.x, state.dual_x, state.k = inverse_duality_map(dual, cfg.x_space), dual, state.k + 1
+    return state
 
 
 # The steps multiply op.blocks / op.full_matrix directly, without the checks of
 # BlockOperator.apply and friends: run entry (_checked_start) has checked the
-# block sizes, the data and the data space, and the index is drawn in range.
+# block sizes, the data and the data space, and _advance draws the index in range.
 # stochastic_gradient stays the checked form of the same product, bit for bit.
+# Both steps stay module-level, one call per step, as perfbench/spans.py and the
+# tests rebind these names to see every step.
 
 def sgd_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
-             cfg: SolverConfig, mu: float) -> IterationState:
-    """One stochastic step: draw a block uniformly, move in the dual, remap."""
-    i = int(state.rng.integers(op.n_blocks))
-    A = op.blocks[i]
-    return _dual_step(state, cfg, mu, A.T @ duality_map(A @ state.x - obs.blocks[i], cfg.residual_space))
+             cfg: SolverConfig, mu: float, i: int) -> IterationState:
+    """One stochastic step on block i, which the caller draws; advances state and returns it."""
+    return _dual_step(state, cfg, mu, op.blocks[i], obs.blocks[i])
 
 
 def landweber_step(state: IterationState, op: BlockOperator, obs: ObservationSet,
                    cfg: SolverConfig, mu: float) -> IterationState:
-    """One deterministic step: A^T applied to the duality map of the full residual A x - y."""
-    A = op.full_matrix
-    return _dual_step(state, cfg, mu, A.T @ duality_map(A @ state.x - obs.concatenated, cfg.residual_space))
+    """One deterministic step on the full residual A x - y; advances state and returns it."""
+    return _dual_step(state, cfg, mu, op.full_matrix, obs.concatenated)
 
 
 def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
-             cfg: SolverConfig, until: int) -> IterationState:
-    """Step until iteration `until` with mu_k from the schedule.
+             cfg: SolverConfig, until: int, draws=None) -> IterationState:
+    """Step state itself until iteration `until` with mu_k from the schedule, and return it.
 
-    Every step goes through the module-level sgd_step / landweber_step, so a
-    wrapper bound to those names sees each one.
+    The SGD block indices come from state.rng, at most one epoch of them per
+    integers call: the same indices and generator state as one draw per step.
+    draws, when given, counts them per block.  Every step is one call of the
+    module-level sgd_step / landweber_step, so a wrapper bound to those names
+    sees each one.
     """
-    step = landweber_step if cfg.method == "landweber" else sgd_step
     schedule = cfg.schedule
     # Run entry checked operator, data and config, so a non-finite or overflowing
     # residual or dual iterate means divergence; numpy's own warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            if cfg.method == "landweber":
+                while state.k < until:
+                    landweber_step(state, op, obs, cfg, schedule.at(state.k + 1))
             while state.k < until:
-                mu = schedule.at(state.k + 1)
-                state = step(state, op, obs, cfg, mu)
+                idx = state.rng.integers(op.n_blocks, size=min(until - state.k, op.n_blocks))
+                if draws is not None:
+                    draws += np.bincount(idx, minlength=op.n_blocks)
+                for i in idx.tolist():
+                    sgd_step(state, op, obs, cfg, schedule.at(state.k + 1), i)
         except InvalidInputError as exc:
             raise IterationInvariantError(
                 f"non-finite or overflowing residual or dual iterate at iteration {state.k + 1} "
-                f"(step size mu = {mu:.3g}); reduce the step size"
+                f"(step size mu = {schedule.at(state.k + 1):.3g}); reduce the step size"
             ) from exc
     return state
 
@@ -352,8 +365,20 @@ def estimate_constants(desc: SpaceDescriptor, dim: int, samples: int = 200,
 
 @dataclass
 class RunResult:
+    """A run's per-epoch record and final state, with the work counters `work` reports: draws[i] counts the
+    draws of block i (none for Landweber), step_s is the perf_counter time of the run's steps, and snapshot_s
+    its share of the snapshot batches' time, each batch split evenly over its runs."""
+
     record: ConvergenceRecord
     state: IterationState
+    draws: np.ndarray
+    step_s: float
+    snapshot_s: float
+
+    def work(self) -> dict:
+        """Steps, draws per block, snapshots and their seconds, as JSON values (manifest.json records them)."""
+        return {"steps": self.state.k, "draws": self.draws.tolist(), "snapshots": self.record.epoch.size,
+                "step_s": self.step_s, "snapshot_s": self.snapshot_s}
 
 
 def run(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig,
@@ -389,13 +414,22 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
 
     def lockstep(cfgs):
         states, records = [initial_state(op, c) for c in cfgs], [[] for _ in cfgs]
+        draws = [np.zeros(op.n_blocks, dtype=np.int64) for _ in cfgs]
+        step_s, snapshot_s = [0.0] * len(cfgs), 0.0
         for until in range(0, total + per_epoch, per_epoch):
             until = min(until, total)
             mu = step_size(cfg.schedule, max(until, 1))
-            states = [_advance(s, op, obs, c, until) for s, c in zip(states, cfgs)]
-            for record, row in zip(records, snapshot(np.stack([s.x for s in states]), until, mu)):
+            for j, (s, c) in enumerate(zip(states, cfgs)):
+                start = perf_counter()
+                _advance(s, op, obs, c, until, draws[j])
+                step_s[j] += perf_counter() - start
+            start = perf_counter()
+            rows = snapshot(np.stack([s.x for s in states]), until, mu)
+            snapshot_s += perf_counter() - start
+            for record, row in zip(records, rows):
                 record.append((until / per_epoch, *row, mu))
-        return [RunResult(ConvergenceRecord.from_rows(r), s) for r, s in zip(records, states)]
+        return [RunResult(ConvergenceRecord.from_rows(r), s, d, t, snapshot_s / len(cfgs))
+                for r, s, d, t in zip(records, states, draws, step_s)]
 
     cfgs = [with_seed(cfg, cfg.seed + j) for j in range(n_seeds)]
     try:
@@ -417,13 +451,11 @@ def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
     nw = None if x_ref is None else lr_norm(x_ref, desc.r)
     if x_true is not None:
         xt = np.asarray(x_true, dtype=float)
-        n1, n2 = float(np.sum(np.abs(xt))), float(np.sum(xt * xt))
-        if n1 == 0.0 or n2 == 0.0:
-            raise InvalidInputError("reference signal must be nonzero")
+        norms = _reference_norms(xt)
 
     def snapshot(X, k, mu):
         nan = [math.nan] * len(X)
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge iterate's delta errors are inf, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises the typed error below, not a warning
             try:
                 quantity = "residual"
                 R = _row_products(op.full_matrix, X) - obs.concatenated
@@ -439,11 +471,7 @@ def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
                     f"diverged at iteration {k} (non-finite or overflowing {quantity}, "
                     f"step size mu = {mu:.3g}); reduce the step size"
                 ) from exc
-            if x_true is None:
-                return list(zip(obj, res, breg, nan, nan))
-            D = xt - X
-            d1 = [e / n1 for e in np.add.reduce(np.abs(D), axis=1).tolist()]
-            d2 = [math.sqrt(e) / math.sqrt(n2) for e in np.add.reduce(D * D, axis=1).tolist()]
-        return list(zip(obj, res, breg, d1, d2))
+        deltas = [(math.nan, math.nan)] * len(X) if x_true is None else _delta_rows(X, xt, norms)
+        return [(o, r, b, *d) for o, r, b, d in zip(obj, res, breg, deltas)]
 
     return snapshot

@@ -139,15 +139,19 @@ def _bregman_rows(X, w, nw: float, desc: SpaceDescriptor) -> list:
     sums = np.add.reduce(a ** r, axis=1).tolist()
     a **= r - 1.0
     a *= np.sign(X)  # before the scale, as multiplying by a sign is exact
-    out = []
+    scales, terms = [], []
+    for m, s in zip(ms, sums):
+        try:  # duality_map's scale m^(p-1) ||a||^(p-r), and the norm terms from lr_norm's m ||a||
+            scale = m ** (p - 1.0) * (s ** (1.0 / r)) ** (p - r) if m > 0.0 else 0.0
+            term = (m * s ** (1.0 / r)) ** p / desc.p_conj + nw ** p / p
+        except OverflowError:  # the distance is inf; a zero scale keeps the row's pairing finite
+            scale, term = 0.0, math.inf
+        scales.append(scale)
+        terms.append(term)
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, m, s in zip(a, ms, sums):
-            try:  # duality_map's scale m^(p-1) ||a||^(p-r), and lr_norm's m ||a||
-                scale = m ** (p - 1.0) * (s ** (1.0 / r)) ** (p - r) if m > 0.0 else 0.0
-                out.append((m * s ** (1.0 / r)) ** p / desc.p_conj + nw ** p / p - float(np.dot(row * scale, w)))
-            except OverflowError:
-                out.append(math.inf)
-    return out
+        a *= np.array(scales)[:, None]  # each row times its own float, as row * scale
+        pairings = np.matmul(a[:, None, :], np.asarray(w, dtype=float)[:, None]).ravel().tolist()  # a ddot per row
+    return [t - d for t, d in zip(terms, pairings)]
 
 
 def lr_norm(x, r: float) -> float:

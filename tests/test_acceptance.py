@@ -145,7 +145,7 @@ def test_criterion_02_subgradient_identity_and_hilbert_reduction():
     shadow = np.random.Generator(np.random.Philox(key=77))
     worst = 0.0
     for _ in range(100):
-        state = sgd_step(state, op, obs, cfg, mu)
+        state = sgd_step(state, op, obs, cfg, mu, int(state.rng.integers(op.n_blocks)))
         i = int(shadow.integers(op.n_blocks))
         x = x - mu * op.blocks[i].T @ (op.blocks[i] @ x - obs.blocks[i])
         worst = max(worst, float(np.max(np.abs(state.x - x))))
@@ -169,7 +169,7 @@ def test_criterion_03_monotone_descent():
         state = initial_state(op, with_seed(cfg, seed))
         d = bregman_distance(state.x, x_star, HILBERT)
         for _ in range(100):
-            state = sgd_step(state, op, obs, cfg, mu)
+            state = sgd_step(state, op, obs, cfg, mu, int(state.rng.integers(op.n_blocks)))
             d_new = bregman_distance(state.x, x_star, HILBERT)
             worst = max(worst, d_new - d)
             d = d_new
@@ -311,7 +311,7 @@ def test_criterion_09_sparse_recovery_trend():
         state = initial_state(op, cfg)
         tail = []
         for k in range(epochs * nb):
-            state = sgd_step(state, op, obs, cfg, mu)
+            state = sgd_step(state, op, obs, cfg, mu, int(state.rng.integers(op.n_blocks)))
             if state.k % nb == 0 and state.k > 0.9 * epochs * nb:
                 tail.append(support_f1(state.x, x_true))
         return float(np.median(tail))

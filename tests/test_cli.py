@@ -414,6 +414,16 @@ class TestRunExperiment:
         assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
         assert env["cpu_count"] == os.cpu_count()
 
+    def test_manifest_records_each_seeds_work(self, tmp_path):
+        assert main(["solve", str(_write_config(tmp_path))]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        work = manifest["work"]
+        assert len(work) == len(manifest["seeds"]) == 2
+        for w in work:
+            assert (w["steps"], w["snapshots"], sum(w["draws"]), len(w["draws"])) == (48, 5, 48, 12)
+            assert w["step_s"] > 0 and w["snapshot_s"] > 0
+        assert sum(w["step_s"] + w["snapshot_s"] for w in work) <= manifest["timings_s"]["solve"]
+
     def test_ensemble_statistics_near_the_float_range_stay_finite(self, tmp_path):
         # The sign-indefinite operator at the default L_max scale grows the
         # objective ~1e38-fold per epoch without diverging; numpy's std of two

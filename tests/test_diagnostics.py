@@ -136,13 +136,31 @@ class TestDeltaMetrics:
         assert d1a / d1b == pytest.approx(10.0, rel=1e-9)
         assert d2a / d2b == pytest.approx(10.0, rel=1e-9)
 
+    def test_in_range_errors_keep_the_plain_sums_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=9))
+        for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+            x, x_true = rng.normal(size=(2, 50)) * scale
+            d = x_true - x
+            assert delta_metrics(x, x_true) == (np.sum(np.abs(d)) / np.sum(np.abs(x_true)),
+                                               np.sqrt(np.sum(d * d)) / np.sqrt(np.sum(x_true * x_true)))
+
+    @pytest.mark.parametrize("x,x_true,expected", [
+        (np.full(8, 1e300), np.full(8, -1e300), 2.0),  # the sums of squares overflow
+        (np.ones(8), np.full(8, 1e-300), 1e300),  # the reference's sum of squares underflows to 0
+    ], ids=["overflow", "underflow"])
+    def test_sums_past_the_float_range_are_taken_with_max_scaling(self, x, x_true, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d1, d2 = delta_metrics(x, x_true)
+        assert d1 == pytest.approx(expected, rel=1e-12) and d2 == pytest.approx(expected, rel=1e-12)
+
     def test_a_huge_reconstruction_gives_inf_without_a_warning_as_the_snapshot_does(self):
         from banach_sgd import solver
 
-        x = np.full(3, 1e300)
+        x = np.full(3, 1.5e308)  # its errors' l1 and l2 norms pass the float range, even with max-scaling
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert delta_metrics(x, np.ones(3)) == (1e300, np.inf)
+            assert delta_metrics(x, np.ones(3)) == (np.inf, np.inf)
             op = BlockOperator(np.full((2, 3), 1e-300))  # the residual and objective of x stay finite
             cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1))
             (row,) = solver._snapshot_kernel(op, ObservationSet.from_full(np.ones(2), op), cfg, np.ones(3), None)(

@@ -214,7 +214,7 @@ class TestSgdStep:
         state = initial_state(op, cfg)
         state.x = x_sol.copy()
         state.dual_x = x_sol.copy()
-        new = sgd_step(state, op, obs, cfg, 0.5)
+        new = sgd_step(state, op, obs, cfg, 0.5, int(state.rng.integers(op.n_blocks)))
         assert np.array_equal(new.x, x_sol)
         assert new.k == 1
 
@@ -225,7 +225,7 @@ class TestSgdStep:
         state = initial_state(op, cfg)
         state.x = np.array([1.0])
         state.dual_x = np.array([1.0])
-        new = sgd_step(state, op, obs, cfg, 0.1)
+        new = sgd_step(state, op, obs, cfg, 0.1, int(state.rng.integers(op.n_blocks)))
         assert new.x == pytest.approx([0.6], abs=1e-15)
 
     def test_hilbert_step_matches_explicit_formula(self):
@@ -239,9 +239,21 @@ class TestSgdStep:
         # mirror the index draw with an identical generator
         shadow = np.random.Generator(np.random.Philox(key=cfg.seed))
         i = int(shadow.integers(op.n_blocks))
-        new = sgd_step(state, op, obs, cfg, 0.2)
+        new = sgd_step(state, op, obs, cfg, 0.2, int(state.rng.integers(op.n_blocks)))
         expected = x - 0.2 * op.blocks[i].T @ (op.blocks[i] @ x - obs.blocks[i])
         assert np.allclose(new.x, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["sgd", "landweber"])
+    def test_a_step_advances_the_state_it_is_given(self, method):
+        _, _, op, obs = hilbert_problem(8, 4, seed=21)
+        cfg = SolverConfig(x_space=SpaceDescriptor(1.5, 2.0), y_space=HILBERT, schedule=ConstantSchedule(0.2),
+                           method=method)
+        state = initial_state(op, cfg)
+        x, dual = state.x, state.dual_x
+        new = sgd_step(state, op, obs, cfg, 0.2, 3) if method == "sgd" else landweber_step(state, op, obs, cfg, 0.2)
+        assert new is state and state.k == 1
+        assert state.x.any() and state.dual_x.any()
+        assert not x.any() and not dual.any()  # the arrays it held are rebound, not written
 
 
 class TestLandweber:
@@ -264,7 +276,7 @@ class TestLandweber:
         s1 = initial_state(op, cfg)
         s2 = initial_state(op, cfg)
         for _ in range(20):
-            s1 = sgd_step(s1, op, obs, cfg, 0.05)
+            s1 = sgd_step(s1, op, obs, cfg, 0.05, int(s1.rng.integers(op.n_blocks)))
             s2 = landweber_step(s2, op, obs, cfg, 0.05)
         assert np.allclose(s1.x, s2.x, atol=1e-14)
 
@@ -328,13 +340,14 @@ class TestEstimateConstants:
             ok = True
             for _ in range(60):
                 i = int(shadow.integers(op.n_blocks))
-                g = stochastic_gradient(state.x, obs, op, i, SpaceDescriptor(2.0, cfg.gradient_exponent))
-                d_now = bregman_distance(state.x, x_true, desc)
-                new = sgd_step(state, op, obs, cfg, 0.1)
+                x = state.x  # the step advances state itself and rebinds state.x
+                g = stochastic_gradient(x, obs, op, i, SpaceDescriptor(2.0, cfg.gradient_exponent))
+                d_now = bregman_distance(x, x_true, desc)
+                new = sgd_step(state, op, obs, cfg, 0.1, int(state.rng.integers(op.n_blocks)))
                 d_new = bregman_distance(new.x, x_true, desc)
                 bound = (
                     d_now
-                    - 0.1 * dual_pairing(g, state.x - x_true)
+                    - 0.1 * dual_pairing(g, x - x_true)
                     + consts.G_pstar / desc.p_conj * 0.1 ** desc.p_conj
                     * lr_norm(g, desc.r_conj) ** desc.p_conj
                 )
@@ -557,9 +570,9 @@ class TestSnapshotKernel:
         run(op, obs, cfg, x_true=x_true)
         assert batches == [(1, 8)] * 4
 
-    def test_a_huge_iterate_gives_inf_delta_errors_without_a_warning(self):
-        # At iteration 1 the iterate's delta sums overflow while its residual and objective are finite;
-        # the objective diverges at iteration 2.
+    def test_a_huge_iterate_gives_finite_deltas_without_a_warning(self):
+        # At iteration 1 the iterate's sum of squared errors overflows, and is recomputed with max-scaling,
+        # while its residual and objective are finite; the objective diverges at iteration 2.
         A, x_true = build_integral_operator(60), exact_sparse_signal(60)
         op = partition_rows(A, 1)
         obs = ObservationSet.from_full(A @ x_true, op, 0.01)
@@ -569,7 +582,8 @@ class TestSnapshotKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (row,) = solver._snapshot_kernel(op, obs, cfg, x_true, None)(x1[None], 1, 1e200)
-            assert np.isfinite(row[:2]).all() and row[4] == np.inf
+            assert np.isfinite(row[:2]).all() and row[3:] == delta_metrics(x1, x_true)
+            assert 1e199 < row[4] < np.inf
             with pytest.raises(IterationInvariantError, match=r"iteration 2 \(non-finite or overflowing objective"):
                 run_seeds(op, obs, cfg, 2, x_true=x_true)
 
@@ -684,7 +698,8 @@ class TestLockstepDivergence:
 
 
 def _reference_iterate(op, obs, cfg, n_steps):
-    """The steps rebuilt from the checked public pieces: (x, dual x) after n_steps."""
+    """The steps rebuilt from the checked public pieces, one index draw per step: (x, dual x, generator)
+    after n_steps."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     x = dual = np.zeros(op.input_dim)
     for k in range(1, n_steps + 1):
@@ -695,7 +710,14 @@ def _reference_iterate(op, obs, cfg, n_steps):
             gradient = stochastic_gradient(x, obs, op, int(rng.integers(op.n_blocks)), cfg.residual_space)
         dual = dual - step_size(cfg.schedule, k) * gradient
         x = inverse_duality_map(dual, cfg.x_space)
-    return x, dual
+    return x, dual, rng
+
+
+def _generator_state(rng):
+    """A Philox generator's whole state as a value that == compares."""
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(), s["buffer_pos"],
+            s["has_uint32"], s["uinteger"])
 
 
 def _ragged_problem():
@@ -720,10 +742,14 @@ class TestStepsAgainstTheCheckedReference:
     def _assert_matches_reference(self, op, obs, cfg):
         result = run(op, obs, cfg)
         assert result.state.k >= 200
-        for state in (result.state, iterate_n(op, obs, cfg, result.state.k)):
-            x, dual = _reference_iterate(op, obs, cfg, result.state.k)
+        # the last iterate_n stops one step short of an epoch end, inside an epoch's draw of indices
+        k = result.state.k
+        for n, state in ((k, result.state), (k, iterate_n(op, obs, cfg, k)), (k - 1, iterate_n(op, obs, cfg, k - 1))):
+            x, dual, rng = _reference_iterate(op, obs, cfg, n)
+            assert state.k == n
             assert np.array_equal(state.x, x)
             assert np.array_equal(state.dual_x, dual)
+            assert _generator_state(state.rng) == _generator_state(rng)
 
     def test_sgd_on_equal_dense_blocks(self):
         _, _, op, obs = hilbert_problem(12, 4, seed=201)
@@ -752,6 +778,25 @@ class TestStepsAgainstTheCheckedReference:
         self._assert_matches_reference(op, obs, cfg)
 
 
+class TestWorkCounters:
+    def test_a_run_counts_its_steps_draws_and_snapshots(self):
+        _, x_true, op, obs = hilbert_problem(8, 4, seed=13)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), epochs=3, seed=6)
+        for j, result in enumerate([run(op, obs, cfg, x_true=x_true), *run_seeds(op, obs, cfg, 3, x_true=x_true)]):
+            shadow = np.random.Generator(np.random.Philox(key=6 + max(j - 1, 0)))
+            draws = np.bincount([int(shadow.integers(op.n_blocks)) for _ in range(12)], minlength=op.n_blocks)
+            assert result.step_s > 0 and result.snapshot_s > 0
+            assert result.work() == {"steps": 12, "draws": draws.tolist(), "snapshots": 4,
+                                     "step_s": result.step_s, "snapshot_s": result.snapshot_s}
+
+    def test_landweber_draws_no_block(self):
+        _, _, op, obs = hilbert_problem(8, 4, seed=13)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.1), method="landweber",
+                           epochs=5)
+        work = run(op, obs, cfg).work()
+        assert (work["steps"], work["snapshots"], work["draws"]) == (5, 6, [0, 0, 0, 0])
+
+
 class TestHilbertReduction:
     def test_matches_euclidean_sgd_loop(self):
         # with every exponent equal to 2 the dual iteration is plain SGD
@@ -763,7 +808,7 @@ class TestHilbertReduction:
         x = np.zeros(9)
         shadow = np.random.Generator(np.random.Philox(key=42))
         for _ in range(100):
-            state = sgd_step(state, op, obs, cfg, mu)
+            state = sgd_step(state, op, obs, cfg, mu, int(state.rng.integers(op.n_blocks)))
             i = int(shadow.integers(op.n_blocks))
             x = x - mu * op.blocks[i].T @ (op.blocks[i] @ x - obs.blocks[i])
         assert np.allclose(state.x, x, atol=1e-12)
@@ -782,7 +827,7 @@ class TestMonotoneBregman:
             state = initial_state(op, with_seed(cfg, seed))
             d = bregman_distance(state.x, x_true, HILBERT)
             for _ in range(100):
-                state = sgd_step(state, op, obs, cfg, mu)
+                state = sgd_step(state, op, obs, cfg, mu, int(state.rng.integers(op.n_blocks)))
                 d_new = bregman_distance(state.x, x_true, HILBERT)
                 worst = max(worst, d_new - d)
                 d = d_new
@@ -797,7 +842,7 @@ class TestMonotoneBregman:
         cap = 0.0
         xs = []
         for k in range(200):
-            state = sgd_step(state, op, obs, cfg, 0.2)
+            state = sgd_step(state, op, obs, cfg, 0.2, int(state.rng.integers(op.n_blocks)))
             cap = max(cap, bregman_distance(state.x, x_true, desc))
             xs.append(state.x.copy())
         bound = (2 * desc.p_conj) ** desc.p * max(lr_norm(x_true, desc.r) ** desc.p, cap)
@@ -814,7 +859,7 @@ class TestDualStateConsistency:
                            epochs=1, seed=9)
         state = initial_state(op, cfg)
         for _ in range(50):
-            state = sgd_step(state, op, obs, cfg, 0.1)
+            state = sgd_step(state, op, obs, cfg, 0.1, int(state.rng.integers(op.n_blocks)))
             expected = duality_map(state.x, desc)
             gap = lr_norm(expected - state.dual_x, 2.0)
             assert gap <= 1e-10 * max(1.0, lr_norm(state.dual_x, 2.0))
@@ -892,10 +937,9 @@ class TestRunEntry:
         ("x_true", np.ones(7), DimensionMismatchError, r"x_true has shape \(7,\)"),
         ("x_ref", np.ones((8, 1)), DimensionMismatchError, r"x_ref has shape \(8, 1\)"),
         ("x_true", np.zeros(8), InvalidInputError, "reference signal must be nonzero"),
-        ("x_true", np.full(8, 1e-200), InvalidInputError, "reference signal must be nonzero"),  # its squares underflow
         # ||x_ref||^2 / 2 overflows: the k = 0 snapshot's Bregman distance, as in a serial run
         ("x_ref", np.full(8, 1e200), IterationInvariantError, r"iteration 0 .*overflowing Bregman distance"),
-    ], ids=["x_true-length", "x_ref-2d", "x_true-zero", "x_true-underflow", "x_ref-overflow"])
+    ], ids=["x_true-length", "x_ref-2d", "x_true-zero", "x_ref-overflow"])
     def test_malformed_reference_rejected_before_the_first_step(self, reference, value, error, match, monkeypatch):
         def no_step(*args):
             raise AssertionError("step taken despite a malformed reference")
@@ -907,6 +951,21 @@ class TestRunEntry:
                      lambda: run_seeds(op, obs, cfg, 3, **{reference: value})):
             with pytest.raises(error, match=match):
                 call()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["huge", "tiny"])
+    def test_huge_or_tiny_x_true_gives_finite_deltas(self, scale):
+        # ||x_true||_2^2 overflows or underflows to 0; the norms are taken with max-scaling instead
+        _, _, op, obs = hilbert_problem(8, 4, seed=5)
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(0.05), epochs=3)
+        x_true = np.full(8, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(op, obs, cfg, x_true=x_true)
+            assert (result.record.delta1[-1], result.record.delta2[-1]) == delta_metrics(result.state.x, x_true)
+        deltas = np.concatenate([result.record.delta1, result.record.delta2])
+        assert np.isfinite(deltas).all()
+        if scale > 1:
+            assert deltas == pytest.approx(1.0, rel=1e-12)
 
     def test_step_builds_no_descriptor(self, monkeypatch):
         built = []

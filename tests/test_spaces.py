@@ -17,6 +17,7 @@ from banach_sgd import (
     inverse_duality_map,
     lr_norm,
 )
+from banach_sgd import spaces
 
 # Shared parameter grid: dimensions, norm exponents, and both gauge choices.
 DIMS = [1, 2, 3, 8, 17, 64]
@@ -272,6 +273,35 @@ class TestBregmanDistance:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="overflows"):
                 bregman_distance(np.array([1e200, 1.0]), np.ones(2), SpaceDescriptor.hilbert())
+
+
+class TestBregmanRows:
+    """The snapshots take the Bregman distances of all iterates as the rows of one batch; each row must be
+    bregman_distance of that row alone, bit for bit, and inf without a warning where that raises."""
+
+    @pytest.mark.parametrize("desc", [SpaceDescriptor(2.0, 2.0), SpaceDescriptor(1.5, 2.0), SpaceDescriptor(1.1, 1.1),
+                                      SpaceDescriptor(3.0, 1.5), SpaceDescriptor(1.3, 2.5)])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7])
+    def test_rows_equal_bregman_distance_alone(self, desc, n_rows):
+        rng = np.random.Generator(np.random.Philox(key=n_rows))
+        X = rng.normal(size=(n_rows, 30)) * np.exp(rng.uniform(-3.0, 3.0, size=(n_rows, 1)))
+        X[n_rows // 2] = 0.0
+        X[-1, ::3] = 0.0
+        w = rng.normal(size=30)
+        rows = spaces._bregman_rows(X, w, lr_norm(w, desc.r), desc)
+        assert rows == [bregman_distance(x, w, desc) for x in X]
+
+    @pytest.mark.parametrize("desc", [SpaceDescriptor(1.5, 2.0), SpaceDescriptor(1.5, 3.0)], ids=["norm", "scale"])
+    def test_an_overflowing_row_is_inf_without_a_warning(self, desc):
+        # At p = 2 the norm term ||x||^p overflows; at p = 3 the duality map's scale max|x|^(p-1) does first.
+        X = np.array([[1.0, -2.0, 0.5], [1e200, -1e200, 3.0], [0.0, 0.3, -0.1]])
+        w = np.array([0.5, 1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = spaces._bregman_rows(X, w, lr_norm(w, desc.r), desc)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            bregman_distance(X[1], w, desc)
+        assert rows == [bregman_distance(X[0], w, desc), math.inf, bregman_distance(X[2], w, desc)]
 
 
 def _oracle_lr_norm(v, r):
