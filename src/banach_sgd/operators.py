@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DataFormatError, DimensionMismatchError, InvalidInputError
 from .noise import generator
-from .spaces import SpaceDescriptor, _lr_norm_rows, _screen_rows
+from .spaces import SpaceDescriptor, _duality_rows, _lr_norm_rows, _screen_rows
 
 __all__ = [
     "CsrMatrix",
@@ -511,9 +511,12 @@ def boyd_operator_norm(
     check_count(max_iter, "max_iter")
     if not tol >= 0.0:
         raise ConfigurationError(f"tol must be >= 0; got {tol}")
+    entries = A.data if isinstance(A, CsrMatrix) else A
+    if not np.isfinite(entries).all():
+        raise InvalidInputError("operator matrix contains non-finite entries")
     if not A.any():
         return NormEstimate(0.0, True, 0, starts=0)
-    nonnegative = bool(np.all((A.data if isinstance(A, CsrMatrix) else A) >= 0.0))
+    nonnegative = bool(np.all(entries >= 0.0))
     starts = 1 if nonnegative and rx >= ry else restarts
     X = _boyd_start_matrix(A.shape[1], starts)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is the screen's to reject
@@ -534,26 +537,15 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
     """Boyd's iteration from every row of X at once; entry i is the NormEstimate of start X[i].
 
     A row leaves the batch when its start stops.  Each step is the one-start arithmetic row by row (see
-    _row_products and spaces._screen_rows), so every estimate is its start's run alone, bit for bit.
+    _row_products and spaces._duality_rows), so every estimate is its start's run alone, bit for bit.
     """
     rx_conj, to_rx = rx / (rx - 1.0), 1.0 / rx
     X = X / np.array(_lr_norm_rows(*_screen_rows(X), rx))[:, None]
     live = list(range(len(X)))  # the start that each row of X runs
     histories, prev, estimates = [[] for _ in live], [-math.inf] * len(live), [None] * len(live)
     for it in range(1, max_iter + 1):
-        Y = _row_products(A, X)
-        a, ms = _screen_rows(Y)
-        norms = _lr_norm_rows(a, ms, ry)
-        # J_ry(y) = m^(ry-1) (|y|/m)^(ry-1) sign(y), formed in a's buffer as duality_map forms it.
-        if ry != 2.0:
-            a **= ry - 1.0
-        try:
-            a *= np.array([m ** (ry - 1.0) for m in ms])[:, None]
-        except OverflowError:
-            raise InvalidInputError(
-                f"duality map overflows the float range (max|y| = {max(ms):.3g}, r = {ry:.3g})") from None
-        a *= np.sign(Y)
-        Z = _row_products(A, a, adjoint=True)
+        J, norms = _duality_rows(_row_products(A, X), ry, ry)  # J_ry(A x) and the estimates ||A x||_ry
+        Z = _row_products(A, J, adjoint=True)
         # J_dual(z) / ||J_dual(z)||_rx is b / s^(1/rx), as ||b||_rx^rx = sum a^(rx*) = s; max|z| cancels.
         a, mz = _screen_rows(Z)
         B = a ** (rx_conj - 1.0)

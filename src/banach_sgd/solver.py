@@ -401,11 +401,13 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
     """run for seeds cfg.seed .. cfg.seed + n_seeds - 1, one result per seed in order, bit for bit.  Run entry is
     checked once, before the first step; the seeds advance in lockstep, one snapshot batch per epoch.  When that
     fails, each seed re-runs alone in seed order, and the first to fail alone raises its error, the one a loop of
-    single-seed runs raises first; if none does, the batch's error is raised.  A Landweber run serves every seed."""
+    single-seed runs raises first; if none does, the batch's error is raised.  One Landweber run serves every seed,
+    its step and snapshot seconds split evenly over their results."""
     check_count(n_seeds, "n_seeds")
     check_seed(cfg.seed, "seed", n_seeds)
     if cfg.method == "landweber" and n_seeds > 1:
-        return [run(op, obs, cfg, x_true=x_true, x_ref=x_ref)] * n_seeds
+        one = run(op, obs, cfg, x_true=x_true, x_ref=x_ref)
+        return [replace(one, step_s=one.step_s / n_seeds, snapshot_s=one.snapshot_s / n_seeds) for _ in range(n_seeds)]
     _checked_start(op, obs, cfg, x_true=x_true, x_ref=x_ref)
     per_epoch = 1 if cfg.method == "landweber" else op.n_blocks
     total = (cfg.epochs * per_epoch if cfg.stopping is None
@@ -454,7 +456,6 @@ def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
         norms = _reference_norms(xt)
 
     def snapshot(X, k, mu):
-        nan = [math.nan] * len(X)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises the typed error below, not a warning
             try:
                 quantity = "residual"
@@ -463,9 +464,7 @@ def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
                 quantity = "objective"
                 obj = _objective_rows(R, op, cfg.gradient_exponent)
                 quantity = "Bregman distance"
-                breg = nan if x_ref is None else _bregman_rows(X, x_ref, nw, desc)
-                if x_ref is not None and not all(map(math.isfinite, breg)):  # raises as for the first such x alone
-                    breg = [bregman_distance(x, x_ref, desc) for x in X]
+                breg = [math.nan] * len(X) if x_ref is None else _bregman_rows(X, x_ref, nw, desc)
             except InvalidInputError as exc:
                 raise IterationInvariantError(
                     f"diverged at iteration {k} (non-finite or overflowing {quantity}, "

@@ -415,14 +415,17 @@ class TestRunExperiment:
         assert env["cpu_count"] == os.cpu_count()
 
     def test_manifest_records_each_seeds_work(self, tmp_path):
-        assert main(["solve", str(_write_config(tmp_path))]) == 0
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        work = manifest["work"]
-        assert len(work) == len(manifest["seeds"]) == 2
-        for w in work:
-            assert (w["steps"], w["snapshots"], sum(w["draws"]), len(w["draws"])) == (48, 5, 48, 12)
-            assert w["step_s"] > 0 and w["snapshot_s"] > 0
-        assert sum(w["step_s"] + w["snapshot_s"] for w in work) <= manifest["timings_s"]["solve"]
+        # One Landweber run serves both seeds: each seed's work is that run's, with half of its seconds.
+        landweber = {"method": "landweber", "schedule": {"kind": "slow_decay", "scale": 0.05}}
+        for name, overrides, steps, draws in (("sgd", {}, 48, 48), ("landweber", landweber, 4, 0)):
+            assert main(["solve", str(_write_config(tmp_path, out_dir=str(tmp_path / name), **overrides))]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            work = manifest["work"]
+            assert len(work) == len(manifest["seeds"]) == 2
+            for w in work:
+                assert (w["steps"], w["snapshots"], sum(w["draws"]), len(w["draws"])) == (steps, 5, draws, 12)
+                assert w["step_s"] > 0 and w["snapshot_s"] > 0
+            assert sum(w["step_s"] + w["snapshot_s"] for w in work) <= manifest["timings_s"]["solve"]
 
     def test_ensemble_statistics_near_the_float_range_stay_finite(self, tmp_path):
         # The sign-indefinite operator at the default L_max scale grows the
@@ -596,6 +599,12 @@ class TestNormEstimate:
         save_matrix_csv(tmp_path / "m.csv", np.diag([3.0, 1.0]))
         assert main(["norm-estimate", str(tmp_path / "m.csv"), "--max-iter", "0"]) == 1
         assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exits_1_naming_the_matrix(self, tmp_path, capsys, cell):
+        (tmp_path / "m.csv").write_text(f"1,2\n{cell},3\n")
+        assert main(["norm-estimate", str(tmp_path / "m.csv")]) == 1
+        assert "operator matrix contains non-finite entries" in capsys.readouterr().err
 
     def test_malformed_csv_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -627,6 +627,12 @@ def _norm_ratio_oracle(A, rx, ry, starts=40, seed=0):
     return best
 
 
+# Entries of both signs from 0 and the smallest subnormal up to near the largest float, and Boyd's exponents.
+_BOYD_ENTRY = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), st.sampled_from(
+    [0.0, 5e-324, 1e-310, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200, 1e300, 1.7e308]))
+_BOYD_EXPONENTS = [1.1, 1.5, 2.0, 3.0, 11.0]
+
+
 class TestBoydNorm:
     def test_diagonal(self):
         est = boyd_operator_norm(np.diag([3.0, 1.0]), 2, 2, tol=1e-12)
@@ -701,6 +707,35 @@ class TestBoydNorm:
     def test_iteration_settings_checked(self, settings):
         with pytest.raises(ConfigurationError):
             boyd_operator_norm(np.diag([3.0, 1.0]), 2, 2, **settings)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_matrix_rejected_before_the_first_iteration(self, sparse, bad, monkeypatch):
+        def no_iteration(*args):
+            raise AssertionError("iterated on a non-finite matrix")
+
+        monkeypatch.setattr(operators, "_boyd_starts", no_iteration)
+        dense = np.array([[1.0, 2.0], [bad, -1.0]])
+        A = CsrMatrix([0, 2, 4], [0, 1, 0, 1], dense.ravel(), (2, 2)) if sparse else dense
+        with pytest.raises(InvalidInputError, match="^operator matrix contains non-finite entries"):
+            boyd_operator_norm(A, 1.5, 2.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3)), data=st.data(), sparse=st.booleans(),
+           rx=st.sampled_from(_BOYD_EXPONENTS), ry=st.sampled_from(_BOYD_EXPONENTS))
+    def test_extreme_magnitudes_give_a_typed_error_or_a_finite_estimate(self, shape, data, sparse, rx, ry):
+        dense = np.reshape(data.draw(st.lists(_BOYD_ENTRY, min_size=shape[0] * shape[1],
+                                              max_size=shape[0] * shape[1])), shape)
+        rows, cols = np.nonzero(dense)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+        A = CsrMatrix(indptr, cols, dense[rows, cols], shape) if sparse else dense
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                est = boyd_operator_norm(A, rx, ry)
+            except (ConfigurationError, InvalidInputError, DimensionMismatchError):
+                return
+        assert math.isfinite(est.value) and all(map(math.isfinite, est.history))
 
 
 def _boyd_single_start_oracle(A, rx, ry, tol, max_iter, x0):

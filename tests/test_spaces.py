@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from banach_sgd import (
@@ -274,10 +274,14 @@ class TestBregmanDistance:
             with pytest.raises(InvalidInputError, match="overflows"):
                 bregman_distance(np.array([1e200, 1.0]), np.ones(2), SpaceDescriptor.hilbert())
 
+    def test_empty_vectors_are_zero(self):
+        assert lr_norm([], 1.5) == bregman_distance([], [], SpaceDescriptor(1.5, 2.0)) == 0.0
+
 
 class TestBregmanRows:
-    """The snapshots take the Bregman distances of all iterates as the rows of one batch; each row must be
-    bregman_distance of that row alone, bit for bit, and inf without a warning where that raises."""
+    """The snapshots take the Bregman distances of all iterates as the rows of one batch; each row must be the
+    first formula's distance of that row alone, bit for bit, and the batch raises without a warning where a row's
+    distance overflows."""
 
     @pytest.mark.parametrize("desc", [SpaceDescriptor(2.0, 2.0), SpaceDescriptor(1.5, 2.0), SpaceDescriptor(1.1, 1.1),
                                       SpaceDescriptor(3.0, 1.5), SpaceDescriptor(1.3, 2.5)])
@@ -289,19 +293,19 @@ class TestBregmanRows:
         X[-1, ::3] = 0.0
         w = rng.normal(size=30)
         rows = spaces._bregman_rows(X, w, lr_norm(w, desc.r), desc)
-        assert rows == [bregman_distance(x, w, desc) for x in X]
+        assert rows == [_oracle_bregman(x, w, desc) for x in X]
 
     @pytest.mark.parametrize("desc", [SpaceDescriptor(1.5, 2.0), SpaceDescriptor(1.5, 3.0)], ids=["norm", "scale"])
-    def test_an_overflowing_row_is_inf_without_a_warning(self, desc):
+    def test_an_overflowing_row_raises_without_a_warning(self, desc):
         # At p = 2 the norm term ||x||^p overflows; at p = 3 the duality map's scale max|x|^(p-1) does first.
         X = np.array([[1.0, -2.0, 0.5], [1e200, -1e200, 3.0], [0.0, 0.3, -0.1]])
         w = np.array([0.5, 1.0, -1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = spaces._bregman_rows(X, w, lr_norm(w, desc.r), desc)
-        with pytest.raises(InvalidInputError, match="overflows"):
-            bregman_distance(X[1], w, desc)
-        assert rows == [bregman_distance(X[0], w, desc), math.inf, bregman_distance(X[2], w, desc)]
+            with pytest.raises(InvalidInputError, match="overflows"):
+                spaces._bregman_rows(X, w, lr_norm(w, desc.r), desc)
+            with pytest.raises(InvalidInputError, match="overflows"):
+                bregman_distance(X[1], w, desc)
 
 
 def _oracle_lr_norm(v, r):
@@ -310,6 +314,12 @@ def _oracle_lr_norm(v, r):
     if m == 0.0:
         return 0.0
     return m * float(np.sum((np.abs(v) / m) ** r)) ** (1.0 / r)
+
+
+def _oracle_bregman(z, w, desc):
+    """The distance as first written: the two norm terms minus the pairing of duality_map(z) with w."""
+    return lr_norm(z, desc.r) ** desc.p / desc.p_conj + lr_norm(w, desc.r) ** desc.p / desc.p \
+        - dual_pairing(duality_map(z, desc), w)
 
 
 def _oracle_duality_map(v, r, p):
@@ -424,6 +434,7 @@ class TestProperties:
         assert np.max(np.abs(back - x)) <= tol * m
 
     @_PROPERTY
+    @example(x=np.array([]), w=np.array([]), r=1.5, p=2.0)
     @given(x=st.one_of(
                _VECTOR,
                st.lists(st.floats(), max_size=6).map(np.array),
