@@ -11,7 +11,7 @@ import numpy as np
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
 from .noise import check_seed, generator
 from .operators import BlockOperator, CsrMatrix, ObservationSet, check_blocks_match, check_count, save_matrix_csv
-from .spaces import SpaceDescriptor, bregman_distance, lr_norm
+from .spaces import SpaceDescriptor, _exponent, bregman_distance, lr_norm
 
 __all__ = [
     "ConvergenceRecord",
@@ -85,8 +85,7 @@ CSV_HEADER = ",".join(ConvergenceRecord._COLUMNS)
 
 def objective(x, op: BlockOperator, obs: ObservationSet, exponent: float) -> float:
     """(1/N) sum_i (1/exponent) ||A_i x - y_i||^exponent in the output norm."""
-    if exponent <= 1.0:
-        raise ConfigurationError("objective exponent must be > 1")
+    exponent = _exponent(exponent, "exponent")
     check_blocks_match(op, obs)
     residual = op.apply_all(x) - obs.concatenated
     if not np.isfinite(residual).all():

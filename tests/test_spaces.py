@@ -17,7 +17,7 @@ from banach_sgd import (
     inverse_duality_map,
     lr_norm,
 )
-from banach_sgd import spaces
+from banach_sgd import diagnostics, operators, solver, spaces
 
 # Shared parameter grid: dimensions, norm exponents, and both gauge choices.
 DIMS = [1, 2, 3, 8, 17, 64]
@@ -458,3 +458,59 @@ class TestProperties:
                     call()
                 except _TYPED:
                     pass
+
+
+# Every call that takes an exponent, each as a function of that exponent with valid other arguments.
+_A = np.array([[1.0, 2.0], [3.0, 4.0]])
+_OP = operators.BlockOperator(_A, SpaceDescriptor.hilbert())
+_OBS = operators.ObservationSet.from_full(_A @ np.ones(2), _OP)
+_EXPONENT_CALLS = {
+    "SpaceDescriptor.r": lambda e: SpaceDescriptor(e, 2.0),
+    "SpaceDescriptor.p": lambda e: SpaceDescriptor(2.0, e),
+    "lr_norm": lambda e: lr_norm(np.ones(3), e),
+    "boyd_operator_norm.rx": lambda e: operators.boyd_operator_norm(_A, e, 2.0),
+    "boyd_operator_norm.ry": lambda e: operators.boyd_operator_norm(_A, 2.0, e),
+    "SlowDecaySchedule.p_conj": lambda e: solver.SlowDecaySchedule(1.0, 2, e),
+    "theoretical_max_step": lambda e: solver.theoretical_max_step(solver.ConstantsConfig(1.0, 1.0), 1.0, e),
+    "SolverConfig.q": lambda e: solver.SolverConfig(SpaceDescriptor.hilbert(), SpaceDescriptor.hilbert(),
+                                                    solver.ConstantSchedule(0.1), "generalized_kaczmarz", q=e),
+    "objective": lambda e: diagnostics.objective(np.ones(2), _OP, _OBS, e),
+    "a_priori_stop_index": lambda e: solver.a_priori_stop_index(solver.APrioriStop(), 0.1, e),
+}
+# An int, numpy int or numpy float exponent; float(e) is the Python float it stands for.
+_NUMPY_EXPONENT = st.one_of(
+    st.integers(2, 50).flatmap(lambda k: st.sampled_from([k, np.int64(k), np.float64(k)])),
+    st.floats(1.01, 50.0).flatmap(lambda v: st.sampled_from([np.float64(v), np.float32(v)])),
+)
+
+
+def _outcome(call):
+    """(type, bytes) of call's value, or (type, message) of the typed error it raises; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except _TYPED as exc:
+            return type(exc), str(exc)
+    return type(value), np.asarray(value).tobytes()
+
+
+class TestExponentRule:
+    @pytest.mark.parametrize("exponent", ["3", None, True, math.nan, math.inf, 1.0, 0.5])
+    @pytest.mark.parametrize("call", list(_EXPONENT_CALLS))
+    def test_every_exponent_outside_the_rule_is_a_configuration_error(self, call, exponent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError):
+                _EXPONENT_CALLS[call](exponent)
+
+    @_PROPERTY
+    @example(pairs=[(1e200, 1.0), (1.0, 1.0)], r=np.float64(3.0), p=np.float64(3.0))
+    @given(pairs=st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=12), r=_NUMPY_EXPONENT, p=_NUMPY_EXPONENT)
+    def test_numpy_and_int_exponents_act_as_the_equal_python_float(self, pairs, r, p):
+        z, w = np.array(pairs).T
+        desc, plain = SpaceDescriptor(r, p), SpaceDescriptor(float(r), float(p))
+        assert (type(desc.r), type(desc.p)) == (float, float) and desc == plain
+        for call in (lambda d, e: lr_norm(z, e), lambda d, e: duality_map(z, d),
+                     lambda d, e: inverse_duality_map(z, d), lambda d, e: bregman_distance(z, w, d)):
+            assert _outcome(lambda: call(desc, r)) == _outcome(lambda: call(plain, float(r)))
