@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, InvalidInputError
-from .spaces import lr_norm
+from .spaces import _scalar, lr_norm
 
 __all__ = [
     "GaussianNoise",
@@ -52,8 +52,7 @@ class GaussianNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
-            raise ConfigurationError(f"sigma must be finite and >= 0; got {self.sigma}")
+        _scalar(self.sigma, f"sigma must be finite and >= 0; got {self.sigma}", lambda s: 0.0 <= s < math.inf)
         check_seed(self.seed)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DataFormatError, DimensionMismatchError, InvalidInputError
 from .noise import generator
-from .spaces import SpaceDescriptor, _duality_rows, _exponent, _lr_norm_rows, _screen_rows
+from .spaces import SpaceDescriptor, _duality_rows, _exponent, _lr_norm_rows, _scalar, _screen_rows
 
 __all__ = [
     "CsrMatrix",
@@ -49,7 +49,8 @@ class CsrMatrix:
     its values then add up.  ``A @ x`` is an ``np.add.reduceat`` segment sum
     over ``indptr`` into the non-empty rows only, since it gives an empty
     segment the next stored value; ``A.T @ y`` is a ``np.bincount`` over
-    columns.  ``rows(start, stop)`` is a view sharing ``indices`` and ``data``.
+    columns.  Both form the per-entry products in place, in the gathered ``x`` or
+    the repeated ``y``.  ``rows(start, stop)`` is a view sharing ``indices`` and ``data``.
     """
 
     ndim = 2
@@ -68,15 +69,17 @@ class CsrMatrix:
         if self.indices.size and not (0 <= self.indices.min() and self.indices.max() < n):
             raise DimensionMismatchError(f"column index outside [0, {n})")
         self.filled = np.flatnonzero(self.row_nnz)
+        self.starts = self.indptr[self.filled]  # the filled rows' segment starts, for every product
 
     @property
     def T(self) -> "_CsrTranspose":
         return _CsrTranspose(self)
 
     def __matmul__(self, x) -> np.ndarray:
-        x = _operand(x, self.shape[1])
+        g = _operand(x, self.shape[1])[self.indices]
+        g *= self.data
         out = np.zeros(self.shape[0])
-        out[self.filled] = np.add.reduceat(self.data * x[self.indices], self.indptr[self.filled])
+        out[self.filled] = np.add.reduceat(g, self.starts)
         return out
 
     def any(self) -> bool:
@@ -118,8 +121,9 @@ class _CsrTranspose:
 
     def __matmul__(self, y) -> np.ndarray:
         A = self.matrix
-        y = _operand(y, A.shape[0])
-        return np.bincount(A.indices, weights=A.data * np.repeat(y, A.row_nnz), minlength=A.shape[1])
+        w = np.repeat(_operand(y, A.shape[0]), A.row_nnz)
+        w *= A.data
+        return np.bincount(A.indices, weights=w, minlength=A.shape[1])
 
 
 def _operand(v, size: int) -> np.ndarray:
@@ -508,8 +512,7 @@ def boyd_operator_norm(
     rx, ry = _exponent(rx, "rx"), _exponent(ry, "ry")
     check_count(restarts, "restarts")
     check_count(max_iter, "max_iter")
-    if not tol >= 0.0:
-        raise ConfigurationError(f"tol must be >= 0; got {tol}")
+    tol = _scalar(tol, f"tol must be >= 0; got {tol}", lambda t: t >= 0.0)
     entries = A.data if isinstance(A, CsrMatrix) else A
     if not np.isfinite(entries).all():
         raise InvalidInputError("operator matrix contains non-finite entries")
@@ -549,7 +552,7 @@ def _boyd_starts(A, rx, ry, tol, max_iter, X) -> list:
         a, mz = _screen_rows(Z)
         B = a ** (rx_conj - 1.0)
         s = np.matmul(B[:, None, :], a[:, :, None]).ravel().tolist()
-        B *= np.sign(Z)
+        np.copysign(B, Z, out=B)
         keep = []
         for i, start in enumerate(live):
             histories[start].append(norms[i])
@@ -569,7 +572,8 @@ def _row_products(A, X, adjoint: bool = False) -> np.ndarray:
     """A @ x, or A.T @ x, for every row x of X, each bit for bit the 1-D product; callers hold the errstate."""
     if isinstance(A, CsrMatrix):  # per-entry work, with no call overhead to save: row by row
         M = A.T if adjoint else A
-        # One row skips np.stack: it cut CT's one-start Boyd at the CLI settings from 119 to 108 ms, same bits.
+        # One row skips np.stack: it cuts CT's one-start Boyd at the CLI settings from 155 to 140 ms, same bits
+        # (60-block block_norms: per process the median of 10 calls, then the median over 5 processes).
         return (M @ X[0])[None] if len(X) == 1 else np.stack([M @ x for x in X])
     # One stacked np.matmul makes the 1-D product's BLAS call per row; np.einsum does not.
     return np.matmul(X[:, None, :], A)[:, 0, :] if adjoint else np.matmul(A, X[:, :, None])[:, :, 0]

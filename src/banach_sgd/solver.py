@@ -25,8 +25,8 @@ from .diagnostics import ConvergenceRecord, _delta_rows, _objective_rows, _refer
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError, IterationInvariantError
 from .noise import check_seed, generator
 from .operators import BlockOperator, ObservationSet, _row_products, check_blocks_match, check_count
-from .spaces import (SpaceDescriptor, _bregman_rows, _exponent, _lr_norm_rows, _screen_rows, bregman_distance,
-                     duality_map, inverse_duality_map, lr_norm)
+from .spaces import (SpaceDescriptor, _bregman_rows, _exponent, _lr_norm_rows, _scalar, _screen_rows,
+                     bregman_distance, duality_map, inverse_duality_map, lr_norm)
 
 __all__ = [
     "PolynomialSchedule",
@@ -60,10 +60,8 @@ class PolynomialSchedule:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.mu0 < math.inf:
-            raise ConfigurationError(f"mu0 must be positive and finite; got {self.mu0}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigurationError(f"decay exponent must lie in (0, 1]; got {self.beta}")
+        _scalar(self.mu0, f"mu0 must be positive and finite; got {self.mu0}")
+        _scalar(self.beta, f"decay exponent must lie in (0, 1]; got {self.beta}", lambda b: 0.0 < b <= 1.0)
 
     def at(self, k: int) -> float:
         return self.mu0 * float(k) ** (-self.beta)
@@ -82,8 +80,7 @@ class SlowDecaySchedule:
     p_conj: float
 
     def __post_init__(self):
-        if not 0.0 < self.scale < math.inf:
-            raise ConfigurationError(f"scale must be positive and finite; got {self.scale}")
+        _scalar(self.scale, f"scale must be positive and finite; got {self.scale}")
         check_count(self.n_batches, "n_batches")
         _exponent(self.p_conj, "p*")
 
@@ -96,8 +93,7 @@ class ConstantSchedule:
     mu0: float
 
     def __post_init__(self):
-        if not 0.0 < self.mu0 < math.inf:
-            raise ConfigurationError(f"step size must be positive and inside the float range; got {self.mu0}")
+        _scalar(self.mu0, f"step size must be positive and inside the float range; got {self.mu0}")
 
     def at(self, k: int) -> float:
         return self.mu0
@@ -127,16 +123,14 @@ class APrioriStop:
     theta: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigurationError(f"safety factor theta must lie in (0, 1); got {self.theta}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigurationError(f"beta must lie in [0, 1), where the stop index is defined; got {self.beta}")
+        _scalar(self.theta, f"safety factor theta must lie in (0, 1); got {self.theta}", lambda t: 0.0 < t < 1.0)
+        _scalar(self.beta, f"beta must lie in [0, 1), where the stop index is defined; got {self.beta}",
+                lambda b: 0.0 <= b < 1.0)
 
 
 def a_priori_stop_index(rule: APrioriStop, delta: float, power: float) -> int:
     """k(delta) for noise level delta and solution-space power p = power."""
-    if not delta > 0:
-        raise ConfigurationError(f"a-priori stopping needs a positive noise level; got delta = {delta}")
+    delta = _scalar(delta, f"a-priori stopping needs a positive noise level; got delta = {delta}")
     log_k = -rule.theta * _exponent(power, "power") / (1.0 - rule.beta) * math.log(delta)
     if log_k > 60:  # e^60 iterations is far beyond any runnable budget
         raise ConfigurationError(
@@ -238,7 +232,7 @@ def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, A, y) -> Ite
     v -= y
     g = A.T @ duality_map(v, cfg.residual_space)
     g *= mu
-    dual = state.dual_x - g
+    dual = np.subtract(state.dual_x, g, out=g)  # z - mu * g, in g's own buffer
     state.x, state.dual_x, state.k = inverse_duality_map(dual, cfg.x_space), dual, state.k + 1
     return state
 
@@ -308,9 +302,10 @@ class ConstantsConfig:
     G_pstar: float
     C_p: float
 
-    def __post_init__(self):
-        if not (0.0 < self.G_pstar < math.inf and 0.0 < self.C_p < math.inf):
-            raise ConfigurationError(f"geometry constants must be positive and finite; got {self.G_pstar}, {self.C_p}")
+    def __post_init__(self):  # kept as Python floats, whose products in theoretical_max_step overflow to inf
+        message = f"geometry constants must be positive and finite; got {self.G_pstar}, {self.C_p}"
+        for name in ("G_pstar", "C_p"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), message))
 
 
 def theoretical_max_step(constants: ConstantsConfig, l_max: float, p_conj: float) -> float:
@@ -319,8 +314,7 @@ def theoretical_max_step(constants: ConstantsConfig, l_max: float, p_conj: float
     Solves mu^(p*-1) = p* / (G_{p*} L_max^{p*}).
     """
     p_conj = _exponent(p_conj, "p*")
-    if not 0.0 < l_max < math.inf:
-        raise ConfigurationError(f"need finite l_max > 0; got l_max = {l_max}")
+    l_max = _scalar(l_max, f"need finite l_max > 0; got l_max = {l_max}")
     try:
         step = (p_conj / (constants.G_pstar * l_max ** p_conj)) ** (1.0 / (p_conj - 1.0))
     except (OverflowError, ZeroDivisionError):  # Python float powers raise rather than give inf

@@ -64,16 +64,23 @@ class SpaceDescriptor:
         return cls(r, max(r, 2.0))
 
 
-def _exponent(value, name: str) -> float:
-    """value as a Python float: the one rule for every exponent, an int or float (numpy ones too) with
-    1 < value < inf, so never a bool, which is 0 or 1.  Raises ConfigurationError for anything else."""
+def _scalar(value, message: str, ok=lambda v: 0.0 < v < math.inf) -> float:
+    """value as a Python float: the one rule for every scalar parameter, an int or float (numpy ones too) for which
+    ok holds, 0 < value < inf by default.  Raises ConfigurationError(message), which names the parameter, for
+    anything else; a value that is not a number acts as NaN, which fails every range."""
     try:
-        e = float(value) if isinstance(value, (int, float, np.integer, np.floating)) else math.nan
+        v = float(value) if isinstance(value, (int, float, np.integer, np.floating)) else math.nan
     except OverflowError:  # an int beyond the float range
-        e = math.inf
-    if not 1.0 < e < math.inf:
-        raise ConfigurationError(f"{name} must be an int or float with 1 < {name} < inf; got {value!r}")
-    return e
+        v = math.inf
+    if not ok(v):
+        raise ConfigurationError(message)
+    return v
+
+
+def _exponent(value, name: str) -> float:
+    """_scalar's rule for every exponent, 1 < value < inf, so never a bool, which is 0 or 1."""
+    message = f"{name} must be an int or float with 1 < {name} < inf; got {value!r}"
+    return _scalar(value, message, lambda e: 1.0 < e < math.inf)
 
 
 def _scale(m: float, t: float, r: float, p: float) -> float:
@@ -122,7 +129,7 @@ def _powers(x, r: float) -> tuple[np.ndarray, float, float]:
     v, a, m = _screen(x)
     b = a ** (r - 1.0)
     s = float(np.dot(b, a))
-    b *= np.sign(v)
+    np.copysign(b, v, out=b)
     return b, s, m
 
 
@@ -158,8 +165,9 @@ def _duality_rows(X, r: float, p: float) -> tuple[np.ndarray, list]:
     """duality_map of each row of a 2-D X with power p, formed in |X|'s buffer, and each row's lr_norm, bit for bit.
 
     Raises InvalidInputError, with no numpy warning, when a row is not finite or a norm or a scale overflows.  The
-    step's two maps stay 1-D: at n = 200 one row of this form took 6.6 us to duality_map's 4.4 us at (r, p) = (2, 1.5),
-    and 7.4 to 3.5 us at (3, 3) (timeit: median of 5 best-of-7 runs of 2000 calls; 2-vCPU Xeon, Python 3.11.7).
+    step's two maps stay 1-D: at n = 200 one row of this form took 8.6 us to duality_map's 5.6 us at (r, p) = (2, 1.5),
+    and 9.5 to 4.3 us at (3, 3) (timeit: per process the median of 5 best-of-7 runs of 2000 calls, then the median
+    over 5 processes; 2-vCPU Xeon shared with other load, Python 3.11.7, numpy 2.4.6).
     """
     a, ms = _screen_rows(X)
     roots = [s ** (1.0 / r) for s in np.add.reduce(a ** r, axis=1).tolist()]
@@ -168,7 +176,7 @@ def _duality_rows(X, r: float, p: float) -> tuple[np.ndarray, list]:
     if r != 2.0:
         a **= r - 1.0
     a *= np.array(scales)[:, None]  # each row times its own float, as row * scale
-    a *= np.sign(X)
+    np.copysign(a, X, out=a)
     return a, norms
 
 
@@ -196,22 +204,20 @@ def lr_norm(x, r: float) -> float:
 
 
 def duality_map(x, desc: SpaceDescriptor) -> np.ndarray:
-    """Componentwise ||x||_r^(p-r) |x_j|^(r-1) sign(x_j); maps 0 to 0.
+    """Componentwise ||x||_r^(p-r) |x_j|^(r-1) sign(x_j); maps 0 to 0, each zero with its own sign.
 
     This is the gradient of x -> ||x||_r^p / p, the single-valued duality map
     of the space.  Raises InvalidInputError when x is not finite or when the
     largest entry of the result, max|x|^(r-1) ||x||_r^(p-r), overflows.
     """
     v, a, m = _screen(x)
-    if m == 0.0:
-        return np.zeros_like(v)
     r, p = desc.r, desc.p
     tn = float(np.add.reduce(a ** r)) ** (1.0 / r) if p != r else 1.0  # ||a||_r, unused for p == r; np.sum unwrapped
-    # The scale times a ** (r - 1) * sign(x), formed in a's own buffer; a ** 1.0 is a.
+    # The scale times a ** (r - 1), given x's signs, formed in a's own buffer; a ** 1.0 is a.  A zero x has scale 0.
     if r != 2.0:
         a **= r - 1.0
     a *= _scale(m, tn, r, p)
-    a *= np.sign(v)
+    np.copysign(a, v, out=a)
     return a
 
 

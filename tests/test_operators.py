@@ -433,6 +433,30 @@ class TestCsrMatrix:
             assert np.all(np.abs(view @ x - out[a:b]) <= 1e-13 * scale[a:b])
             assert np.all((view @ x)[view.row_nnz == 0] == 0.0)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=_csr_and_vector(), cut=st.tuples(st.integers(0, 8), st.integers(0, 8)), data=st.data())
+    @example(case=([0, 0, 0], [], [], (2, 3), np.array([1.0, -2.0, 3.0])), cut=(0, 2), data=None)  # nothing stored
+    @example(case=([0, 0, 2, 2, 3, 3], [0, 0, 1], [1.0, -0.0, 5.0], (5, 4), np.array([-0.0, 3.0, 4.0, 7.0])),
+             cut=(2, 5), data=None)  # empty rows, a repeated column, empty columns 2 and 3, signed zeros
+    def test_products_are_the_former_expressions_byte_for_byte(self, case, cut, data):
+        # A @ x and A.T @ y form the per-entry products in place, as x[indices] * data and repeat(y) * data;
+        # the former expressions formed data * x[indices] and data * repeat(y) in new arrays.
+        indptr, cols, vals, shape, x = case
+        A = CsrMatrix(indptr, cols, vals, shape)
+        m = shape[0]
+        a, b = min(cut[0], m - 1), min(max(cut), m)
+        order = [m - 1, 0, m // 2] if data is None else data.draw(st.lists(st.integers(0, m - 1), max_size=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in (A, A.rows(a, b), A.take(order)):
+                y = np.linspace(-2.0, 3.0, M.shape[0]) if data is None else \
+                    np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=M.shape[0], max_size=M.shape[0])))
+                forward = np.zeros(M.shape[0])
+                forward[M.filled] = np.add.reduceat(M.data * x[M.indices], M.indptr[M.filled])
+                adjoint = np.bincount(M.indices, weights=M.data * np.repeat(y, M.row_nnz), minlength=M.shape[1])
+                assert (M @ x).tobytes() == forward.tobytes()
+                assert (M.T @ y).tobytes() == adjoint.tobytes()
+
     def test_block_views_hold_no_per_entry_array_of_their_own(self):
         op = partition_rows(build_radon_operator(CT_GEOMETRIES["criterion10"]), 60)
         parent = op.full_matrix
@@ -906,6 +930,39 @@ class TestBatchedStarts:
             serial = self._assert_rows_are_serial_starts(A, rx, ry, tol, max_iter, _boyd_starts_drawn(40, 8))
             best = boyd_operator_norm(A, rx, ry, tol=tol, max_iter=max_iter)
             assert best == replace(max(serial, key=lambda e: e.value), starts=8)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("rx", [1.1, 1.5, 3.0])
+    def test_the_update_takes_the_former_sign_products_and_keeps_signed_zeros(self, sparse, rx, monkeypatch):
+        # The update took J_dual(z)'s signs as magnitude * np.sign(z), which sends -0.0 to +0.0, and now takes
+        # them with np.copysign.  Every dual vector z reaches it with its zeros as -0.0, which no product of A
+        # gives.  Each next start must be the former b * sign(z) / s^(1/rx), from _powers(|z|), wherever z_j is
+        # not ±0, and -0.0 where z_j is.
+        M = np.random.Generator(np.random.Philox(key=29)).normal(size=(6, 9))
+        M[:, [2, 7]] = 0.0  # two empty columns, so every z has zeros
+        products, duals, starts = operators._row_products, [], []
+
+        def spy(A, X, adjoint=False):
+            out = products(A, X, adjoint)
+            if adjoint:
+                out[out == 0.0] = -0.0
+                duals.append(out.copy())
+            else:
+                starts.append(X.copy())
+            return out
+
+        monkeypatch.setattr(operators, "_row_products", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            operators._boyd_starts(self._csr(M) if sparse else M, rx, 2.0, 0.0, 4, operators._boyd_start_matrix(9, 3))
+        assert len(duals) == len(starts) == 4
+        for Z, X in zip(duals, starts[1:]):
+            zero = Z == 0.0
+            for z, x, z0 in zip(Z, X, zero):
+                b, s, _ = _powers(np.abs(z), rx / (rx - 1.0))
+                former = b * np.sign(z) / s ** (1.0 / rx)
+                assert z0.sum() == 2 and (x.view(np.int64) == former.view(np.int64))[~z0].all()
+                assert np.signbit(x[z0]).all() and not x[z0].any()
 
 
 class TestSharedStarts:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from banach_sgd import (
     inverse_duality_map,
     lr_norm,
 )
-from banach_sgd import diagnostics, operators, solver, spaces
+from banach_sgd import diagnostics, noise, operators, solver, spaces
 
 # Shared parameter grid: dimensions, norm exponents, and both gauge choices.
 DIMS = [1, 2, 3, 8, 17, 64]
@@ -401,6 +402,32 @@ class TestProperties:
             assert inverse_duality_map(x, desc).tobytes() == want.tobytes()
 
     @_PROPERTY
+    @example(x=np.array([-0.0, 0.0, -0.0]), r=1.5, p=3.0)  # a zero vector keeps its zeros' signs too
+    @example(x=np.array([2.0, -0.0, -3.0, 0.0]), r=11.0, p=2.0)
+    @given(x=st.lists(st.one_of(st.just(-0.0), _ENTRY), min_size=1, max_size=12).map(np.array), r=_R, p=_P)
+    def test_maps_take_the_former_sign_products_and_keep_signed_zeros(self, x, r, p):
+        # Each map took its signs as magnitude * np.sign(x), which sends -0.0 to +0.0, and now takes them with
+        # np.copysign.  Against the map of |x| times np.sign(x), every entry where x_j is not ±0 is the same bytes,
+        # and every zero keeps its own sign, in duality_map, both inverse_duality_map paths and _duality_rows.
+        kernels = [lambda v, d: duality_map(v, d), lambda v, d: inverse_duality_map(v, d),
+                   lambda v, d: spaces._duality_rows(v[None], d.r, d.p)[0][0]]
+        zero = x == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for desc in (SpaceDescriptor(r, p), SpaceDescriptor(r, r), SpaceDescriptor(2.0, p)):
+                for kernel in kernels:
+                    try:
+                        magnitude = kernel(np.abs(x), desc)
+                    except InvalidInputError:
+                        with pytest.raises(InvalidInputError, match="overflows"):
+                            kernel(x, desc)
+                        continue
+                    got = kernel(x, desc)
+                    former = magnitude * np.sign(x)
+                    assert (got.view(np.int64) == former.view(np.int64))[~zero].all()
+                    assert np.array_equal(np.signbit(got[zero]), np.signbit(x[zero])) and not got[zero].any()
+
+    @_PROPERTY
     @given(pairs=st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=12), r=_R, p=_P)
     def test_bregman_distance_is_nonnegative(self, pairs, r, p):
         z, w = np.array(pairs).T
@@ -514,3 +541,64 @@ class TestExponentRule:
         for call in (lambda d, e: lr_norm(z, e), lambda d, e: duality_map(z, d),
                      lambda d, e: inverse_duality_map(z, d), lambda d, e: bregman_distance(z, w, d)):
             assert _outcome(lambda: call(desc, r)) == _outcome(lambda: call(plain, float(r)))
+
+
+# Every scalar parameter under spaces._scalar's rule, each as a function of that value with valid other arguments:
+# (call, a number outside its range, the message that number has always raised with).
+_SCALAR_CALLS = {
+    "PolynomialSchedule.mu0": (lambda v: solver.PolynomialSchedule(v, 0.9), -1.0, "mu0 must be positive and finite"),
+    "PolynomialSchedule.beta": (lambda v: solver.PolynomialSchedule(1.0, v), 1.5, "decay exponent must lie in (0, 1]"),
+    "SlowDecaySchedule.scale": (lambda v: solver.SlowDecaySchedule(v, 2, 2.0), 0.0, "scale must be positive and finite"),
+    "ConstantSchedule.mu0": (lambda v: solver.ConstantSchedule(v), -2.0,
+                             "step size must be positive and inside the float range"),
+    "ConstantsConfig.G_pstar": (lambda v: solver.ConstantsConfig(v, 1.0), 0.0,
+                                "geometry constants must be positive and finite"),
+    "ConstantsConfig.C_p": (lambda v: solver.ConstantsConfig(1.0, v), -3.0,
+                            "geometry constants must be positive and finite"),
+    "theoretical_max_step": (lambda v: solver.theoretical_max_step(solver.ConstantsConfig(1.0, 1.0), v, 2.0), 0.0,
+                             "need finite l_max > 0"),
+    "APrioriStop.theta": (lambda v: solver.APrioriStop(theta=v), 1.0, "safety factor theta must lie in (0, 1)"),
+    "APrioriStop.beta": (lambda v: solver.APrioriStop(beta=v), 1.0,
+                         "beta must lie in [0, 1), where the stop index is defined"),
+    "a_priori_stop_index": (lambda v: solver.a_priori_stop_index(solver.APrioriStop(), v, 2.0), 0.0,
+                            "a-priori stopping needs a positive noise level"),
+    "boyd_operator_norm.tol": (lambda v: operators.boyd_operator_norm(_A, 1.5, 2.0, tol=v), -1e-3, "tol must be >= 0"),
+    "GaussianNoise.sigma": (lambda v: noise.GaussianNoise(v), -0.5, "sigma must be finite and >= 0"),
+}
+
+
+class TestScalarRule:
+    # tol >= 0 has always admitted inf (every start then stops at its second iteration), so it keeps doing so.
+    @pytest.mark.parametrize("call,value", [(c, v) for c in _SCALAR_CALLS for v in ("3", None, [1.0], 1j, math.nan,
+                                                                                    math.inf, -math.inf)
+                                            if (c, v) != ("boyd_operator_norm.tol", math.inf)])
+    def test_every_value_that_is_not_a_number_in_range_is_a_configuration_error(self, call, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=re.escape(_SCALAR_CALLS[call][2])):
+                _SCALAR_CALLS[call][0](value)
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("call", list(_SCALAR_CALLS))
+    def test_numbers_keep_their_messages(self, call, kind):
+        make, bad, message = _SCALAR_CALLS[call]
+        with pytest.raises(ConfigurationError) as info:
+            make(kind(bad))
+        assert str(info.value).startswith(f"{message}; got ") and str(bad) in str(info.value)
+
+    def test_in_range_numbers_give_what_the_equal_python_float_gives(self):
+        constants = solver.ConstantsConfig(1.0, 1.0)
+        for v in (3, np.int64(3), np.float64(3.0), np.float32(3.0)):
+            assert solver.theoretical_max_step(constants, v, 2.0) == solver.theoretical_max_step(constants, 3.0, 2.0)
+            assert solver.a_priori_stop_index(solver.APrioriStop(), v / 100, 2.0) == \
+                solver.a_priori_stop_index(solver.APrioriStop(), float(v) / 100, 2.0)
+            assert solver.SlowDecaySchedule(v, 2, 2.0).at(5) == solver.SlowDecaySchedule(3.0, 2, 2.0).at(5)
+        assert operators.boyd_operator_norm(_A, 1.5, 2.0, tol=math.inf).iterations == 2
+        with pytest.raises(ConfigurationError, match="need finite l_max > 0"):
+            solver.theoretical_max_step(constants, 10 ** 400, 2.0)  # an int beyond the float range
+        with warnings.catch_warnings():  # numpy constants are kept as Python floats, so the bound cannot warn
+            warnings.simplefilter("error")
+            huge = solver.ConstantsConfig(np.float64(1e300), np.float32(2.0))
+            assert (type(huge.G_pstar), type(huge.C_p)) == (float, float)
+            with pytest.raises(ConfigurationError, match="leaves the float range"):
+                solver.theoretical_max_step(huge, 1e10, 2.0)
