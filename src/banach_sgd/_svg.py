@@ -18,22 +18,17 @@ def _tick_label(v: float) -> str:
     return format(v, ".3g")
 
 
-def line_chart(path, series, title: str = "", x_label: str = "", log_y: bool = True):
+def line_chart(path, series, title: str = "", x_label: str = ""):
     """Write a static line chart.
 
-    series is a list of (label, xs, ys) triples.  With log_y, points with
-    non-positive ordinates are dropped; if nothing is left the chart falls
-    back to a linear axis.
+    series is a list of (label, xs, ys) triples; points with non-finite
+    ordinates are dropped.  When some ordinate is positive the y axis is
+    logarithmic and the non-positive points are dropped too; otherwise it
+    is linear.
     """
-    cleaned = []
-    for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(y)]
-        if log_y:
-            pts = [(x, y) for x, y in pts if y > 0]
-        if pts:
-            cleaned.append((label, pts))
-    if not cleaned and log_y:
-        return line_chart(path, series, title=title, x_label=x_label, log_y=False)
+    finite = [(label, [(float(x), float(y)) for x, y in zip(xs, ys) if math.isfinite(y)]) for label, xs, ys in series]
+    log_y = any(y > 0 for _, pts in finite for _, y in pts)
+    cleaned = [(label, kept) for label, pts in finite if (kept := [(x, y) for x, y in pts if y > 0 or not log_y])]
 
     xs_all = [x for _, pts in cleaned for x, _ in pts] or [0.0, 1.0]
     ys_all = [y for _, pts in cleaned for _, y in pts] or [0.1, 1.0]

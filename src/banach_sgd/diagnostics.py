@@ -11,7 +11,7 @@ import numpy as np
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
 from .noise import check_seed, generator
 from .operators import BlockOperator, CsrMatrix, ObservationSet, check_blocks_match, check_count, save_matrix_csv
-from .spaces import SpaceDescriptor, _exponent, bregman_distance, lr_norm
+from .spaces import SpaceDescriptor, _exponent, _scalar, bregman_distance, lr_norm
 
 __all__ = [
     "ConvergenceRecord",
@@ -179,8 +179,7 @@ def support_f1(x, x_true, threshold: float | None = None) -> float:
     x, xt = _paired(x, x_true)
     if threshold is None:
         threshold = 0.1 * float(np.max(np.abs(xt)))
-    if not threshold > 0:
-        raise ConfigurationError(f"threshold must be positive; got {threshold}")
+    threshold = _scalar(threshold, f"threshold must be positive and finite; got {threshold}")
     predicted = np.abs(x) > threshold
     actual = np.abs(xt) > 0
     tp = int(np.sum(predicted & actual))
@@ -196,12 +195,8 @@ def polyak_bound(delta0: float, alpha: float, steps) -> np.ndarray:
 
     Entry n of the result bounds d_n; entry 0 equals delta0.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ConfigurationError(f"alpha must be finite and > 0; got {alpha}")
-    mu = np.asarray(steps, dtype=float)
-    if not ((0.0 < mu) & (mu < math.inf)).all():
-        raise ConfigurationError("step sizes must be positive and finite")
-    return _majorant(delta0, alpha, mu)
+    alpha = _scalar(alpha, f"alpha must be finite and > 0; got {alpha}")
+    return _majorant(delta0, alpha, _reals(steps, "step sizes must be positive and finite", lambda mu: 0.0 < mu))
 
 
 def rate_envelope(delta0: float, alpha: float, per_step) -> np.ndarray:
@@ -211,12 +206,20 @@ def rate_envelope(delta0: float, alpha: float, per_step) -> np.ndarray:
     for alpha > 1 it is delta0 * (1 + (alpha-1) delta0^(alpha-1)
     sum_{j<=k} c_j)^(-1/(alpha-1)).  Entry 0 equals delta0.
     """
-    if not 1.0 <= alpha < math.inf:
-        raise ConfigurationError(f"alpha must be finite and >= 1; got {alpha}")
-    c = np.asarray(per_step, dtype=float)
-    if not ((0.0 <= c) & (c < math.inf)).all():
-        raise ConfigurationError("per-step rates must be finite and >= 0")
-    return _majorant(delta0, alpha - 1.0, c)
+    alpha = _scalar(alpha, f"alpha must be finite and >= 1; got {alpha}", lambda a: 1.0 <= a < math.inf)
+    rates = _reals(per_step, "per-step rates must be finite and >= 0", lambda c: 0.0 <= c)
+    return _majorant(delta0, alpha - 1.0, rates)
+
+
+def _reals(values, message: str, ok) -> np.ndarray:
+    """values as a 1-D float array of finite entries for which ok holds, else ConfigurationError(message)."""
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # a non-number or a ragged list, which numpy rejects with its own error
+        raise ConfigurationError(message) from None
+    if v.ndim != 1 or not (ok(v) & (v < math.inf)).all():
+        raise ConfigurationError(message)
+    return v
 
 
 def _majorant(delta0: float, a: float, rates: np.ndarray) -> np.ndarray:
@@ -319,9 +322,8 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     check_seed(noise_seed, "noise_seed", n_seeds)
     y_clean = np.asarray(y_clean, dtype=float).ravel()
     obs_clean = ObservationSet.from_full(y_clean, op)
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or not ((0.0 <= deltas) & (deltas < math.inf)).all():
-        raise ConfigurationError(f"deltas must be a 1-D sequence of finite noise levels >= 0; got {deltas!r}")
+    deltas = _reals(deltas, f"deltas must be a 1-D sequence of finite noise levels >= 0; got {deltas!r}",
+                    lambda d: 0.0 <= d)
     noisy_obs = []  # every seed's noisy data at each level, formed and checked before the first run
     for j in range(n_seeds):
         direction = generator(noise_seed + j).normal(size=y_clean.size)

@@ -32,8 +32,8 @@ RNG_ALGORITHM = "Philox-4x64-10 (numpy.random.Philox)"
 
 
 def check_seed(seed: int, name: str = "seed", count: int = 1) -> None:
-    """Seeds seed .. seed + count - 1 are Philox keys: integers (int or numpy) in [0, 2**128)."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= 2**128 - count):
+    """Seeds seed .. seed + count - 1 are Philox keys: integers (int or numpy, never a bool) in [0, 2**128)."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed <= 2**128 - count):
         keys = f"{name} must be an integer" if count == 1 else f"{name} .. {name} + {count - 1} must be integers"
         raise ConfigurationError(f"{keys} in [0, 2**128), the Philox key range; got {name} = {reprlib.repr(seed)}")
 
@@ -62,7 +62,7 @@ class ImpulseNoise:
 
     Each entry is left alone with probability 1 - pct; otherwise, with equal
     odds, it becomes (1 - xi) y or 1.4 xi + (1 - xi) y, with xi drawn fresh
-    from Uniform(lo, hi) for every corrupted entry.
+    from Uniform(lo, hi), whose width must not overflow the draw, for every corrupted entry.
     """
 
     pct: float
@@ -71,10 +71,9 @@ class ImpulseNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.pct <= 1.0:
-            raise ConfigurationError("corruption probability must be in [0, 1]")
-        if not 0.0 < self.hi - self.lo < math.inf:  # a width beyond the float range overflows the draw
-            raise ConfigurationError("impulse magnitude interval needs lo < hi and a finite width hi - lo")
+        _scalar(self.pct, f"corruption probability must be in [0, 1]; got {self.pct}", lambda p: 0.0 <= p <= 1.0)
+        interval = f"impulse magnitude interval needs lo < hi and a finite width hi - lo; got [{self.lo}, {self.hi}]"
+        _scalar(_scalar(self.hi, interval, math.isfinite) - _scalar(self.lo, interval, math.isfinite), interval)
         check_seed(self.seed)
 
 
@@ -93,8 +92,10 @@ class SaltPepperNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.pct <= 1.0:
-            raise ConfigurationError("corruption fraction must be in [0, 1]")
+        _scalar(self.pct, f"corruption fraction must be in [0, 1]; got {self.pct}", lambda p: 0.0 <= p <= 1.0)
+        if self.salt_value is not None:
+            _scalar(self.salt_value, f"salt_value must be finite; got {self.salt_value}", math.isfinite)
+        _scalar(self.pepper_value, f"pepper_value must be finite; got {self.pepper_value}", math.isfinite)
         check_seed(self.seed)
 
 

@@ -224,8 +224,8 @@ class ObservationSet:
     noise_level: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_level < math.inf:
-            raise ConfigurationError(f"noise level must be finite and >= 0; got {self.noise_level}")
+        _scalar(self.noise_level, f"noise level must be finite and >= 0; got {self.noise_level}",
+                lambda d: 0.0 <= d < math.inf)
         if not self.blocks:
             raise ConfigurationError("data needs at least one block")
         parts = [np.asarray(b, dtype=float).ravel() for b in self.blocks]
@@ -274,8 +274,8 @@ def check_partition(n_rows: int, n_batches: int) -> None:
 
 
 def check_count(value, name: str, minimum: int = 1) -> None:
-    """A count (of batches, seeds, steps, ...) is an int or numpy integer of at least minimum."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """A count (of batches, seeds, steps, ...) is an int or numpy integer, never a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}; got {value!r}")
 
 
@@ -346,10 +346,8 @@ class RadonGeometry:
     def __post_init__(self):
         for name in ("grid_side", "n_angles", "n_detectors"):
             check_count(getattr(self, name), name)
-        if not 0.0 < self.pixel_size < math.inf:
-            raise ConfigurationError(f"pixel_size must be positive and finite; got {self.pixel_size}")
-        if not 0.0 < self.angle_step < math.inf:
-            raise ConfigurationError(f"angle_step must be positive and finite; got {self.angle_step}")
+        _scalar(self.pixel_size, f"pixel_size must be positive and finite; got {self.pixel_size}")
+        _scalar(self.angle_step, f"angle_step must be positive and finite; got {self.angle_step}")
         if not self.n_angles * self.angle_step <= 180.0 + 1e-9:
             raise ConfigurationError(
                 f"angle coverage {self.n_angles * self.angle_step} deg exceeds 180 deg"
@@ -512,7 +510,7 @@ def boyd_operator_norm(
     rx, ry = _exponent(rx, "rx"), _exponent(ry, "ry")
     check_count(restarts, "restarts")
     check_count(max_iter, "max_iter")
-    tol = _scalar(tol, f"tol must be >= 0; got {tol}", lambda t: t >= 0.0)
+    tol = _scalar(tol, f"tol must be finite and >= 0; got {tol}", lambda t: 0.0 <= t < math.inf)
     entries = A.data if isinstance(A, CsrMatrix) else A
     if not np.isfinite(entries).all():
         raise InvalidInputError("operator matrix contains non-finite entries")

@@ -59,9 +59,10 @@ class PolynomialSchedule:
     mu0: float
     beta: float
 
-    def __post_init__(self):
-        _scalar(self.mu0, f"mu0 must be positive and finite; got {self.mu0}")
-        _scalar(self.beta, f"decay exponent must lie in (0, 1]; got {self.beta}", lambda b: 0.0 < b <= 1.0)
+    def __post_init__(self):  # every schedule keeps Python floats, so a numpy float32 steps as its float() does
+        object.__setattr__(self, "mu0", _scalar(self.mu0, f"mu0 must be positive and finite; got {self.mu0}"))
+        object.__setattr__(self, "beta", _scalar(self.beta, f"decay exponent must lie in (0, 1]; got {self.beta}",
+                                                 lambda b: 0.0 < b <= 1.0))
 
     def at(self, k: int) -> float:
         return self.mu0 * float(k) ** (-self.beta)
@@ -80,9 +81,9 @@ class SlowDecaySchedule:
     p_conj: float
 
     def __post_init__(self):
-        _scalar(self.scale, f"scale must be positive and finite; got {self.scale}")
+        object.__setattr__(self, "scale", _scalar(self.scale, f"scale must be positive and finite; got {self.scale}"))
         check_count(self.n_batches, "n_batches")
-        _exponent(self.p_conj, "p*")
+        object.__setattr__(self, "p_conj", _exponent(self.p_conj, "p*"))
 
     def at(self, k: int) -> float:
         return self.scale / (1.0 + 0.05 * (k / self.n_batches) ** (1.0 / self.p_conj + 0.01))
@@ -93,7 +94,8 @@ class ConstantSchedule:
     mu0: float
 
     def __post_init__(self):
-        _scalar(self.mu0, f"step size must be positive and inside the float range; got {self.mu0}")
+        object.__setattr__(self, "mu0", _scalar(self.mu0, f"step size must be positive and inside the float range; "
+                                                          f"got {self.mu0}"))
 
     def at(self, k: int) -> float:
         return self.mu0

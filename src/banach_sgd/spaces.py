@@ -67,9 +67,10 @@ class SpaceDescriptor:
 def _scalar(value, message: str, ok=lambda v: 0.0 < v < math.inf) -> float:
     """value as a Python float: the one rule for every scalar parameter, an int or float (numpy ones too) for which
     ok holds, 0 < value < inf by default.  Raises ConfigurationError(message), which names the parameter, for
-    anything else; a value that is not a number acts as NaN, which fails every range."""
+    anything else; a value that is not a number, a bool included, acts as NaN, which fails every range."""
     try:
-        v = float(value) if isinstance(value, (int, float, np.integer, np.floating)) else math.nan
+        number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+        v = float(value) if number else math.nan
     except OverflowError:  # an int beyond the float range
         v = math.inf
     if not ok(v):
@@ -78,7 +79,7 @@ def _scalar(value, message: str, ok=lambda v: 0.0 < v < math.inf) -> float:
 
 
 def _exponent(value, name: str) -> float:
-    """_scalar's rule for every exponent, 1 < value < inf, so never a bool, which is 0 or 1."""
+    """_scalar's rule for every exponent, 1 < value < inf."""
     message = f"{name} must be an int or float with 1 < {name} < inf; got {value!r}"
     return _scalar(value, message, lambda e: 1.0 < e < math.inf)
 

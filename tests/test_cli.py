@@ -600,6 +600,11 @@ class TestNormEstimate:
         assert main(["norm-estimate", str(tmp_path / "m.csv"), "--max-iter", "0"]) == 1
         assert "max_iter" in capsys.readouterr().err
 
+    def test_an_infinite_tol_exits_1(self, tmp_path, capsys):  # it would call a two-iteration bound converged
+        save_matrix_csv(tmp_path / "m.csv", np.diag([3.0, 1.0]))
+        assert main(["norm-estimate", str(tmp_path / "m.csv"), "--tol", "inf"]) == 1
+        assert "tol must be finite and >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_1_naming_the_matrix(self, tmp_path, capsys, cell):
         (tmp_path / "m.csv").write_text(f"1,2\n{cell},3\n")

@@ -744,6 +744,20 @@ _SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
     (lambda op, obs, cfg: rate_envelope(1.0, np.nan, [0.1]), "ConfigurationError"),
     (lambda op, obs, cfg: rate_envelope(1.0, 2.0, [np.nan]), "ConfigurationError"),
     (lambda op, obs, cfg: rate_envelope(np.inf, 2.0, [0.1]), "InvalidInputError"),
+    (lambda op, obs, cfg: polyak_bound(1.0, 1.0, ["a"]), "ConfigurationError"),
+    (lambda op, obs, cfg: polyak_bound(1.0, 1.0, [[0.1], [0.1, 0.2]]), "ConfigurationError"),
+    (lambda op, obs, cfg: polyak_bound(1.0, 1.0, [1j]), "ConfigurationError"),
+    (lambda op, obs, cfg: polyak_bound(1.0, 1.0, 0.1), "ConfigurationError"),
+    (lambda op, obs, cfg: rate_envelope(1.0, 2.0, ["a"]), "ConfigurationError"),
+    (lambda op, obs, cfg: rate_envelope(1.0, 2.0, [[0.1], [0.1, 0.2]]), "ConfigurationError"),
+    (lambda op, obs, cfg: rate_envelope(1.0, 2.0, [[0.1]]), "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, ["a"], n_seeds=2), "ConfigurationError"),
+    (lambda op, obs, cfg: stability_probe(op, obs.concatenated, cfg, 2, [[0.1], [0.1, 0.2]], n_seeds=2),
+     "ConfigurationError"),
+    (lambda op, obs, cfg: iterate_n(op, obs, cfg, True), "ConfigurationError"),
+    (lambda op, obs, cfg: run_seeds(op, obs, cfg, True), "ConfigurationError"),
+    (lambda op, obs, cfg: estimate_constants(HILBERT, 3, seed=True), "ConfigurationError"),
+    (lambda op, obs, cfg: run_seeds(op, obs, with_seed(cfg, False), 1), "ConfigurationError"),
     (lambda op, obs, cfg: ensemble_stats([]), "DimensionMismatchError"),
     (lambda op, obs, cfg: ensemble_stats([np.ones(2), np.ones(3)]), "DimensionMismatchError"),
 ], ids=["apply_all-length", "apply_all-matrix", "objective", "support_f1", "minnorm-r2-length", "minnorm-r2-nan",
@@ -760,7 +774,10 @@ _SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
         "slow-decay-nan-power", "constants-nan", "max-step-nan-l_max", "max-step-inf-power",
         "max-step-underflow", "max-step-zero", "max-step-inf", "support_f1-nan-threshold", "polyak-nan-delta0",
         "polyak-nan-alpha", "polyak-nan-step", "envelope-nan-delta0", "envelope-nan-alpha", "envelope-nan-rate",
-        "envelope-inf-delta0", "ensemble-empty", "ensemble-ragged"])
+        "envelope-inf-delta0", "polyak-str-step", "polyak-ragged-steps", "polyak-complex-step", "polyak-scalar-steps",
+        "envelope-str-rate", "envelope-ragged-rates", "envelope-2-D-rates", "stability_probe-str-level",
+        "stability_probe-ragged-levels", "iterate_n-bool", "run_seeds-bool", "constants-bool-seed",
+        "run_seeds-bool-seed", "ensemble-empty", "ensemble-ragged"])
 def test_wrong_input_raises_a_typed_error(call, error):
     import banach_sgd
 

@@ -544,7 +544,7 @@ class TestExponentRule:
 
 
 # Every scalar parameter under spaces._scalar's rule, each as a function of that value with valid other arguments:
-# (call, a number outside its range, the message that number has always raised with).
+# (call, a number outside its range, the message that number raises with).
 _SCALAR_CALLS = {
     "PolynomialSchedule.mu0": (lambda v: solver.PolynomialSchedule(v, 0.9), -1.0, "mu0 must be positive and finite"),
     "PolynomialSchedule.beta": (lambda v: solver.PolynomialSchedule(1.0, v), 1.5, "decay exponent must lie in (0, 1]"),
@@ -562,16 +562,37 @@ _SCALAR_CALLS = {
                          "beta must lie in [0, 1), where the stop index is defined"),
     "a_priori_stop_index": (lambda v: solver.a_priori_stop_index(solver.APrioriStop(), v, 2.0), 0.0,
                             "a-priori stopping needs a positive noise level"),
-    "boyd_operator_norm.tol": (lambda v: operators.boyd_operator_norm(_A, 1.5, 2.0, tol=v), -1e-3, "tol must be >= 0"),
+    "boyd_operator_norm.tol": (lambda v: operators.boyd_operator_norm(_A, 1.5, 2.0, tol=v), -1e-3,
+                               "tol must be finite and >= 0"),
     "GaussianNoise.sigma": (lambda v: noise.GaussianNoise(v), -0.5, "sigma must be finite and >= 0"),
+    "ImpulseNoise.pct": (lambda v: noise.ImpulseNoise(v), 1.5, "corruption probability must be in [0, 1]"),
+    "ImpulseNoise.lo": (lambda v: noise.ImpulseNoise(0.1, lo=v), 0.5,
+                        "impulse magnitude interval needs lo < hi and a finite width hi - lo"),
+    "ImpulseNoise.hi": (lambda v: noise.ImpulseNoise(0.1, hi=v), 0.05,
+                        "impulse magnitude interval needs lo < hi and a finite width hi - lo"),
+    "SaltPepperNoise.pct": (lambda v: noise.SaltPepperNoise(v), -0.1, "corruption fraction must be in [0, 1]"),
+    "SaltPepperNoise.salt_value": (lambda v: noise.SaltPepperNoise(0.1, salt_value=v), math.inf,
+                                   "salt_value must be finite"),
+    "SaltPepperNoise.pepper_value": (lambda v: noise.SaltPepperNoise(0.1, pepper_value=v), -math.inf,
+                                     "pepper_value must be finite"),
+    "ObservationSet.noise_level": (lambda v: operators.ObservationSet([np.ones(2)], v), -0.1,
+                                   "noise level must be finite and >= 0"),
+    "RadonGeometry.pixel_size": (lambda v: operators.RadonGeometry(16, 6, 30.0, 23, v), 0.0,
+                                 "pixel_size must be positive and finite"),
+    "RadonGeometry.angle_step": (lambda v: operators.RadonGeometry(16, 6, v, 23, 0.1), -30.0,
+                                 "angle_step must be positive and finite"),
+    "polyak_bound.alpha": (lambda v: diagnostics.polyak_bound(1.0, v, [0.1]), 0.0, "alpha must be finite and > 0"),
+    "rate_envelope.alpha": (lambda v: diagnostics.rate_envelope(1.0, v, [0.1]), 0.5, "alpha must be finite and >= 1"),
+    "support_f1.threshold": (lambda v: diagnostics.support_f1(np.ones(3), np.ones(3), v), -0.1,
+                             "threshold must be positive and finite"),
 }
+_NONE_KEEPS_THE_DEFAULT = ("SaltPepperNoise.salt_value", "support_f1.threshold")
 
 
 class TestScalarRule:
-    # tol >= 0 has always admitted inf (every start then stops at its second iteration), so it keeps doing so.
     @pytest.mark.parametrize("call,value", [(c, v) for c in _SCALAR_CALLS for v in ("3", None, [1.0], 1j, math.nan,
-                                                                                    math.inf, -math.inf)
-                                            if (c, v) != ("boyd_operator_norm.tol", math.inf)])
+                                                                                    math.inf, -math.inf, True)
+                                            if not (v is None and c in _NONE_KEEPS_THE_DEFAULT)])
     def test_every_value_that_is_not_a_number_in_range_is_a_configuration_error(self, call, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -586,6 +607,11 @@ class TestScalarRule:
             make(kind(bad))
         assert str(info.value).startswith(f"{message}; got ") and str(bad) in str(info.value)
 
+    def test_none_keeps_the_default(self):
+        assert noise.SaltPepperNoise(0.1, salt_value=None).salt_value is None
+        x, x_true = np.array([0.05, 0.5, 1.0]), np.ones(3)
+        assert diagnostics.support_f1(x, x_true, None) == diagnostics.support_f1(x, x_true, 0.1) == 0.8
+
     def test_in_range_numbers_give_what_the_equal_python_float_gives(self):
         constants = solver.ConstantsConfig(1.0, 1.0)
         for v in (3, np.int64(3), np.float64(3.0), np.float32(3.0)):
@@ -593,7 +619,15 @@ class TestScalarRule:
             assert solver.a_priori_stop_index(solver.APrioriStop(), v / 100, 2.0) == \
                 solver.a_priori_stop_index(solver.APrioriStop(), float(v) / 100, 2.0)
             assert solver.SlowDecaySchedule(v, 2, 2.0).at(5) == solver.SlowDecaySchedule(3.0, 2, 2.0).at(5)
-        assert operators.boyd_operator_norm(_A, 1.5, 2.0, tol=math.inf).iterations == 2
+        for make, v in ((lambda v: solver.PolynomialSchedule(v, 0.9), np.float32(0.7)),
+                        (lambda v: solver.PolynomialSchedule(1.0, v), np.float32(0.7)),
+                        (lambda v: solver.SlowDecaySchedule(v, 2, 2.0), np.float32(0.7)),
+                        (lambda v: solver.SlowDecaySchedule(1.0, 2, v), np.float32(1.7)),
+                        (solver.ConstantSchedule, np.float32(0.7))):
+            steps = [make(v).at(k) for k in (1, 5, 40)]
+            assert steps == [make(float(v)).at(k) for k in (1, 5, 40)] and {type(s) for s in steps} == {float}
+        with pytest.raises(ConfigurationError, match="tol must be finite and >= 0"):
+            operators.boyd_operator_norm(_A, 1.5, 2.0, tol=math.inf)
         with pytest.raises(ConfigurationError, match="need finite l_max > 0"):
             solver.theoretical_max_step(constants, 10 ** 400, 2.0)  # an int beyond the float range
         with warnings.catch_warnings():  # numpy constants are kept as Python floats, so the bound cannot warn
