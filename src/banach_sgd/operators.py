@@ -371,14 +371,21 @@ def build_radon_operator(geom: RadonGeometry) -> CsrMatrix:
     Row (a * n_detectors + d) holds, for each pixel the ray (angle a,
     detector d) crosses, the length of the intersection.  Rays that miss the
     grid give empty rows, so the sinogram shape is always
-    n_angles x n_detectors.  ``.toarray()`` gives the dense matrix.
+    n_angles x n_detectors.  ``.toarray()`` gives the dense matrix.  Each
+    angle keeps only its rays' entry counts, pixels and lengths, and the pixels
+    are joined before the lengths: the build peaks near 1.5x the matrix.
     """
     offsets = geom.detector_offsets()
-    rays, pixels, lengths = zip(*(_trace_rays(geom, theta, offsets) for theta in geom.angles_deg()))
-    m = geom.n_angles * geom.n_detectors
-    rows = np.concatenate([a * geom.n_detectors + r for a, r in enumerate(rays)])
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
-    return CsrMatrix(indptr, np.concatenate(pixels), np.concatenate(lengths), (m, geom.grid_side ** 2))
+    counts, pixels, lengths = [], [], []
+    for theta in geom.angles_deg():
+        ray, pixel, length = _trace_rays(geom, theta, offsets)
+        counts.append(np.bincount(ray, minlength=geom.n_detectors))
+        pixels.append(pixel)
+        lengths.append(length)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    indices = np.concatenate(pixels)
+    del pixels
+    return CsrMatrix(indptr, indices, np.concatenate(lengths), (geom.n_angles * geom.n_detectors, geom.grid_side ** 2))
 
 
 def _trace_rays(geom: RadonGeometry, angle_deg: float, offsets: np.ndarray):

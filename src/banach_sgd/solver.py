@@ -228,6 +228,10 @@ def stochastic_gradient(x, obs: ObservationSet, op: BlockOperator, i: int,
     return op.apply_adjoint(i, duality_map(op.apply(i, x) - obs.blocks[i], space))
 
 
+class _DualIterateError(InvalidInputError):
+    """The inverse map's error on z - mu * g, which _advance reports as the dual iterate, not the residual."""
+
+
 def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, A, y) -> IterationState:
     """The step of every method: z <- z - mu * A^T j(A x - y), then x = J_p^{-1}(z), advancing state itself."""
     v = A @ state.x
@@ -235,7 +239,10 @@ def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, A, y) -> Ite
     g = A.T @ duality_map(v, cfg.residual_space)
     g *= mu
     dual = np.subtract(state.dual_x, g, out=g)  # z - mu * g, in g's own buffer
-    state.x, state.dual_x, state.k = inverse_duality_map(dual, cfg.x_space), dual, state.k + 1
+    try:
+        state.x, state.dual_x, state.k = inverse_duality_map(dual, cfg.x_space), dual, state.k + 1
+    except InvalidInputError as exc:
+        raise _DualIterateError(*exc.args) from exc
     return state
 
 
@@ -283,8 +290,9 @@ def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
                 for i in idx.tolist():
                     sgd_step(state, op, obs, cfg, schedule.at(state.k + 1), i)
         except InvalidInputError as exc:
+            quantity = "dual iterate" if isinstance(exc, _DualIterateError) else "residual"
             raise IterationInvariantError(
-                f"non-finite or overflowing residual or dual iterate at iteration {state.k + 1} "
+                f"non-finite or overflowing {quantity} at iteration {state.k + 1} "
                 f"(step size mu = {schedule.at(state.k + 1):.3g}); reduce the step size"
             ) from exc
     return state

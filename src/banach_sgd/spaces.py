@@ -255,7 +255,10 @@ def dual_pairing(xs, x) -> float:
 def bregman_distance(z, w, desc: SpaceDescriptor) -> float:
     """Bregman distance (1/p*)||z||^p + (1/p)||w||^p - <J_p(z), w>.
 
-    Non-negative, zero iff z == w; not symmetric and no triangle inequality.
+    In exact arithmetic non-negative and zero iff z == w; not symmetric and no
+    triangle inequality.  In floating point the three terms cancel as z nears w,
+    so D(x, x) is rounding error of either sign, about machine epsilon times
+    ||x||^p, and only sometimes exactly 0 (ROADMAP item 8(a) plans a form that is).
     """
     zv = _as_vector(z)
     wv = _as_vector(w)

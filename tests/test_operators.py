@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from banach_sgd import (
     sparse_disk_phantom,
 )
 from banach_sgd import operators
-from banach_sgd.operators import check_partition, integral_kernel
+from banach_sgd.operators import _trace_rays, check_partition, integral_kernel
 from banach_sgd.spaces import _powers
 
 
@@ -393,6 +394,39 @@ CT_GEOMETRIES = {
     "criterion10": RadonGeometry(grid_side=64, n_angles=60, angle_step=3.0, n_detectors=95, pixel_size=0.1),
     "small": RadonGeometry(grid_side=16, n_angles=6, angle_step=30.0, n_detectors=23, pixel_size=0.1),
 }
+
+
+def _per_entry_csr(geom):
+    """indptr, indices and data as the build first formed them: every entry's row a * n_detectors + ray,
+    and indptr from the bincount of those rows."""
+    offsets = geom.detector_offsets()
+    rays, pixels, lengths = zip(*(_trace_rays(geom, theta, offsets) for theta in geom.angles_deg()))
+    rows = np.concatenate([a * geom.n_detectors + ray for a, ray in enumerate(rays)])
+    counts = np.bincount(rows, minlength=geom.n_angles * geom.n_detectors)
+    return np.concatenate(([0], np.cumsum(counts))), np.concatenate(pixels), np.concatenate(lengths)
+
+
+class TestRadonBuild:
+    @pytest.mark.parametrize("geom", [
+        CT_GEOMETRIES["criterion10"],
+        CT_GEOMETRIES["small"],
+        RadonGeometry(grid_side=16, n_angles=1, angle_step=1.0, n_detectors=20, pixel_size=0.1),
+        RadonGeometry(grid_side=4, n_angles=1, angle_step=1.0, n_detectors=15, pixel_size=0.1),  # corner rays miss
+    ], ids=["criterion10", "small", "one-angle", "missing-rays"])
+    def test_per_angle_counts_give_the_per_entry_rows_bit_for_bit(self, geom):
+        A = build_radon_operator(geom)
+        for got, want in zip((A.indptr, A.indices, A.data), _per_entry_csr(geom)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_build_peaks_below_twice_the_matrix(self):
+        # the per-entry form held each entry's row and a shifted copy beside it, and peaked at 3.0x
+        tracemalloc.start()
+        try:
+            A = build_radon_operator(CT_GEOMETRIES["criterion10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (A.indptr.nbytes + A.indices.nbytes + A.data.nbytes)
 
 
 @st.composite

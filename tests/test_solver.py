@@ -470,9 +470,21 @@ class TestRun:
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IterationInvariantError, match="iteration 2") as info:
+            with pytest.raises(IterationInvariantError, match="overflowing residual at iteration 2") as info:
                 iterate_n(op, obs, cfg, 2)
         assert "mu = 1e+290" in str(info.value)
+
+    @pytest.mark.parametrize("method", ["sgd", "landweber"])
+    def test_overflow_of_the_dual_iterate_alone_is_named(self, method):
+        # the first step leaves x = 1e308; the second's residual is finite, but mu * g and z - mu * g are not
+        op = BlockOperator(np.eye(2), HILBERT)
+        obs = ObservationSet([np.ones(2)])
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e308), method=method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationInvariantError, match=r"overflowing dual iterate at iteration 2 \(step size mu = 1e\+308\)"):
+                iterate_n(op, obs, cfg, 2)
+        assert np.isfinite(op.blocks[0] @ iterate_n(op, obs, cfg, 1).x - obs.blocks[0]).all()
 
     @pytest.mark.parametrize("method,sparse", [("sgd", True), ("landweber", False)])
     def test_overflow_inside_a_csr_or_landweber_step_is_a_divergence(self, method, sparse):
@@ -630,7 +642,7 @@ class TestLockstepDivergence:
 
     @pytest.mark.parametrize("x_space,q,first,n_seeds,expected", [
         # seed 6 fails inside a step at iteration 37, seed 7 in the snapshot at 8, seed 8 in a step at 3
-        (HILBERT, None, 6, 3, "non-finite or overflowing residual or dual iterate at iteration 37"),
+        (HILBERT, None, 6, 3, "non-finite or overflowing residual at iteration 37"),
         # seed 0 fails in the residual at 16, seed 2 in the objective at 8
         (SpaceDescriptor(1.5, 2.0), 1.1, 0, 3, "diverged at iteration 16 (non-finite or overflowing residual"),
         # the same epoch: seed 7 fails in the objective, seed 8 in the residual, which the batch checks first
