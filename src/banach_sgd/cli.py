@@ -65,7 +65,7 @@ from .solver import (
     a_priori_stop_index,
     run_seeds,
 )
-from .spaces import SpaceDescriptor
+from .spaces import SpaceDescriptor, _real
 
 NoiseModel = GaussianNoise | ImpulseNoise | SaltPepperNoise
 
@@ -309,7 +309,7 @@ def _build_problem(cfg: ExperimentConfig):
 
 def write_pgm(path, image: np.ndarray):
     """8-bit binary PGM, min-max scaled."""
-    img = np.asarray(image, dtype=float)
+    img = _real(image, "image", 2)
     lo, hi = float(img.min()), float(img.max())
     scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
     data = np.round(scaled * 255).astype(np.uint8)

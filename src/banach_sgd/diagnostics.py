@@ -11,7 +11,7 @@ import numpy as np
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError
 from .noise import check_seed, generator
 from .operators import BlockOperator, CsrMatrix, ObservationSet, check_blocks_match, check_count, save_matrix_csv
-from .spaces import SpaceDescriptor, _exponent, _scalar, bregman_distance, lr_norm
+from .spaces import SpaceDescriptor, _exponent, _real, _scalar, bregman_distance, lr_norm
 
 __all__ = [
     "ConvergenceRecord",
@@ -51,7 +51,7 @@ class ConvergenceRecord:
 
     def __post_init__(self):
         for name in self._COLUMNS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            setattr(self, name, _real(getattr(self, name), f"column {name}"))
         self.validate()
 
     def validate(self):
@@ -75,8 +75,7 @@ class ConvergenceRecord:
 
     @classmethod
     def from_rows(cls, rows) -> "ConvergenceRecord":
-        cols = list(zip(*rows)) if rows else [[]] * len(cls._COLUMNS)
-        return cls(*[np.asarray(c, dtype=float) for c in cols])
+        return cls(*(zip(*rows) if rows else [[]] * len(cls._COLUMNS)))
 
 
 ConvergenceRecord._COLUMNS = tuple(f.name for f in fields(ConvergenceRecord))
@@ -116,8 +115,8 @@ def _objective_rows(R: np.ndarray, op: BlockOperator, exponent: float) -> list:
 
 def _paired(x, x_true):
     """x and x_true as finite flat float vectors of one length."""
-    x = np.asarray(x, dtype=float).ravel()
-    xt = np.asarray(x_true, dtype=float).ravel()
+    x = _real(x, "x").ravel()
+    xt = _real(x_true, "x_true").ravel()
     if x.shape != xt.shape:
         raise DimensionMismatchError("reconstruction and reference lengths differ")
     for name, v in (("x", x), ("x_true", xt)):
@@ -214,8 +213,8 @@ def rate_envelope(delta0: float, alpha: float, per_step) -> np.ndarray:
 def _reals(values, message: str, ok) -> np.ndarray:
     """values as a 1-D float array of finite entries for which ok holds, else ConfigurationError(message)."""
     try:
-        v = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # a non-number or a ragged list, which numpy rejects with its own error
+        v = _real(values, "values")
+    except DimensionMismatchError:  # a non-number, a complex value or a ragged list: these are parameters
         raise ConfigurationError(message) from None
     if v.ndim != 1 or not (ok(v) & (v < math.inf)).all():
         raise ConfigurationError(message)
@@ -228,8 +227,8 @@ def _majorant(delta0: float, a: float, rates: np.ndarray) -> np.ndarray:
     Rescaled in log space, so no term overflows: with log S_n accumulated by logaddexp and w = log delta0 +
     (log a + log S_n)/a, the factor is exp(-max(w, 0) - log1p(exp(-a|w|))/a); at S_0, w = -inf and it is 1.
     """
-    if not 0.0 <= delta0 < math.inf:
-        raise InvalidInputError(f"delta0 must be finite and >= 0; got {delta0}")
+    delta0 = _scalar(delta0, f"delta0 must be finite and >= 0; got {delta0}", lambda d: 0.0 <= d < math.inf,
+                     InvalidInputError)
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; a sum or a|w| past the range is inf, exp(-inf) = 0
         if a == 0.0:
             return delta0 * np.exp(-np.concatenate([[0.0], np.cumsum(rates)]))
@@ -256,10 +255,10 @@ def ensemble_stats(samples) -> tuple[np.ndarray, np.ndarray]:
     such a column is recomputed from its samples divided by its max |value|, then
     scaled back.  Every other column's mean is numpy's, bit for bit.
     """
-    try:
-        data = np.vstack(samples)
-    except ValueError as exc:  # no rows, or rows of unequal length
-        raise DimensionMismatchError(f"samples must be one or more rows of one length: {exc}") from exc
+    data = _real(samples, "samples")  # rows of unequal length are the reader's error
+    if not data.ndim or not len(data):
+        raise DimensionMismatchError(f"samples must be one or more rows of one length; got shape {data.shape}")
+    data = np.vstack(data)
     n = data.shape[0]
 
     def stderr_of(d):
@@ -320,7 +319,7 @@ def stability_probe(op, y_clean, cfg, k_fixed: int, deltas, n_seeds: int = 20,
     check_count(n_seeds, "n_seeds")
     check_seed(cfg.seed, "seed", n_seeds)
     check_seed(noise_seed, "noise_seed", n_seeds)
-    y_clean = np.asarray(y_clean, dtype=float).ravel()
+    y_clean = _real(y_clean, "y_clean").ravel()
     obs_clean = ObservationSet.from_full(y_clean, op)
     deltas = _reals(deltas, f"deltas must be a 1-D sequence of finite noise levels >= 0; got {deltas!r}",
                     lambda d: 0.0 <= d)

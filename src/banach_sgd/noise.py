@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, InvalidInputError
-from .spaces import _scalar, lr_norm
+from .spaces import _real, _scalar, lr_norm
 
 __all__ = [
     "GaussianNoise",
@@ -116,7 +116,7 @@ def corrupt(y, spec, norm_exponent: float = 2.0):
     realised perturbation, so downstream stopping rules can use the actual
     noise level rather than the nominal one.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = _real(y, "y").ravel()
     rng = generator(spec.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, naming the model
         if isinstance(spec, GaussianNoise):
@@ -142,9 +142,7 @@ def corrupt(y, spec, norm_exponent: float = 2.0):
             raise ConfigurationError(f"unknown noise model: {spec!r}")
         diff = noisy - y
     if not (np.isfinite(noisy).all() and np.isfinite(diff).all()):
-        raise InvalidInputError(
-            f"noise {spec!r} leaves non-finite values, beyond the float range, on data with "
-            f"max|y| = {np.abs(y).max(initial=0.0):.3g}"
-        )
+        raise InvalidInputError(f"noise {spec!r} leaves non-finite values, beyond the float range, on data with "
+                                f"max|y| = {np.abs(y).max(initial=0.0):.3g}")
     delta = lr_norm(diff, norm_exponent) if diff.any() else 0.0
     return noisy, delta

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DataFormatError, DimensionMismatchError, InvalidInputError
 from .noise import generator
-from .spaces import SpaceDescriptor, _duality_rows, _exponent, _lr_norm_rows, _scalar, _screen_rows
+from .spaces import SpaceDescriptor, _duality_rows, _exponent, _lr_norm_rows, _real, _scalar, _screen_rows
 
 __all__ = [
     "CsrMatrix",
@@ -56,18 +56,17 @@ class CsrMatrix:
     ndim = 2
 
     def __init__(self, indptr, indices, data, shape):
-        self.indptr = np.asarray(indptr, dtype=np.intp)
-        self.indices = np.asarray(indices, dtype=np.intp)
-        self.data = np.asarray(data, dtype=float)
-        self.shape = (int(shape[0]), int(shape[1]))
-        m, n = self.shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(_is_integer(k) and k >= 0 for k in shape)):
+            raise DimensionMismatchError(f"shape must be two integers >= 0; got {shape!r}")
+        m, n = self.shape = (int(shape[0]), int(shape[1]))
+        self.indptr = _integers(indptr, f"indptr must be {m + 1} integers starting at 0")
+        self.indices = _integers(indices, f"column indices must be integers in [0, {n})", n)
+        self.data = _real(data, "data")
         if self.indptr.shape != (m + 1,) or self.indptr[0] != 0:
-            raise DimensionMismatchError(f"indptr must have {m + 1} entries starting at 0")
+            raise DimensionMismatchError(f"indptr must be {m + 1} integers starting at 0")
         self.row_nnz = np.diff(self.indptr)
         if (self.row_nnz < 0).any() or not self.indices.shape == self.data.shape == (self.indptr[-1],):
             raise DimensionMismatchError("indptr, indices and data do not describe the same entries")
-        if self.indices.size and not (0 <= self.indices.min() and self.indices.max() < n):
-            raise DimensionMismatchError(f"column index outside [0, {n})")
         self.filled = np.flatnonzero(self.row_nnz)
         self.starts = self.indptr[self.filled]  # the filled rows' segment starts, for every product
 
@@ -76,7 +75,7 @@ class CsrMatrix:
         return _CsrTranspose(self)
 
     def __matmul__(self, x) -> np.ndarray:
-        g = _operand(x, self.shape[1])[self.indices]
+        g = _real(x, "x", (self.shape[1],))[self.indices]
         g *= self.data
         out = np.zeros(self.shape[0])
         out[self.filled] = np.add.reduceat(g, self.starts)
@@ -92,8 +91,7 @@ class CsrMatrix:
 
     def rows(self, start: int, stop: int) -> "CsrMatrix":
         """Rows start .. stop-1 as a view of this matrix's indices and data."""
-        if not (isinstance(start, (int, np.integer)) and isinstance(stop, (int, np.integer))
-                and 0 <= start <= stop <= self.shape[0]):
+        if not (_is_integer(start) and _is_integer(stop) and 0 <= start <= stop <= self.shape[0]):
             raise DimensionMismatchError(f"rows {start!r}:{stop!r} must be an ordered integer slice of [0, {self.shape[0]})")
         lo, hi = self.indptr[start], self.indptr[stop]
         return CsrMatrix(self.indptr[start:stop + 1] - lo, self.indices[lo:hi], self.data[lo:hi],
@@ -101,10 +99,8 @@ class CsrMatrix:
 
     def take(self, rows) -> "CsrMatrix":
         """A new matrix of the given rows, in the given order."""
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise DimensionMismatchError(f"rows to take must be a 1-D sequence of integers in [0, {self.shape[0]})")
-        rows = rows.astype(np.intp)
+        m = self.shape[0]
+        rows = _integers(rows, f"rows to take must be a 1-D sequence of integers in [0, {m})", m)
         counts = self.row_nnz[rows]
         ends = np.cumsum(counts)
         entries = np.repeat(self.indptr[rows] - (ends - counts), counts) + np.arange(counts.sum())
@@ -121,16 +117,21 @@ class _CsrTranspose:
 
     def __matmul__(self, y) -> np.ndarray:
         A = self.matrix
-        w = np.repeat(_operand(y, A.shape[0]), A.row_nnz)
+        w = np.repeat(_real(y, "y", (A.shape[0],)), A.row_nnz)
         w *= A.data
         return np.bincount(A.indices, weights=w, minlength=A.shape[1])
 
 
-def _operand(v, size: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (size,):
-        raise DimensionMismatchError(f"expected a vector of length {size}, got shape {v.shape}")
-    return v
+def _integers(x, message: str, stop=None) -> np.ndarray:
+    """x as a 1-D intp array, the one reader of every integer array argument: an integer dtype, or an empty array of
+    any dtype, every entry in [0, stop) when stop is given.  Anything else, floats and bools too, raises message."""
+    try:
+        v = np.asarray(x)
+    except (TypeError, ValueError):  # ragged nesting
+        raise DimensionMismatchError(message) from None
+    if v.ndim != 1 or v.size and (v.dtype.kind not in "iu" or stop is not None and not 0 <= v.min() <= v.max() < stop):
+        raise DimensionMismatchError(message)
+    return v.astype(np.intp, copy=False)
 
 
 @dataclass
@@ -141,8 +142,8 @@ class BlockOperator:
     gives each block's row count (one block when None), and ``blocks[i]`` is
     the row-slice view of ``full_matrix`` that block i covers, so the two
     cannot disagree.  A C-contiguous float64 matrix is used as given, so an
-    in-place edit of it is seen by the operator; other dense input is copied
-    once to C order.  ``row_order[k]`` is the original row that stored row k
+    in-place edit of it is seen by the operator; other dense input is read as
+    float64 in C order.  ``row_order[k]`` is the original row that stored row k
     holds (``np.arange(m)`` when None), so an interleaved partition can be
     undone.
     """
@@ -154,21 +155,17 @@ class BlockOperator:
 
     def __post_init__(self):
         sparse = isinstance(self.full_matrix, CsrMatrix)
-        if not sparse:
-            try:
-                self.full_matrix = np.ascontiguousarray(self.full_matrix, dtype=float)
-            except (TypeError, ValueError) as exc:  # a list of blocks of unequal shapes, say
-                raise DimensionMismatchError(f"operator needs a 2-D matrix: {exc}") from exc
-        A = self.full_matrix
+        A = self.full_matrix if sparse else _real(self.full_matrix, "the operator's 2-D matrix")
+        self.full_matrix = A = A if sparse or A.flags.c_contiguous else A.copy()
         if A.ndim != 2 or not A.shape[1]:
             raise DimensionMismatchError(f"operator needs a 2-D matrix with at least one column; got shape {A.shape}")
-        sizes = np.asarray([A.shape[0]] if self.block_sizes is None else self.block_sizes)
-        if sizes.dtype.kind not in "iu" or sizes.ndim != 1 or not sizes.size or (sizes < 1).any() \
-                or sizes.sum() != A.shape[0]:
-            raise DimensionMismatchError(f"block sizes must be positive integers that sum to the {A.shape[0]} rows")
+        message = f"block sizes must be positive integers that sum to the {A.shape[0]} rows"
+        sizes = _integers([A.shape[0]] if self.block_sizes is None else self.block_sizes, message)
+        if not sizes.size or (sizes < 1).any() or sizes.sum() != A.shape[0]:
+            raise DimensionMismatchError(message)
         if not np.isfinite(A.data if sparse else A).all():
             raise InvalidInputError("operator matrix contains non-finite entries")
-        self.block_sizes = sizes.astype(np.intp)
+        self.block_sizes = sizes.copy()
         # Segment boundaries of a block-ordered row vector (see apply_all), for
         # per-block reductions with np.ufunc.reduceat.
         self.block_starts = np.cumsum(self.block_sizes) - self.block_sizes
@@ -176,12 +173,12 @@ class BlockOperator:
             self.blocks = [A.rows(a, a + m) for a, m in zip(self.block_starts, self.block_sizes)]
         else:
             self.blocks = np.split(A, self.block_starts[1:])
-        order = np.arange(A.shape[0]) if self.row_order is None else np.asarray(self.row_order)
+        message = f"row order must be a permutation of the {A.shape[0]} rows"
+        order = np.arange(A.shape[0]) if self.row_order is None else _integers(self.row_order, message, A.shape[0])
         # A permutation check by counting, not sorting (np.sort would page in code that no run
-        # otherwise uses, about 0.13 MB of peak RSS), the range first so that bincount stays small.
-        if order.shape != (A.shape[0],) or order.dtype.kind not in "iu" or order.min() < 0 \
-                or order.max() >= A.shape[0] or (np.bincount(order.astype(np.intp)) != 1).any():
-            raise DimensionMismatchError(f"row order must be a permutation of the {A.shape[0]} rows")
+        # otherwise uses, about 0.13 MB of peak RSS); _integers checks the range, so bincount stays small.
+        if order.shape != (A.shape[0],) or (np.bincount(order) != 1).any():
+            raise DimensionMismatchError(message)
         self.row_order = order
 
     @property
@@ -199,19 +196,19 @@ class BlockOperator:
     def apply(self, i: int, x) -> np.ndarray:
         """A_i x."""
         self._check_index(i)
-        return self.blocks[i] @ _operand(x, self.input_dim)
+        return self.blocks[i] @ _real(x, "x", (self.input_dim,))
 
     def apply_adjoint(self, i: int, ys) -> np.ndarray:
         """A_i^T ys."""
         self._check_index(i)
-        return self.blocks[i].T @ _operand(ys, self.blocks[i].shape[0])
+        return self.blocks[i].T @ _real(ys, "ys", (self.blocks[i].shape[0],))
 
     def apply_all(self, x) -> np.ndarray:
         """Full product A x with rows in block order."""
-        return self.full_matrix @ _operand(x, self.input_dim)
+        return self.full_matrix @ _real(x, "x", (self.input_dim,))
 
     def _check_index(self, i: int):
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_blocks:
+        if not _is_integer(i) or not 0 <= i < self.n_blocks:
             raise ConfigurationError(f"block index must be an integer in [0, {self.n_blocks}); got {i!r}")
 
 
@@ -226,9 +223,9 @@ class ObservationSet:
     def __post_init__(self):
         _scalar(self.noise_level, f"noise level must be finite and >= 0; got {self.noise_level}",
                 lambda d: 0.0 <= d < math.inf)
-        if not self.blocks:
+        parts = [_real(b, "data block").ravel() for b in self.blocks]
+        if not parts:
             raise ConfigurationError("data needs at least one block")
-        parts = [np.asarray(b, dtype=float).ravel() for b in self.blocks]
         self.concatenated = np.concatenate(parts)
         if not np.isfinite(self.concatenated).all():
             raise InvalidInputError("data contains non-finite entries")
@@ -237,7 +234,7 @@ class ObservationSet:
     @classmethod
     def from_full(cls, y_full, op: BlockOperator, noise_level: float = 0.0) -> "ObservationSet":
         """Split a full data vector with the same row selection as the operator."""
-        y = np.asarray(y_full, dtype=float).ravel()
+        y = _real(y_full, "y_full").ravel()
         if y.size != op.total_rows:
             raise DimensionMismatchError(f"data length {y.size} != operator rows {op.total_rows}")
         return cls(np.split(y[op.row_order], op.block_starts[1:]), noise_level)
@@ -256,9 +253,7 @@ def partition_rows(full, n_batches: int, output_space: SpaceDescriptor | None = 
     Block j takes rows j, j + n_batches, j + 2 n_batches, ...  This yields
     equisized, well balanced blocks; n_batches must divide the row count.
     """
-    A = full if isinstance(full, CsrMatrix) else np.asarray(full, dtype=float)
-    if A.ndim != 2:
-        raise DimensionMismatchError("expected a matrix")
+    A = full if isinstance(full, CsrMatrix) else _real(full, "full", 2)
     n_rows = A.shape[0]
     check_partition(n_rows, n_batches)
     order = np.arange(n_rows).reshape(-1, n_batches).T.ravel()  # the rows of block 0, then of block 1, ...
@@ -273,9 +268,14 @@ def check_partition(n_rows: int, n_batches: int) -> None:
         raise ConfigurationError(f"number of batches ({n_batches}) must divide the row count ({n_rows})")
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, never a bool: the integer test of every count, index and shape."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(value, name: str, minimum: int = 1) -> None:
     """A count (of batches, seeds, steps, ...) is an int or numpy integer, never a bool, of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}; got {value!r}")
 
 
@@ -310,7 +310,7 @@ def build_integral_operator(n: int, midpoint_columns: bool = True) -> np.ndarray
 
 def check_signal_size(n: int) -> None:
     """exact_sparse_signal resolves its plateaus from n = 40 on."""
-    if not isinstance(n, (int, np.integer)) or n < 40:  # check_count's rule, with the plateau reason
+    if not _is_integer(n) or n < 40:  # check_count's rule, with the plateau reason
         raise ConfigurationError(f"need n >= 40 to resolve the signal plateaus, got {n!r}")
 
 
@@ -349,9 +349,7 @@ class RadonGeometry:
         _scalar(self.pixel_size, f"pixel_size must be positive and finite; got {self.pixel_size}")
         _scalar(self.angle_step, f"angle_step must be positive and finite; got {self.angle_step}")
         if not self.n_angles * self.angle_step <= 180.0 + 1e-9:
-            raise ConfigurationError(
-                f"angle coverage {self.n_angles * self.angle_step} deg exceeds 180 deg"
-            )
+            raise ConfigurationError(f"angle coverage {self.n_angles * self.angle_step} deg exceeds 180 deg")
 
     @property
     def detector_spacing(self) -> float:
@@ -511,9 +509,7 @@ def boyd_operator_norm(
     estimate is deterministic.
     """
     if not isinstance(A, CsrMatrix):
-        A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise DimensionMismatchError("expected a matrix")
+        A = _real(A, "A", 2)
     rx, ry = _exponent(rx, "rx"), _exponent(ry, "ry")
     check_count(restarts, "restarts")
     check_count(max_iter, "max_iter")
@@ -596,7 +592,7 @@ def max_block_norm(op: BlockOperator, rx: float, **kwargs) -> float:
 
 def save_matrix_csv(path, M, header: str | None = None):
     """Row-major CSV, one matrix row per line in '.17g', after an optional header line."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(_real(M, "M"))
     with open(path, "w", encoding="ascii") as f:
         if header is not None:
             f.write(header + "\n")

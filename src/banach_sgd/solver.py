@@ -25,7 +25,7 @@ from .diagnostics import ConvergenceRecord, _delta_rows, _objective_rows, _refer
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError, IterationInvariantError
 from .noise import check_seed, generator
 from .operators import BlockOperator, ObservationSet, _row_products, check_blocks_match, check_count
-from .spaces import (SpaceDescriptor, _bregman_rows, _exponent, _lr_norm_rows, _scalar, _screen_rows,
+from .spaces import (SpaceDescriptor, _bregman_rows, _exponent, _lr_norm_rows, _real, _scalar, _screen_rows,
                      bregman_distance, duality_map, inverse_duality_map, lr_norm)
 
 __all__ = [
@@ -135,10 +135,8 @@ def a_priori_stop_index(rule: APrioriStop, delta: float, power: float) -> int:
     delta = _scalar(delta, f"a-priori stopping needs a positive noise level; got delta = {delta}")
     log_k = -rule.theta * _exponent(power, "power") / (1.0 - rule.beta) * math.log(delta)
     if log_k > 60:  # e^60 iterations is far beyond any runnable budget
-        raise ConfigurationError(
-            f"a-priori stop index exp({log_k:.1f}) is astronomically large; "
-            "loosen beta/theta or raise the noise level"
-        )
+        raise ConfigurationError(f"a-priori stop index exp({log_k:.1f}) is astronomically large; "
+                                 "loosen beta/theta or raise the noise level")
     return max(1, math.ceil(math.exp(log_k)))
 
 
@@ -169,10 +167,8 @@ class SolverConfig:
             raise ConfigurationError(f"unknown schedule: {self.schedule!r}")
         if isinstance(self.schedule, PolynomialSchedule):
             if self.schedule.beta <= 1.0 / self.x_space.p_conj:
-                raise ConfigurationError(
-                    f"polynomial decay needs beta > 1/p* = {1.0 / self.x_space.p_conj:.4g}; "
-                    f"got beta = {self.schedule.beta}"
-                )
+                raise ConfigurationError(f"polynomial decay needs beta > 1/p* = {1.0 / self.x_space.p_conj:.4g}; "
+                                         f"got beta = {self.schedule.beta}")
 
     @property
     def gradient_exponent(self) -> float:
@@ -214,10 +210,10 @@ def _checked_start(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, **
             f"config data space l^{cfg.y_space.r} differs from the operator's l^{op.output_space.r}"
         )
     check_blocks_match(op, obs)
-    for name, ref in references.items():
-        if ref is not None and np.shape(ref) != (op.input_dim,):
-            raise DimensionMismatchError(f"{name} has shape {np.shape(ref)}; the operator takes {op.input_dim} entries")
-        if ref is not None and not np.isfinite(ref).all():
+    for name, ref in ((k, _real(v, k)) for k, v in references.items() if v is not None):
+        if ref.shape != (op.input_dim,):
+            raise DimensionMismatchError(f"{name} has shape {ref.shape}; the operator takes {op.input_dim} entries")
+        if not np.isfinite(ref).all():
             raise InvalidInputError(f"{name} contains non-finite entries")
     return initial_state(op, cfg)
 
@@ -346,20 +342,15 @@ def estimate_constants(desc: SpaceDescriptor, dim: int, samples: int = 200,
     check_count(dim, "dim")
     check_count(samples, "samples")
     rng = generator(seed)
-    dual = desc.dual
-    g_max = 0.0
-    c_min = math.inf
+    ratios = ([math.inf], [0.0])  # p D(z, w) / ||w - z||^p over the primal pairs, then over the dual pairs
     for _ in range(samples):
-        z = rng.normal(size=dim) * math.exp(rng.uniform(-2.0, 2.0))
-        w = rng.normal(size=dim) * math.exp(rng.uniform(-2.0, 2.0))
-        gap = lr_norm(w - z, desc.r)
-        if gap > 1e-12:
-            c_min = min(c_min, desc.p * bregman_distance(z, w, desc) / gap ** desc.p)
-        zs = rng.normal(size=dim) * math.exp(rng.uniform(-2.0, 2.0))
-        ws = rng.normal(size=dim) * math.exp(rng.uniform(-2.0, 2.0))
-        gap_s = lr_norm(ws - zs, dual.r)
-        if gap_s > 1e-12:
-            g_max = max(g_max, dual.p * bregman_distance(zs, ws, dual) / gap_s ** dual.p)
+        for space, found in zip((desc, desc.dual), ratios):  # a primal pair, then a dual one
+            z = rng.normal(size=dim) * math.exp(rng.uniform(-2.0, 2.0))
+            w = rng.normal(size=dim) * math.exp(rng.uniform(-2.0, 2.0))
+            gap = lr_norm(w - z, space.r)
+            if gap > 1e-12:
+                found.append(space.p * bregman_distance(z, w, space) / gap ** space.p)
+    c_min, g_max = min(ratios[0]), max(ratios[1])
     if not math.isfinite(c_min) or g_max == 0.0:
         raise ConfigurationError("constant estimation degenerated; increase samples")
     return ConstantsConfig(1.2 * g_max, 0.8 * c_min)
@@ -454,7 +445,7 @@ def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
     desc = cfg.x_space
     nw = None if x_ref is None else lr_norm(x_ref, desc.r)
     if x_true is not None:
-        xt = np.asarray(x_true, dtype=float)
+        xt = _real(x_true, "x_true")
         norms = _reference_norms(xt)
 
     def snapshot(X, k, mu):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,17 +65,17 @@ class SpaceDescriptor:
         return cls(r, max(r, 2.0))
 
 
-def _scalar(value, message: str, ok=lambda v: 0.0 < v < math.inf) -> float:
+def _scalar(value, message: str, ok=lambda v: 0.0 < v < math.inf, error=ConfigurationError) -> float:
     """value as a Python float: the one rule for every scalar parameter, an int or float (numpy ones too) for which
-    ok holds, 0 < value < inf by default.  Raises ConfigurationError(message), which names the parameter, for
-    anything else; a value that is not a number, a bool included, acts as NaN, which fails every range."""
+    ok holds, 0 < value < inf by default.  Raises error(message), which names the parameter, for anything else; a
+    value that is not a number, a bool included, acts as NaN, which fails every range."""
     try:
         number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
         v = float(value) if number else math.nan
     except OverflowError:  # an int beyond the float range
         v = math.inf
     if not ok(v):
-        raise ConfigurationError(message)
+        raise error(message)
     return v
 
 
@@ -97,22 +98,37 @@ def _scale(m: float, t: float, r: float, p: float) -> float:
     return scale
 
 
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
+_FLOAT = np.dtype(float)
 
 
-def _screen(x) -> tuple[np.ndarray, np.ndarray, float]:
+def _real(x, name: str, rank=None) -> np.ndarray:
+    """x as a float64 array: the one reader of every real array argument.  A float64 ndarray is returned as it is, with
+    no copy or dtype screen; anything else is np.asarray(x, dtype=float), so ints, float32, None (as NaN) and object
+    arrays of numbers read as always.  rank is what the caller needs: any (None), a 1-D vector with a 0-d value as one
+    entry (1), a matrix (2) or an exact shape (a tuple).  Text, ragged nesting, complex values, an int past the float
+    range and another rank raise DimensionMismatchError, naming the argument when numpy cannot read it."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # numpy's ComplexWarning: the cast drops imaginary parts
+                x = np.asarray(x, dtype=float)
+        except (TypeError, ValueError, OverflowError, RuntimeWarning) as exc:
+            raise DimensionMismatchError(f"cannot read {name} as real numbers: {exc}") from None
+    if rank is None or x.ndim == rank or x.shape == rank:
+        return x
+    if rank == 1 and x.ndim == 0:
+        return x.reshape(1)
+    wanted = f"a vector of length {rank[0]}" if isinstance(rank, tuple) else ("a 1-D vector", "a matrix")[rank - 1]
+    raise DimensionMismatchError(f"expected {wanted}, got shape {x.shape}")
+
+
+def _screen(x, name: str = "x") -> tuple[np.ndarray, np.ndarray, float]:
     """The vector, |x_j| / max|x| and max|x|: the one finiteness check of the layer.
 
     A NaN or infinite entry makes max|x| non-finite.  The scaled entries keep
     every power in [0, 1], which avoids 0^negative and overflow for large r.
     """
-    v = _as_vector(x)
+    v = _real(x, name, 1)
     a = np.abs(v)
     m = float(np.maximum.reduce(a)) if a.size else 0.0  # a.max() without its wrapper
     if not math.isfinite(m):
@@ -122,12 +138,12 @@ def _screen(x) -> tuple[np.ndarray, np.ndarray, float]:
     return v, a, m
 
 
-def _powers(x, r: float) -> tuple[np.ndarray, float, float]:
+def _powers(xs, r: float) -> tuple[np.ndarray, float, float]:
     """sign(x_j) (|x_j| / m)^(r-1), s = sum (|x_j| / m)^r and m = max|x|, with one power pass.
 
     s is the dot product of those powers with |x_j| / m: a few ulps per entry from a sum of r-th powers.
     """
-    v, a, m = _screen(x)
+    v, a, m = _screen(xs, "xs")
     b = a ** (r - 1.0)
     s = float(np.dot(b, a))
     np.copysign(b, v, out=b)
@@ -186,7 +202,7 @@ def _bregman_rows(X, w, nw: float, desc: SpaceDescriptor) -> list:
     p = desc.p
     J, norms = _duality_rows(X, desc.r, p)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing pairing raises below
-        pairings = np.matmul(J[:, None, :], np.asarray(w, dtype=float)[:, None]).ravel().tolist()  # a ddot per row
+        pairings = np.matmul(J[:, None, :], _real(w, "w")[:, None]).ravel().tolist()  # a ddot per row
     try:
         distances = [nz ** p / desc.p_conj + nw ** p / p - d for nz, d in zip(norms, pairings)]
     except OverflowError:
@@ -201,7 +217,7 @@ def lr_norm(x, r: float) -> float:
 
     Raises InvalidInputError when x is not finite or the norm overflows.
     """
-    return _lr_norm_rows(*_screen_rows(_as_vector(x)[None]), _exponent(r, "r"))[0]
+    return _lr_norm_rows(*_screen_rows(_real(x, "x", 1)[None]), _exponent(r, "r"))[0]
 
 
 def duality_map(x, desc: SpaceDescriptor) -> np.ndarray:
@@ -240,8 +256,8 @@ def inverse_duality_map(xs, desc: SpaceDescriptor) -> np.ndarray:
 
 def dual_pairing(xs, x) -> float:
     """Euclidean pairing <xs, x> = sum_j xs_j x_j."""
-    a = _as_vector(xs)
-    b = _as_vector(x)
+    a = _real(xs, "xs", 1)
+    b = _real(x, "x", 1)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"pairing of length {a.size} with length {b.size}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,8 +276,8 @@ def bregman_distance(z, w, desc: SpaceDescriptor) -> float:
     so D(x, x) is rounding error of either sign, about machine epsilon times
     ||x||^p, and only sometimes exactly 0 (ROADMAP item 8(a) plans a form that is).
     """
-    zv = _as_vector(z)
-    wv = _as_vector(w)
+    zv = _real(z, "z", 1)
+    wv = _real(w, "w", 1)
     if zv.shape != wv.shape:
         raise DimensionMismatchError(f"bregman_distance of length {zv.size} vs {wv.size}")
     return _bregman_rows(zv[None], wv, lr_norm(wv, desc.r), desc)[0]

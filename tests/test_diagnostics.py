@@ -760,6 +760,8 @@ _SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
     (lambda op, obs, cfg: run_seeds(op, obs, with_seed(cfg, False), 1), "ConfigurationError"),
     (lambda op, obs, cfg: ensemble_stats([]), "DimensionMismatchError"),
     (lambda op, obs, cfg: ensemble_stats([np.ones(2), np.ones(3)]), "DimensionMismatchError"),
+    (lambda op, obs, cfg: polyak_bound("a", 1.0, [0.1]), "InvalidInputError"),
+    (lambda op, obs, cfg: rate_envelope(None, 1.0, [0.1]), "InvalidInputError"),
 ], ids=["apply_all-length", "apply_all-matrix", "objective", "support_f1", "minnorm-r2-length", "minnorm-r2-nan",
         "minnorm-nan-matrix", "iterate_n", "stability_probe", "apply-past-the-end", "apply-negative",
         "apply-non-integer", "stochastic_gradient", "record-column", "partition-float", "partition-str",
@@ -777,7 +779,7 @@ _SPARSE = CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
         "envelope-inf-delta0", "polyak-str-step", "polyak-ragged-steps", "polyak-complex-step", "polyak-scalar-steps",
         "envelope-str-rate", "envelope-ragged-rates", "envelope-2-D-rates", "stability_probe-str-level",
         "stability_probe-ragged-levels", "iterate_n-bool", "run_seeds-bool", "constants-bool-seed",
-        "run_seeds-bool-seed", "ensemble-empty", "ensemble-ragged"])
+        "run_seeds-bool-seed", "ensemble-empty", "ensemble-ragged", "polyak-str-delta0", "envelope-none-delta0"])
 def test_wrong_input_raises_a_typed_error(call, error):
     import banach_sgd
 

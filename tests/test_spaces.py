@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -18,7 +19,7 @@ from banach_sgd import (
     inverse_duality_map,
     lr_norm,
 )
-from banach_sgd import diagnostics, noise, operators, solver, spaces
+from banach_sgd import cli, diagnostics, noise, operators, solver, spaces
 
 # Shared parameter grid: dimensions, norm exponents, and both gauge choices.
 DIMS = [1, 2, 3, 8, 17, 64]
@@ -636,3 +637,150 @@ class TestScalarRule:
             assert (type(huge.G_pstar), type(huge.C_p)) == (float, float)
             with pytest.raises(ConfigurationError, match="leaves the float range"):
                 solver.theoretical_max_step(huge, 1e10, 2.0)
+
+
+# Every call that reads a real array argument, each as a function of that argument with valid other arguments:
+# (call, the name its error gives the argument, a valid value with integral entries or None).  The call returns
+# the arrays and floats it computes, so equal results compare bit for bit.
+_CSR = operators.CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], (2, 2))
+_CFG = solver.SolverConfig(SpaceDescriptor.hilbert(), SpaceDescriptor.hilbert(), solver.ConstantSchedule(0.05))
+_VEC, _MAT = [3.0, -4.0], [[1.0, 2.0], [3.0, 4.0]]
+_ARRAY_CALLS = {
+    "lr_norm": (lambda v: lr_norm(v, 3.0), "x", _VEC),
+    "duality_map": (lambda v: duality_map(v, SpaceDescriptor(2.0, 1.5)), "x", _VEC),
+    "inverse_duality_map": (lambda v: inverse_duality_map(v, SpaceDescriptor(1.5, 2.0)), "xs", _VEC),
+    "dual_pairing.xs": (lambda v: dual_pairing(v, np.ones(2)), "xs", _VEC),
+    "dual_pairing.x": (lambda v: dual_pairing(np.ones(2), v), "x", _VEC),
+    "bregman_distance.z": (lambda v: bregman_distance(v, np.ones(2), SpaceDescriptor(1.5, 2.0)), "z", _VEC),
+    "bregman_distance.w": (lambda v: bregman_distance(np.ones(2), v, SpaceDescriptor(1.5, 2.0)), "w", _VEC),
+    "CsrMatrix.data": (lambda v: operators.CsrMatrix([0, 1, 2], [0, 1], v, (2, 2)).toarray(), "data", _VEC),
+    "CsrMatrix @": (lambda v: _CSR @ v, "x", _VEC),
+    "CsrMatrix.T @": (lambda v: _CSR.T @ v, "y", _VEC),
+    "BlockOperator": (lambda v: operators.BlockOperator(v).full_matrix, "2-D matrix", _MAT),
+    "BlockOperator.apply": (lambda v: _OP.apply(0, v), "x", _VEC),
+    "BlockOperator.apply_adjoint": (lambda v: _OP.apply_adjoint(0, v), "ys", _VEC),
+    "BlockOperator.apply_all": (lambda v: _OP.apply_all(v), "x", _VEC),
+    "ObservationSet": (lambda v: operators.ObservationSet([v]).concatenated, "data block", _VEC),
+    "ObservationSet.from_full": (lambda v: operators.ObservationSet.from_full(v, _OP).concatenated, "y_full", _VEC),
+    "partition_rows": (lambda v: operators.partition_rows(v, 2).full_matrix, "full", _MAT),
+    "boyd_operator_norm": (lambda v: operators.boyd_operator_norm(v, 1.5, 2.0).value, "A", _MAT),
+    "save_matrix_csv": (lambda v: operators.save_matrix_csv(os.devnull, v), "M", None),
+    "ConvergenceRecord": (lambda v: diagnostics.ConvergenceRecord(*[v] * 7).epoch, "column epoch", [1.0, 2.0]),
+    "delta_metrics.x": (lambda v: diagnostics.delta_metrics(v, np.ones(2)), "x", _VEC),
+    "delta_metrics.x_true": (lambda v: diagnostics.delta_metrics(np.ones(2), v), "x_true", _VEC),
+    "ensemble_stats": (diagnostics.ensemble_stats, "samples", _MAT),
+    "stability_probe": (lambda v: diagnostics.stability_probe(_OP, v, _CFG, 2, [0.1], n_seeds=2).bregman_gap,
+                        "y_clean", _VEC),
+    "corrupt": (lambda v: noise.corrupt(v, noise.GaussianNoise(0.1)), "y", _VEC),
+    "run.x_true": (lambda v: solver.run(_OP, _OBS, _CFG, x_true=v).record.delta2, "x_true", _VEC),
+    "run.x_ref": (lambda v: solver.run(_OP, _OBS, _CFG, x_ref=v).record.bregman, "x_ref", _VEC),
+    "write_pgm": (lambda v: cli.write_pgm(os.devnull, v), "image", None),
+}
+# Every call that reads an integer array argument: (call, the start of its error message, a valid value).
+_INDEX_CALLS = {
+    "CsrMatrix.indptr": (lambda v: operators.CsrMatrix(v, [0, 1], [1.0, 2.0], (2, 2)), "indptr", [0, 1, 2]),
+    "CsrMatrix.indices": (lambda v: operators.CsrMatrix([0, 1, 2], v, [1.0, 2.0], (2, 2)), "column indices", [1, 0]),
+    "CsrMatrix.take": (_CSR.take, "rows to take", [1, 0]),
+    "BlockOperator.block_sizes": (lambda v: operators.BlockOperator(np.eye(2), block_sizes=v), "block sizes", [1, 1]),
+    "BlockOperator.row_order": (lambda v: operators.BlockOperator(np.eye(2), row_order=v), "row order", [1, 0]),
+}
+_UNREADABLE = {"text": "abc", "text-rows": [["a"]], "ragged": [[1.0], [1.0, 2.0]], "complex-array": np.array([1j]),
+               "complex-list": [1j], "complex-objects": np.array([np.complex128(1j)], dtype=object),
+               "int-past-the-float-range": [10 ** 400]}
+
+
+def _bits(value):
+    """The dtypes and bytes of every array and float in value, a result of the calls above, in order."""
+    if isinstance(value, (tuple, list)):
+        return [b for v in value for b in _bits(v)]
+    if isinstance(value, operators.CsrMatrix):
+        return _bits((value.indptr, value.indices, value.data, value.shape))
+    if isinstance(value, operators.BlockOperator):
+        return _bits((value.block_sizes, value.row_order, value.full_matrix))
+    value = np.asarray(value)
+    return [(value.dtype.str, value.shape, value.tobytes())]
+
+
+class TestArrayRule:
+    @pytest.mark.parametrize("value", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
+    @pytest.mark.parametrize("call", list(_ARRAY_CALLS))
+    def test_input_numpy_cannot_read_as_real_numbers_is_a_typed_error_naming_the_argument(self, call, value):
+        make, name, _ = _ARRAY_CALLS[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match=re.escape(name)):
+                make(value)
+
+    @pytest.mark.parametrize("value", [*_UNREADABLE.values(), [0.0, 1.0], [True, False], np.array([0, 1.5])],
+                             ids=[*_UNREADABLE, "float-list", "bool", "float-array"])
+    @pytest.mark.parametrize("call", list(_INDEX_CALLS))
+    def test_an_index_array_that_is_not_integers_is_a_typed_error(self, call, value):
+        make, message, _ = _INDEX_CALLS[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+                make(value)
+
+    def test_ints_float32_object_arrays_and_0_d_values_give_the_float64_result(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make, _, valid in (c for c in _ARRAY_CALLS.values() if c[2] is not None):
+                want = _bits(make(np.array(valid)))
+                for value in (valid, np.array(valid).astype(int).tolist(), np.array(valid, dtype=np.float32),
+                              np.array(valid, dtype=np.int32), np.array(valid, dtype=object)):
+                    assert _bits(make(value)) == want
+            # The spaces maps read a 0-d value as one entry.
+            for make in (lambda v: lr_norm(v, 3.0), lambda v: duality_map(v, SpaceDescriptor(2.0, 1.5)),
+                         lambda v: inverse_duality_map(v, SpaceDescriptor(1.5, 2.0)), lambda v: dual_pairing(v, 2.0),
+                         lambda v: bregman_distance(v, 2.0, SpaceDescriptor(1.5, 2.0))):
+                want = _bits(make(np.array([-3.0])))
+                for value in (-3.0, -3, np.float64(-3.0), np.float32(-3.0), np.int64(-3), np.array(-3.0)):
+                    assert _bits(make(value)) == want
+
+    def test_integer_dtypes_and_empty_lists_give_the_intp_result(self):
+        for make, _, valid in _INDEX_CALLS.values():
+            want = _bits(make(np.array(valid, dtype=np.intp)))
+            for value in (valid, np.array(valid, dtype=np.int32), np.array(valid, dtype=np.uint64)):
+                assert _bits(make(value)) == want
+        want = _bits(operators.CsrMatrix(np.zeros(3, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), (2, 3)))
+        assert _bits(operators.CsrMatrix([0, 0, 0], [], [], (2, 3))) == want
+        assert _bits(_CSR.take([])) == _bits(_CSR.take(np.zeros(0, dtype=np.intp)))
+        assert _CSR.take([]).shape == (0, 2)
+
+    def test_a_float64_array_is_read_as_it_is(self):
+        x = np.array(_VEC)
+        assert spaces._real(x, "x") is x and spaces._real(x, "x", 1) is x and spaces._real(x, "x", (2,)) is x
+        A = np.array(_MAT)
+        assert operators.BlockOperator(A).full_matrix is A
+        assert operators.BlockOperator(A.T).full_matrix.flags.c_contiguous  # copied once, to C order
+
+    @pytest.mark.parametrize("index", [True, False, 0.0, "0", None])
+    def test_a_block_index_is_an_integer_never_a_bool(self, index):
+        op = operators.BlockOperator(np.eye(2), block_sizes=[1, 1])
+        for call in (lambda: op.apply(index, np.ones(2)), lambda: op.apply_adjoint(index, np.ones(1))):
+            with pytest.raises(ConfigurationError, match="block index must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("start,stop", [(True, 2), (0, True), (False, 1), (0.0, 1), (0, "2"), (None, 1)])
+    def test_csr_rows_take_integers_never_bools(self, start, stop):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match="ordered integer slice"):
+                _CSR.rows(start, stop)
+
+    def test_a_csr_shape_is_two_integers(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape in ((2.7, 2), ("2", 2), (2, None), (True, 2), (2, False), (-1, 2), (2,), 2, None, (2, 2, 1)):
+                with pytest.raises(DimensionMismatchError, match="shape must be two integers"):
+                    operators.CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], shape)
+        matrix = operators.CsrMatrix([0, 1, 2], [0, 1], [1.0, 2.0], [np.int64(2), np.uint8(2)])
+        assert matrix.shape == (2, 2) and all(type(k) is int for k in matrix.shape)
+
+    @pytest.mark.parametrize("delta0", ["a", None, True, [1.0], 1j, math.nan, math.inf, -1.0, 10 ** 400])
+    @pytest.mark.parametrize("bound", [diagnostics.polyak_bound, diagnostics.rate_envelope])
+    def test_a_delta0_that_is_not_a_number_in_range_is_an_invalid_input_error(self, bound, delta0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="delta0 must be finite and >= 0"):
+                bound(delta0, 1.0, [0.1])
