@@ -310,7 +310,11 @@ def _build_problem(cfg: ExperimentConfig):
 def write_pgm(path, image: np.ndarray):
     """8-bit binary PGM, min-max scaled."""
     img = _real(image, "image", 2)
+    if not img.size:
+        raise DimensionMismatchError(f"image has no pixels; got shape {img.shape}")
     lo, hi = float(img.min()), float(img.max())
+    if not math.isfinite(hi - lo):  # a NaN or infinite pixel, or a range past the float range
+        raise InvalidInputError(f"image must be finite, with max - min in the float range; got [{lo:.3g}, {hi:.3g}]")
     scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
     data = np.round(scaled * 255).astype(np.uint8)
     with open(path, "wb") as f:

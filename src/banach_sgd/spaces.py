@@ -101,17 +101,18 @@ def _scale(m: float, t: float, r: float, p: float) -> float:
 _FLOAT = np.dtype(float)
 
 
-def _real(x, name: str, rank=None) -> np.ndarray:
+def _real(x, name: str, rank=None, order="K") -> np.ndarray:
     """x as a float64 array: the one reader of every real array argument.  A float64 ndarray is returned as it is, with
-    no copy or dtype screen; anything else is np.asarray(x, dtype=float), so ints, float32, None (as NaN) and object
-    arrays of numbers read as always.  rank is what the caller needs: any (None), a 1-D vector with a 0-d value as one
-    entry (1), a matrix (2) or an exact shape (a tuple).  Text, ragged nesting, complex values, an int past the float
-    range and another rank raise DimensionMismatchError, naming the argument when numpy cannot read it."""
+    no copy or dtype screen; anything else is np.asarray(x, dtype=float, order=order), one copy, so ints, float32, None
+    (as NaN) and object arrays of numbers read as always.  rank is what the caller needs: any (None), a 1-D vector
+    with a 0-d value as one entry (1), a matrix (2) or an exact shape (a tuple).  Text, ragged nesting, complex values,
+    an int past the float range and another rank raise DimensionMismatchError, naming the argument when numpy cannot
+    read it."""
     if type(x) is not np.ndarray or x.dtype is not _FLOAT:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)  # numpy's ComplexWarning: the cast drops imaginary parts
-                x = np.asarray(x, dtype=float)
+                x = np.asarray(x, dtype=float, order=order)
         except (TypeError, ValueError, OverflowError, RuntimeWarning) as exc:
             raise DimensionMismatchError(f"cannot read {name} as real numbers: {exc}") from None
     if rank is None or x.ndim == rank or x.shape == rank:

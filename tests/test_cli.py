@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from banach_sgd import save_matrix_csv
-from banach_sgd.cli import build_config, main, parse_config, run_experiment
+from banach_sgd.cli import build_config, main, parse_config, run_experiment, write_pgm
+from banach_sgd.exceptions import DimensionMismatchError, InvalidInputError
 
 
 def _digest(path):
@@ -351,6 +352,18 @@ class TestRunExperiment:
         maxval, pixels = rest.split(b"\n", 1)
         assert maxval == b"255"
         assert len(pixels) == 16 * 16
+
+    @pytest.mark.parametrize("image,error,match", [
+        (np.array([[np.nan, 1.0]]), InvalidInputError, "image must be finite"),
+        (np.array([[-1e308, 1e308]]), InvalidInputError, "max - min in the float range"),
+        (np.zeros((1, 0)), DimensionMismatchError, "image has no pixels"),
+    ], ids=["non-finite", "range-past-the-float-range", "no-pixels"])
+    def test_write_pgm_rejects_an_image_it_cannot_scale(self, tmp_path, image, error, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                write_pgm(tmp_path / "x.pgm", image)
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_ct_preset_never_densifies_the_operator(self, tmp_path, monkeypatch):
         from banach_sgd import CsrMatrix

@@ -140,6 +140,20 @@ class TestBlockOperator:
         assert not np.shares_memory(op.full_matrix, A) and np.array_equal(op.full_matrix, A)
         assert all(b.flags.c_contiguous for b in op.blocks)
 
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_a_float32_matrix_in_another_order_peaks_at_one_float64_copy(self, layout):
+        base = np.random.Generator(np.random.Philox(key=5)).random((400, 300), dtype=np.float32)
+        A = np.asfortranarray(base) if layout == "fortran" else base.T
+        copy_bytes = A.size * 8
+        tracemalloc.start()
+        try:
+            op = BlockOperator(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.full_matrix.flags.c_contiguous and np.array_equal(op.full_matrix, A)
+        assert peak < 1.5 * copy_bytes  # one float64 copy and the finiteness mask; two copies would be 2x
+
     def test_ragged_blocks_are_views_of_one_matrix(self):
         rng = np.random.Generator(np.random.Philox(key=6))
         blocks = [rng.normal(size=(m, 4)) for m in (1, 5, 2)]
@@ -174,6 +188,13 @@ class TestBlockOperator:
     def test_empty_data_rejected(self):
         with pytest.raises(ConfigurationError):
             ObservationSet([])
+
+    @pytest.mark.parametrize("blocks", [5, 2.5, None])
+    def test_data_blocks_that_are_not_iterable_rejected(self, blocks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match="data blocks must be an iterable of vectors"):
+                ObservationSet(blocks)
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -1.0])
     def test_noise_level_must_be_finite_and_non_negative(self, level):
@@ -911,14 +932,12 @@ class TestBoydStartPolicy:
         assert est.starts == restarts
         assert (est.value, est.iterations, est.history) == (ref.value, ref.iterations, ref.history)
 
-    def test_block_norms_calls_the_estimate_once_per_block(self, monkeypatch):
+    @pytest.mark.parametrize("rx", [2.0, 1.5])
+    def test_block_norms_equals_the_estimate_of_each_block(self, rx):
         op = partition_rows(build_integral_operator(100), 10)
-        calls = []
-        estimate = operators.boyd_operator_norm
-        monkeypatch.setattr(operators, "boyd_operator_norm", lambda *a, **k: calls.append(a) or estimate(*a, **k))
-        estimates = block_norms(op, 2.0, tol=1e-10)
-        assert len(calls) == len(estimates) == op.n_blocks
-        assert max_block_norm(op, 2.0, tol=1e-10) == max(e.value for e in estimates)
+        estimates = block_norms(op, rx, tol=1e-10)
+        assert estimates == [boyd_operator_norm(b, rx, 2.0, tol=1e-10) for b in op.blocks]
+        assert max_block_norm(op, rx, tol=1e-10) == max(e.value for e in estimates)
 
 
 class TestBatchedStarts:
@@ -997,6 +1016,70 @@ class TestBatchedStarts:
                 former = b * np.sign(z) / s ** (1.0 / rx)
                 assert z0.sum() == 2 and (x.view(np.int64) == former.view(np.int64))[~z0].all()
                 assert np.signbit(x[z0]).all() and not x[z0].any()
+
+
+class TestBatchedBlocks:
+    """block_norms runs the starts of several dense blocks as the rows of one batch; each block's estimate must equal
+    its own one-block call, and its starts run alone, field for field."""
+
+    @staticmethod
+    def _batches(op, rx, monkeypatch, **settings):
+        """block_norms of op, asserted equal block by block, and the start counts of each batch it ran."""
+        calls, run = [], operators._boyd_starts
+        monkeypatch.setattr(operators, "_boyd_starts", lambda *a: calls.append(a[-1]) or run(*a))
+        estimates, batches = block_norms(op, rx, **settings), list(calls)
+        ry = op.output_space.r
+        assert estimates == [boyd_operator_norm(b, rx, ry, **settings) for b in op.blocks]
+        tol, max_iter = settings.get("tol", 1e-10), settings.get("max_iter", 2000)
+        for b, e in zip(op.blocks, estimates):
+            if e.starts:
+                assert e == _multistart_reference(b, rx, ry, tol, max_iter, e.starts)
+        return estimates, batches
+
+    @staticmethod
+    def _op(kinds, rows=3, n=8, sizes=None, space=SpaceDescriptor.hilbert()):
+        """An operator of one block of the given rows per kind: "+" nonnegative, "±" of both signs, "0" zero."""
+        rng = np.random.Generator(np.random.Philox(key=31))
+        blocks = [rng.normal(size=(rows, n)) for _ in kinds]
+        M = np.vstack([{"+": np.abs(b), "±": b, "0": 0.0 * b}[k] for b, k in zip(blocks, kinds)])
+        return BlockOperator(M, space, sizes or [rows] * len(kinds))
+
+    def test_mixed_start_counts_share_one_batch(self, monkeypatch):
+        op = self._op("+±+±±+", space=SpaceDescriptor(1.5, 1.5))
+        estimates, batches = self._batches(op, 2.0, monkeypatch, tol=1e-12, max_iter=300, restarts=4)
+        assert [e.starts for e in estimates] == [1, 4, 1, 4, 4, 1] and batches == [[1, 4, 1, 4, 4, 1]]
+
+    def test_a_zero_block_runs_no_start(self, monkeypatch):
+        op = self._op("±0±")
+        estimates, batches = self._batches(op, 1.5, monkeypatch, tol=1e-12, max_iter=300)
+        assert estimates[1] == NormEstimate(0.0, True, 0, starts=0) and batches == [[8, 8]]
+
+    def test_blocks_of_unequal_sizes_run_one_at_a_time(self, monkeypatch):
+        op = self._op("±±±±", sizes=[2, 2, 3, 2, 3])
+        estimates, batches = self._batches(op, 1.5, monkeypatch, tol=1e-12, max_iter=300, restarts=3)
+        assert batches == [[3]] * 5
+
+    def test_the_cap_splits_a_batch(self, monkeypatch):
+        # 8 starts on _BATCH_BYTES / 128 columns fill half the cap, so two blocks make a batch.
+        op = self._op("±" * 5, rows=2, n=operators._BATCH_BYTES // 128)
+        estimates, batches = self._batches(op, 1.5, monkeypatch, tol=1e-10, max_iter=20)
+        assert batches == [[8] * 2, [8] * 2, [8]]
+
+    def test_the_iteration_cap(self, monkeypatch):
+        op = self._op("+±±+")
+        estimates, batches = self._batches(op, 2.0, monkeypatch, tol=0.0, max_iter=5, restarts=3)
+        assert all(not e.converged and e.iterations == 5 for e in estimates) and len(batches) == 1
+
+    def test_an_overflowing_block_is_the_typed_error_alone(self):
+        M = np.vstack([self._op("±", rows=2, n=2).full_matrix, [[1e300, 1e300], [1e300, 1.0]]])
+        op = BlockOperator(M, SpaceDescriptor(1.5, 1.5), [2, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as serial:
+                [boyd_operator_norm(b, 1.5, 1.5) for b in op.blocks]
+            with pytest.raises(InvalidInputError) as batched:
+                block_norms(op, 1.5)
+        assert str(batched.value) == str(serial.value)
 
 
 class TestSharedStarts:
