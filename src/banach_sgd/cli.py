@@ -155,12 +155,14 @@ def _check_keys(section: str, data: dict, allowed):
 def _read(section: str, data: dict, key: str, kind: str = "float"):
     """data[key] read as the annotation kind.
 
-    A str is a string and a bool true or false. Any other kind is a finite JSON
-    number, never a bool, a string, NaN or an infinity, and an int an integral one.
+    A str is a string with no NUL character (no file path holds one) and a bool true or false. Any
+    other kind is a finite JSON number, never a bool, a string, NaN or an infinity, and an int an integral one.
     """
     if key not in data:
         raise ConfigurationError(f"{section} needs a {key!r} entry")
     value = data[key]
+    if kind == "str" and isinstance(value, str) and "\0" in value:
+        raise ConfigurationError(f"{section}.{key} must be a string with no NUL character; got {reprlib.repr(value)}")
     if kind in ("str", "bool"):
         if isinstance(value, str if kind == "str" else bool):
             return value

@@ -116,6 +116,8 @@ def corrupt(y, spec, norm_exponent: float = 2.0):
     realised perturbation, so downstream stopping rules can use the actual
     noise level rather than the nominal one.
     """
+    if not isinstance(spec, (GaussianNoise, ImpulseNoise, SaltPepperNoise)):
+        raise ConfigurationError(f"unknown noise model: {spec!r}")
     y = _real(y, "y").ravel()
     rng = generator(spec.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, naming the model
@@ -129,7 +131,7 @@ def corrupt(y, spec, norm_exponent: float = 2.0):
             high = (u >= spec.pct / 2.0) & (u < spec.pct)
             noisy[low] = impulse_branch_low(y[low], xi[low])
             noisy[high] = impulse_branch_high(y[high], xi[high])
-        elif isinstance(spec, SaltPepperNoise):
+        else:  # SaltPepperNoise
             noisy = y.copy()
             k = int(round(spec.pct * y.size))
             if k > 0:
@@ -138,8 +140,6 @@ def corrupt(y, spec, norm_exponent: float = 2.0):
                 is_salt = rng.random(k) < 0.5
                 noisy[idx[is_salt]] = salt
                 noisy[idx[~is_salt]] = spec.pepper_value
-        else:
-            raise ConfigurationError(f"unknown noise model: {spec!r}")
         diff = noisy - y
     if not (np.isfinite(noisy).all() and np.isfinite(diff).all()):
         raise InvalidInputError(f"noise {spec!r} leaves non-finite values, beyond the float range, on data with "

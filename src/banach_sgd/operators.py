@@ -82,9 +82,6 @@ class CsrMatrix:
         out[self.filled] = np.add.reduceat(g, self.starts)
         return out
 
-    def any(self) -> bool:
-        return bool(self.data.any())
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         np.add.at(out, (np.repeat(np.arange(self.shape[0]), self.row_nnz), self.indices), self.data)
@@ -376,13 +373,14 @@ def build_radon_operator(geom: RadonGeometry) -> CsrMatrix:
     angle keeps only its rays' entry counts, pixels and lengths, and the pixels
     are joined before the lengths: the build peaks near 1.5x the matrix.
     """
-    offsets = geom.detector_offsets()
     counts, pixels, lengths = [], [], []
-    for theta in geom.angles_deg():
-        ray, pixel, length = _trace_rays(geom, theta, offsets)
-        counts.append(np.bincount(ray, minlength=geom.n_detectors))
-        pixels.append(pixel)
-        lengths.append(length)
+    with np.errstate(over="ignore", invalid="ignore"):  # a geometry past the float range is _trace_rays' to reject
+        offsets = geom.detector_offsets()
+        for theta in geom.angles_deg():
+            ray, pixel, length = _trace_rays(geom, theta, offsets)
+            counts.append(np.bincount(ray, minlength=geom.n_detectors))
+            pixels.append(pixel)
+            lengths.append(length)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     indices = np.concatenate(pixels)
     del pixels
@@ -429,9 +427,12 @@ def _trace_rays(geom: RadonGeometry, angle_deg: float, offsets: np.ndarray):
     c = np.where((c > s_min) & (c < s_max), c, s_max)
     s = np.sort(np.concatenate([s_min, s_max, c], axis=1), axis=1)
     mids = 0.5 * (s[:, :-1] + s[:, 1:])
-    lengths = np.diff(s, axis=1)
-    cols = np.floor((px[:, None] + mids * dx + half) / h).astype(np.intp)
-    rows = np.floor((half - (py[:, None] + mids * dy)) / h).astype(np.intp)
+    lengths = np.diff(s, axis=1)  # not finite wherever a crossing is not
+    cols, rows = (px[:, None] + mids * dx + half) / h, (half - (py[:, None] + mids * dy)) / h
+    # checked before np.floor: a NaN pixel coordinate floors outside the grid, and the keep mask drops it silently
+    if not (np.isfinite(lengths).all() and np.isfinite(cols).all() and np.isfinite(rows).all()):
+        raise ConfigurationError(f"{geom} leaves the float range: a ray crossing or length at {angle_deg:g} deg")
+    cols, rows = np.floor(cols).astype(np.intp), np.floor(rows).astype(np.intp)
     keep = hit[:, None] & (cols >= 0) & (cols < g) & (rows >= 0) & (rows < g) & (lengths > 0)
     ray, _ = np.nonzero(keep)
     # Rounding can split one pixel's chord into adjacent segments; their
@@ -548,14 +549,14 @@ def _boyd_start_matrix(n: int, starts: int) -> np.ndarray:
     return X
 
 
-def _boyd_starts(A, rx, ry, tol, max_iter, X, counts=None) -> list:
+def _boyd_starts(blocks, rx, ry, tol, max_iter, X, counts) -> list:
     """Boyd's iteration from every row of X at once; entry i is the NormEstimate of start X[i].
 
-    The rows run on A, or, given counts, on the blocks of one shape in the list A, block k on the next counts[k] rows.
+    The rows run on the blocks of one shape in the list blocks, block k on the next counts[k] rows.
     A row leaves the batch when its start stops.  Each step is the one-start arithmetic row by row (see
     _row_products and spaces._duality_rows), so every estimate is its start's run alone, bit for bit.
     """
-    blocks, sizes = ([A], [len(X)]) if counts is None else (A, list(counts))  # sizes: each block's live rows
+    sizes = list(counts)  # each block's live rows
     owner = [k for k, size in enumerate(sizes) for _ in range(size)]  # the block that each start runs on
 
     def products(X, adjoint=False):  # each block's products with its live rows, which X holds in block order
@@ -641,7 +642,11 @@ def save_matrix_csv(path, M, header: str | None = None):
 
 def load_matrix_csv(path) -> np.ndarray:
     """The matrix of a comma-separated file; DataFormatError when the file does not parse."""
-    with open(path, "r", encoding="ascii", errors="replace") as f:  # a non-ASCII byte fails as a cell
+    try:
+        f = open(path, "r", encoding="ascii", errors="replace")  # a non-ASCII byte fails as a cell
+    except ValueError as exc:  # a path with a NUL character
+        raise DataFormatError(f"{path!r}: not a usable file path: {exc}") from exc
+    with f:
         rows = []
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -653,7 +658,6 @@ def load_matrix_csv(path) -> np.ndarray:
                 raise DataFormatError(f"{path}, line {line_no}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: empty matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise DataFormatError(f"{path}: ragged rows")
     return np.asarray(rows, dtype=float)

@@ -24,7 +24,7 @@ import numpy as np
 from .diagnostics import ConvergenceRecord, _delta_rows, _objective_rows, _reference_norms
 from .exceptions import ConfigurationError, DimensionMismatchError, InvalidInputError, IterationInvariantError
 from .noise import check_seed, generator
-from .operators import BlockOperator, ObservationSet, _row_products, check_blocks_match, check_count
+from .operators import BlockOperator, ObservationSet, _is_integer, _row_products, check_blocks_match, check_count
 from .spaces import (SpaceDescriptor, _bregman_rows, _exponent, _lr_norm_rows, _real, _scalar, _screen_rows,
                      bregman_distance, duality_map, inverse_duality_map, lr_norm)
 
@@ -105,9 +105,9 @@ StepSchedule = PolynomialSchedule | SlowDecaySchedule | ConstantSchedule
 
 
 def step_size(schedule: StepSchedule, k: int) -> float:
-    """Step size for iteration k (1-based)."""
-    if k < 1:
-        raise ConfigurationError(f"iteration index must be >= 1, got {k}")
+    """Step size for iteration k (1-based): an int or numpy integer, never a bool, in [1, 2**1023]."""
+    if not (_is_integer(k) and 1 <= k <= 2 ** 1023):  # every schedule reads k as a float
+        raise ConfigurationError(f"iteration index must be an integer in [1, 2**1023]; got {reprlib.repr(k)}")
     return schedule.at(k)
 
 
@@ -224,21 +224,27 @@ def stochastic_gradient(x, obs: ObservationSet, op: BlockOperator, i: int,
     return op.apply_adjoint(i, duality_map(op.apply(i, x) - obs.blocks[i], space))
 
 
-class _DualIterateError(InvalidInputError):
-    """The inverse map's error on z - mu * g, which _advance reports as the dual iterate, not the residual."""
+def _diverged(k: int, quantity: str, mu: float) -> IterationInvariantError:
+    """The error of a run whose step or snapshot at iteration k left the float range in `quantity`."""
+    return IterationInvariantError(f"diverged at iteration {k} (non-finite or overflowing {quantity}, "
+                                   f"step size mu = {mu:.3g}); reduce the step size")
 
 
 def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, A, y) -> IterationState:
-    """The step of every method: z <- z - mu * A^T j(A x - y), then x = J_p^{-1}(z), advancing state itself."""
-    v = A @ state.x
-    v -= y
-    g = A.T @ duality_map(v, cfg.residual_space)
-    g *= mu
-    dual = np.subtract(state.dual_x, g, out=g)  # z - mu * g, in g's own buffer
+    """The step of every method: z <- z - mu * A^T j(A x - y), then x = J_p^{-1}(z), advancing state itself.
+    Past the float range it raises _diverged, in the step residual until j returns and the dual iterate after."""
+    quantity = "step residual"
     try:
+        v = A @ state.x
+        v -= y
+        j = duality_map(v, cfg.residual_space)
+        quantity = "dual iterate"
+        g = A.T @ j
+        g *= mu
+        dual = np.subtract(state.dual_x, g, out=g)  # z - mu * g, in g's own buffer
         state.x, state.dual_x, state.k = inverse_duality_map(dual, cfg.x_space), dual, state.k + 1
-    except InvalidInputError as exc:
-        raise _DualIterateError(*exc.args) from exc
+    except (InvalidInputError, RuntimeWarning) as exc:  # the warning, under warnings as errors outside _advance
+        raise _diverged(state.k + 1, quantity, mu) from exc
     return state
 
 
@@ -267,30 +273,20 @@ def _advance(state: IterationState, op: BlockOperator, obs: ObservationSet,
 
     The SGD block indices come from state.rng, at most one epoch of them per
     integers call: the same indices and generator state as one draw per step.
-    draws, when given, counts them per block.  Every step is one call of the
-    module-level sgd_step / landweber_step, so a wrapper bound to those names
-    sees each one.
+    draws, when given, counts them per block.
     """
     schedule = cfg.schedule
-    # Run entry checked operator, data and config, so a non-finite or overflowing
-    # residual or dual iterate means divergence; numpy's own warning is silenced.
+    # A step past the float range raises _diverged itself; numpy's overflow warning is silenced, so none escapes.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if cfg.method == "landweber":
-                while state.k < until:
-                    landweber_step(state, op, obs, cfg, schedule.at(state.k + 1))
+        if cfg.method == "landweber":
             while state.k < until:
-                idx = state.rng.integers(op.n_blocks, size=min(until - state.k, op.n_blocks))
-                if draws is not None:
-                    draws += np.bincount(idx, minlength=op.n_blocks)
-                for i in idx.tolist():
-                    sgd_step(state, op, obs, cfg, schedule.at(state.k + 1), i)
-        except InvalidInputError as exc:
-            quantity = "dual iterate" if isinstance(exc, _DualIterateError) else "residual"
-            raise IterationInvariantError(
-                f"non-finite or overflowing {quantity} at iteration {state.k + 1} "
-                f"(step size mu = {schedule.at(state.k + 1):.3g}); reduce the step size"
-            ) from exc
+                landweber_step(state, op, obs, cfg, schedule.at(state.k + 1))
+        while state.k < until:
+            idx = state.rng.integers(op.n_blocks, size=min(until - state.k, op.n_blocks))
+            if draws is not None:
+                draws += np.bincount(idx, minlength=op.n_blocks)
+            for i in idx.tolist():
+                sgd_step(state, op, obs, cfg, schedule.at(state.k + 1), i)
     return state
 
 
@@ -441,7 +437,7 @@ def run_seeds(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, n_seeds
 def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
     """snapshot(X, k, mu): (objective, residual, Bregman, delta1, delta2) of each row x of X, bit for bit what
     the 1-D functions give x alone.  A non-finite residual, objective or Bregman distance, checked in that order
-    over all rows, raises IterationInvariantError; for one row it is x's own."""
+    over all rows, raises _diverged; for one row it is x's own."""
     desc = cfg.x_space
     nw = None if x_ref is None else lr_norm(x_ref, desc.r)
     if x_true is not None:
@@ -459,10 +455,7 @@ def _snapshot_kernel(op, obs, cfg, x_true, x_ref):
                 quantity = "Bregman distance"
                 breg = [math.nan] * len(X) if x_ref is None else _bregman_rows(X, x_ref, nw, desc)
             except InvalidInputError as exc:
-                raise IterationInvariantError(
-                    f"diverged at iteration {k} (non-finite or overflowing {quantity}, "
-                    f"step size mu = {mu:.3g}); reduce the step size"
-                ) from exc
+                raise _diverged(k, quantity, mu) from exc
         deltas = [(math.nan, math.nan)] * len(X) if x_true is None else _delta_rows(X, xt, norms)
         return [(o, r, b, *d) for o, r, b, d in zip(obj, res, breg, deltas)]
 

@@ -353,6 +353,15 @@ class TestRunExperiment:
         assert maxval == b"255"
         assert len(pixels) == 16 * 16
 
+    def test_a_ct_geometry_past_the_float_range_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"preset": "ct", "grid_side": 16, "n_angles": 10, "n_detectors": 12,
+                                    "n_batches": 10, "epochs": 1, "pixel_size": 1e308, "out_dir": str(tmp_path / "ct")}))
+        assert main(["solve", str(path)]) == 1  # a RuntimeWarning would fail the test run
+        err = capsys.readouterr().err
+        assert err.startswith("error: RadonGeometry(grid_side=16, ") and "leaves the float range" in err
+        assert err.count("\n") == 1 and not (tmp_path / "ct").exists()
+
     @pytest.mark.parametrize("image,error,match", [
         (np.array([[np.nan, 1.0]]), InvalidInputError, "image must be finite"),
         (np.array([[-1e308, 1e308]]), InvalidInputError, "max - min in the float range"),
@@ -587,6 +596,22 @@ class TestCustomPreset:
     def test_custom_without_matrix_rejected(self, tmp_path):
         assert main(["solve", str(_write_config(tmp_path, preset="custom"))]) == 1
 
+    @pytest.mark.parametrize("key", ["out_dir", "matrix_csv"])
+    def test_a_path_with_a_nul_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys, key):
+        import banach_sgd.cli as cli
+
+        def no_build(cfg):
+            raise AssertionError(f"problem built despite a NUL in {key}")
+
+        monkeypatch.setattr(cli, "_build_problem", no_build)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"preset": "custom", "matrix_csv": str(tmp_path / "A.csv"), "data_csv": "y.csv",
+                                    "out_dir": str(tmp_path / "out"), key: str(tmp_path / "a\x00b")}))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config.{key} must be a string with no NUL character; got ")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
 
 class TestNormEstimate:
     def test_diagonal_matrix(self, tmp_path, capsys):
@@ -631,3 +656,12 @@ class TestNormEstimate:
 
     def test_missing_file(self, tmp_path):
         assert main(["norm-estimate", str(tmp_path / "none.csv")]) == 3
+
+    def test_a_path_with_a_nul_exits_3_like_a_missing_file(self, tmp_path, capsys):
+        from banach_sgd import DataFormatError, load_matrix_csv
+
+        with pytest.raises(DataFormatError, match="not a usable file path"):
+            load_matrix_csv(str(tmp_path / "a\x00b.csv"))
+        assert main(["norm-estimate", str(tmp_path / "a\x00b.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1

@@ -153,6 +153,12 @@ class TestValidation:
             with pytest.raises(ConfigurationError):
                 GaussianNoise(sigma=sigma)
 
+    @pytest.mark.parametrize("spec", [object(), None, "gaussian", {"kind": "gaussian", "sigma": 0.1}],
+                             ids=["object", "none", "str", "dict"])
+    def test_unknown_model_is_a_configuration_error(self, spec):
+        with pytest.raises(ConfigurationError, match="^unknown noise model"):
+            corrupt(np.ones(3), spec)
+
     @pytest.mark.parametrize("make", [
         lambda seed: GaussianNoise(sigma=0.1, seed=seed),
         lambda seed: ImpulseNoise(pct=0.1, seed=seed),

@@ -405,6 +405,18 @@ class TestRadon:
         with pytest.raises(ConfigurationError):
             RadonGeometry(grid_side=4, n_angles=100, angle_step=2.0, n_detectors=5, pixel_size=0.1)
 
+    @pytest.mark.parametrize("geom", [(2, 2, 1.0, 3, 1e308), (16, 3, 1.0, 4, 5e306), (16, 2, 1e-12, 4, 1e295)],
+                             ids=["offsets", "crossings", "crossings-near-0-deg"])
+    def test_a_geometry_past_the_float_range_is_a_configuration_error(self, geom):
+        # The first makes NaN detector offsets; the other two have a finite grid extent, but a crossing
+        # divides by the ray direction and overflows.
+        geometry = RadonGeometry(*geom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError) as info:
+                build_radon_operator(geometry)
+        assert str(info.value).startswith(f"{geometry!r} leaves the float range: a ray crossing or length at ")
+
 
 def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
@@ -582,7 +594,7 @@ class TestCsrMatrix:
 
     def test_zero_matrix_norm_is_zero(self):
         A = CsrMatrix([0, 0, 0], [], [], (2, 3))
-        assert not A.any()
+        assert not A.data.any()
         est = boyd_operator_norm(A, 1.5, 2.0)
         assert est.value == 0.0 and est.converged
 
@@ -959,7 +971,7 @@ class TestBatchedStarts:
     @staticmethod
     def _assert_rows_are_serial_starts(A, rx, ry, tol, max_iter, X):
         serial = [_boyd_single_start(A, rx, ry, tol, max_iter, x0) for x0 in X]
-        assert operators._boyd_starts(A, rx, ry, tol, max_iter, np.array(X)) == serial
+        assert operators._boyd_starts([A], rx, ry, tol, max_iter, np.array(X), [len(X)]) == serial
         return serial
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -1007,7 +1019,8 @@ class TestBatchedStarts:
         monkeypatch.setattr(operators, "_row_products", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            operators._boyd_starts(self._csr(M) if sparse else M, rx, 2.0, 0.0, 4, operators._boyd_start_matrix(9, 3))
+            operators._boyd_starts([self._csr(M) if sparse else M], rx, 2.0, 0.0, 4,
+                                   operators._boyd_start_matrix(9, 3), [3])
         assert len(duals) == len(starts) == 4
         for Z, X in zip(duals, starts[1:]):
             zero = Z == 0.0

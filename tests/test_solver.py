@@ -93,6 +93,18 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             step_size(ConstantSchedule(1.0), 0)
 
+    @pytest.mark.parametrize("schedule", [ConstantSchedule(1.0), PolynomialSchedule(1.0, 0.6),
+                                          SlowDecaySchedule(1.0, 3, 2.0)], ids=["constant", "polynomial", "slow_decay"])
+    def test_the_index_is_an_integer_in_the_float_range(self, schedule):
+        message = r"^iteration index must be an integer in \[1, 2\*\*1023\];"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1.5, 1.0, True, "3", None, 0, -2, 10**400, 2**1023 + 1):
+                with pytest.raises(ConfigurationError, match=message):
+                    step_size(schedule, k)
+            assert step_size(schedule, np.int64(7)) == step_size(schedule, 7) == schedule.at(7)
+            assert 0.0 < step_size(schedule, 2**1023) <= 1.0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_step_scale_rejected(self, value):
         for build in (lambda v: PolynomialSchedule(v, 0.75), lambda v: SlowDecaySchedule(v, 10, 2.0),
@@ -470,9 +482,10 @@ class TestRun:
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e290))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IterationInvariantError, match="overflowing residual at iteration 2") as info:
+            with pytest.raises(IterationInvariantError, match=r"^diverged at iteration 2 \(non-finite or overflowing "
+                                                              r"step residual, step size mu = 1e\+290\)") as info:
                 iterate_n(op, obs, cfg, 2)
-        assert "mu = 1e+290" in str(info.value)
+        assert isinstance(info.value.__cause__, InvalidInputError)
 
     @pytest.mark.parametrize("method", ["sgd", "landweber"])
     def test_overflow_of_the_dual_iterate_alone_is_named(self, method):
@@ -482,7 +495,8 @@ class TestRun:
         cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(1e308), method=method)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IterationInvariantError, match=r"overflowing dual iterate at iteration 2 \(step size mu = 1e\+308\)"):
+            with pytest.raises(IterationInvariantError, match=r"^diverged at iteration 2 \(non-finite or overflowing "
+                                                              r"dual iterate, step size mu = 1e\+308\)"):
                 iterate_n(op, obs, cfg, 2)
         assert np.isfinite(op.blocks[0] @ iterate_n(op, obs, cfg, 1).x - obs.blocks[0]).all()
 
@@ -498,6 +512,32 @@ class TestRun:
             with pytest.raises(IterationInvariantError, match="iteration 2") as info:
                 iterate_n(op, obs, cfg, 2)
         assert "mu = 1e+290" in str(info.value)
+
+    @pytest.mark.parametrize("scale,mu,quantity", [(1e10, 1e290, "step residual"), (1.0, 1e308, "dual iterate")],
+                             ids=["residual", "dual-iterate"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("method", ["sgd", "landweber"])
+    def test_a_direct_step_fails_as_the_run_does_under_warnings_as_errors(self, method, sparse, scale, mu, quantity):
+        # Outside _advance's errstate numpy warns of the overflow; as an error, the step names it like a run does.
+        block = CsrMatrix([0, 1, 2], [0, 1], [scale, scale], (2, 2)) if sparse else scale * np.eye(2)
+        op = BlockOperator(block, HILBERT)
+        obs = ObservationSet([np.ones(2)])
+        cfg = SolverConfig(x_space=HILBERT, y_space=HILBERT, schedule=ConstantSchedule(mu), method=method)
+        with pytest.raises(IterationInvariantError) as in_run:
+            iterate_n(op, obs, cfg, 2)
+        state = iterate_n(op, obs, cfg, 1)
+        x, dual = state.x.copy(), state.dual_x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationInvariantError) as direct:
+                if method == "sgd":
+                    sgd_step(state, op, obs, cfg, mu, 0)
+                else:
+                    landweber_step(state, op, obs, cfg, mu)
+        assert str(direct.value) == str(in_run.value)
+        assert str(direct.value).startswith(f"diverged at iteration 2 (non-finite or overflowing {quantity}, ")
+        assert isinstance(direct.value.__cause__, RuntimeWarning)
+        assert state.k == 1 and np.array_equal(state.x, x) and np.array_equal(state.dual_x, dual)
 
 
 def _snapshot_problem(sparse):
@@ -642,7 +682,7 @@ class TestLockstepDivergence:
 
     @pytest.mark.parametrize("x_space,q,first,n_seeds,expected", [
         # seed 6 fails inside a step at iteration 37, seed 7 in the snapshot at 8, seed 8 in a step at 3
-        (HILBERT, None, 6, 3, "non-finite or overflowing residual at iteration 37"),
+        (HILBERT, None, 6, 3, "diverged at iteration 37 (non-finite or overflowing step residual"),
         # seed 0 fails in the residual at 16, seed 2 in the objective at 8
         (SpaceDescriptor(1.5, 2.0), 1.1, 0, 3, "diverged at iteration 16 (non-finite or overflowing residual"),
         # the same epoch: seed 7 fails in the objective, seed 8 in the residual, which the batch checks first
