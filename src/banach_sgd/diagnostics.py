@@ -56,9 +56,9 @@ class ConvergenceRecord:
 
     def validate(self):
         n = self.epoch.size
-        for name in self._COLUMNS:
-            if getattr(self, name).size != n:
-                raise DimensionMismatchError(f"column {name} has wrong length")
+        for name, shape in ((c, getattr(self, c).shape) for c in self._COLUMNS):
+            if shape != (n,):
+                raise DimensionMismatchError(f"column {name} must be a 1-D vector of {n} entries; got shape {shape}")
         if n > 1 and not np.all(np.diff(self.epoch) > 0):
             raise InvalidInputError("epochs must be strictly increasing")
         for name in ("epoch", "objective", "residual", "step"):
@@ -86,7 +86,8 @@ def objective(x, op: BlockOperator, obs: ObservationSet, exponent: float) -> flo
     """(1/N) sum_i (1/exponent) ||A_i x - y_i||^exponent in the output norm."""
     exponent = _exponent(exponent, "exponent")
     check_blocks_match(op, obs)
-    residual = op.apply_all(x) - obs.concatenated
+    with np.errstate(over="ignore"):  # an overflowing difference is the typed error below
+        residual = op.apply_all(x) - obs.concatenated
     if not np.isfinite(residual).all():
         raise InvalidInputError("residual contains non-finite entries")
     return _objective_rows(residual[None], op, exponent)[0]

@@ -52,6 +52,9 @@ class CsrMatrix:
     segment the next stored value; ``A.T @ y`` is a ``np.bincount`` over
     columns.  Both form the per-entry products in place, in the gathered ``x`` or
     the repeated ``y``.  ``rows(start, stop)`` is a view sharing ``indices`` and ``data``.
+    Both products are kernels, like a dense ``@``: an overflow gives inf with numpy's
+    warning, so callers hold the errstate (one costs about 1.5 us, and a CT step makes
+    two products); ``BlockOperator.apply`` and friends are the checked forms.
     """
 
     ndim = 2
@@ -194,20 +197,29 @@ class BlockOperator:
     def apply(self, i: int, x) -> np.ndarray:
         """A_i x."""
         self._check_index(i)
-        return self.blocks[i] @ _real(x, "x", (self.input_dim,))
+        return _finite_product(self.blocks[i], _real(x, "x", (self.input_dim,)), "A_i x")
 
     def apply_adjoint(self, i: int, ys) -> np.ndarray:
         """A_i^T ys."""
         self._check_index(i)
-        return self.blocks[i].T @ _real(ys, "ys", (self.blocks[i].shape[0],))
+        return _finite_product(self.blocks[i].T, _real(ys, "ys", (self.blocks[i].shape[0],)), "A_i^T ys")
 
     def apply_all(self, x) -> np.ndarray:
         """Full product A x with rows in block order."""
-        return self.full_matrix @ _real(x, "x", (self.input_dim,))
+        return _finite_product(self.full_matrix, _real(x, "x", (self.input_dim,)), "A x")
 
     def _check_index(self, i: int):
         if not _is_integer(i) or not 0 <= i < self.n_blocks:
             raise ConfigurationError(f"block index must be an integer in [0, {self.n_blocks}); got {i!r}")
+
+
+def _finite_product(A, x: np.ndarray, name: str) -> np.ndarray:
+    """A @ x for BlockOperator's checked products: InvalidInputError, with no numpy warning, where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = A @ x
+    if not np.isfinite(out).all():
+        raise InvalidInputError(f"{name} is not finite: a non-finite entry or an overflowing product")
+    return out
 
 
 @dataclass
@@ -632,6 +644,8 @@ def max_block_norm(op: BlockOperator, rx: float, **kwargs) -> float:
 def save_matrix_csv(path, M, header: str | None = None):
     """Row-major CSV, one matrix row per line in '.17g', after an optional header line."""
     M = np.atleast_2d(_real(M, "M"))
+    if M.ndim > 2:  # checked before open() truncates the file
+        raise DimensionMismatchError(f"M must be a vector or a matrix; got shape {M.shape}")
     with open(path, "w", encoding="ascii") as f:
         if header is not None:
             f.write(header + "\n")

@@ -140,6 +140,9 @@ def a_priori_stop_index(rule: APrioriStop, delta: float, power: float) -> int:
     return max(1, math.ceil(math.exp(log_k)))
 
 
+_HILBERT = SpaceDescriptor.hilbert()  # the geometry whose duality map is the identity
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything that determines a run: geometry, method, schedule, stopping, seed."""
@@ -180,6 +183,11 @@ class SolverConfig:
         """The data space with the residual power: the geometry of every step's residual map."""
         return SpaceDescriptor(self.y_space.r, self.gradient_exponent)
 
+    @functools.cached_property
+    def _identity_maps(self) -> tuple[bool, bool]:
+        """Whether residual_space and x_space are (2, 2), where the duality map is the identity: a step skips it."""
+        return self.residual_space == _HILBERT, self.x_space == _HILBERT
+
 
 def with_seed(cfg: SolverConfig, seed: int) -> SolverConfig:
     return replace(cfg, seed=seed)
@@ -187,7 +195,8 @@ def with_seed(cfg: SolverConfig, seed: int) -> SolverConfig:
 
 @dataclass
 class IterationState:
-    """Primal iterate, its dual image, the iteration counter, and the index RNG."""
+    """Primal iterate, its dual image, the iteration counter, and the index RNG.  Where x_space is (2, 2) the steps
+    leave x and dual_x as one array."""
 
     x: np.ndarray
     dual_x: np.ndarray
@@ -220,8 +229,11 @@ def _checked_start(op: BlockOperator, obs: ObservationSet, cfg: SolverConfig, **
 
 def stochastic_gradient(x, obs: ObservationSet, op: BlockOperator, i: int,
                         space: SpaceDescriptor) -> np.ndarray:
-    """A_i^T applied to the duality map of A_i x - y_i in `space` (SolverConfig.residual_space)."""
-    return op.apply_adjoint(i, duality_map(op.apply(i, x) - obs.blocks[i], space))
+    """A_i^T applied to the duality map of A_i x - y_i in `space` (SolverConfig.residual_space), which at (2, 2) is
+    the identity and is skipped, as in a step."""
+    with np.errstate(over="ignore", invalid="ignore"):  # apply_adjoint rejects a residual past the float range
+        v = op.apply(i, x) - obs.blocks[i]
+    return op.apply_adjoint(i, v if space == _HILBERT else duality_map(v, space))
 
 
 def _diverged(k: int, quantity: str, mu: float) -> IterationInvariantError:
@@ -232,18 +244,22 @@ def _diverged(k: int, quantity: str, mu: float) -> IterationInvariantError:
 
 def _dual_step(state: IterationState, cfg: SolverConfig, mu: float, A, y) -> IterationState:
     """The step of every method: z <- z - mu * A^T j(A x - y), then x = J_p^{-1}(z), advancing state itself.
-    Past the float range it raises _diverged, in the step residual until j returns and the dual iterate after."""
-    quantity = "step residual"
+    A map at (2, 2) is the identity and is skipped: j = A x - y unchecked, and x = z once z is found finite.  Past the
+    float range it raises _diverged, in the step residual while j is unformed or not finite, the dual iterate after."""
+    skip_j, skip_x = cfg._identity_maps
+    j = None
     try:
         v = A @ state.x
         v -= y
-        j = duality_map(v, cfg.residual_space)
-        quantity = "dual iterate"
+        j = v if skip_j else duality_map(v, cfg.residual_space)
         g = A.T @ j
         g *= mu
         dual = np.subtract(state.dual_x, g, out=g)  # z - mu * g, in g's own buffer
-        state.x, state.dual_x, state.k = inverse_duality_map(dual, cfg.x_space), dual, state.k + 1
+        if skip_x and not np.isfinite(dual).all():
+            raise InvalidInputError("dual iterate contains non-finite entries")
+        state.x, state.dual_x, state.k = dual if skip_x else inverse_duality_map(dual, cfg.x_space), dual, state.k + 1
     except (InvalidInputError, RuntimeWarning) as exc:  # the warning, under warnings as errors outside _advance
+        quantity = "dual iterate" if j is not None and np.isfinite(j).all() else "step residual"
         raise _diverged(state.k + 1, quantity, mu) from exc
     return state
 

@@ -202,10 +202,11 @@ def _bregman_rows(X, w, nw: float, desc: SpaceDescriptor) -> list:
     """bregman_distance(x, w, desc) of each row x of a 2-D X, bit for bit, given nw = ||w||, raising where it raises."""
     p = desc.p
     J, norms = _duality_rows(X, desc.r, p)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing pairing raises below
-        pairings = np.matmul(J[:, None, :], _real(w, "w")[:, None]).ravel().tolist()  # a ddot per row
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference or pairing raises below
+        gaps = _real(w, "w") - X
+        pairings = np.matmul(J[:, None, :], gaps[:, :, None]).ravel().tolist()  # <J_p(x), w - x>, a ddot per row
     try:
-        distances = [nz ** p / desc.p_conj + nw ** p / p - d for nz, d in zip(norms, pairings)]
+        distances = [(nw ** p - nz ** p) / p - d for nz, d in zip(norms, pairings)]
     except OverflowError:
         distances = [math.inf]
     if not all(map(math.isfinite, distances)):
@@ -273,9 +274,9 @@ def bregman_distance(z, w, desc: SpaceDescriptor) -> float:
     """Bregman distance (1/p*)||z||^p + (1/p)||w||^p - <J_p(z), w>.
 
     In exact arithmetic non-negative and zero iff z == w; not symmetric and no
-    triangle inequality.  In floating point the three terms cancel as z nears w,
-    so D(x, x) is rounding error of either sign, about machine epsilon times
-    ||x||^p, and only sometimes exactly 0 (ROADMAP item 8(a) plans a form that is).
+    triangle inequality.  It is computed in the difference form
+    (||w||^p - ||z||^p)/p - <J_p(z), w - z>, which is exactly 0 at z == w; as z
+    nears w the terms still cancel, leaving rounding error of either sign.
     """
     zv = _real(z, "z", 1)
     wv = _real(w, "w", 1)

@@ -504,6 +504,14 @@ class TestRunExperiment:
         assert "iteration 1" in err and "mu = 1e+200" in err
         assert "Traceback" not in err
 
+    def test_an_overflowing_hilbert_step_exits_2_naming_the_dual_iterate(self, tmp_path, capsys):
+        # r_x = p = 2 with the Hilbert data space: both of the step's maps are skipped (the config CI runs)
+        path = _write_config(tmp_path, n=100, n_batches=10, r_x=2, p=2, schedule={"kind": "constant", "mu0": 1e200})
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "diverged at iteration 2 (non-finite or overflowing dual iterate, step size mu = 1e+200)" in err
+        assert "Traceback" not in err
+
     def test_a_priori_stopping_runs(self, tmp_path):
         path = _write_config(
             tmp_path,

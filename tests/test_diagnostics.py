@@ -12,6 +12,7 @@ from banach_sgd import (
     ConstantsConfig,
     ConvergenceRecord,
     CsrMatrix,
+    DimensionMismatchError,
     InvalidInputError,
     ObservationSet,
     RadonGeometry,
@@ -66,6 +67,16 @@ class TestObjective:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="objective"):
                 objective(np.array([1e200]), op, obs, 2.0)
+
+    def test_a_product_or_residual_past_the_float_range_is_a_typed_error_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="A x is not finite"):
+                objective(np.full(2, 1e300), BlockOperator(1e300 * np.eye(2), HILBERT), ObservationSet([np.zeros(2)]),
+                          2.0)
+            with pytest.raises(InvalidInputError, match="residual contains non-finite"):
+                objective(np.full(2, 1.7e308), BlockOperator(np.eye(2), HILBERT), ObservationSet([np.full(2, -1.7e308)]),
+                          2.0)
 
     def test_matches_per_row_loop_oracle(self):
         rng = np.random.Generator(np.random.Philox(key=2))
@@ -660,6 +671,13 @@ class TestConvergenceRecord:
                 epoch=[0, 0], objective=[1, 1], residual=[1, 1],
                 bregman=[1, 1], delta1=[1, 1], delta2=[1, 1], step=[1, 1],
             )
+
+    def test_a_column_that_is_not_1_d_is_refused(self, tmp_path):
+        columns = dict(epoch=[0, 1], objective=[1.0, 0.5], residual=[2.0, 1.0], bregman=[3.0, 1.5],
+                       delta1=[1.0, 0.9], delta2=[1.0, 0.8], step=[0.1, 0.1])
+        for name in ("epoch", "bregman"):
+            with pytest.raises(DimensionMismatchError, match=rf"column {name} .* shape \(1, 2\)"):
+                ConvergenceRecord(**{**columns, name: [columns[name]]})
 
     def test_finite_columns_enforced(self):
         with pytest.raises(InvalidInputError):

@@ -78,6 +78,20 @@ class TestBlockOperator:
             rhs = float(np.dot(u, op.apply(0, x)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_a_product_past_the_float_range_is_a_typed_error_without_a_warning(self, sparse):
+        # The steps' raw products leave the errstate to their callers; the checked products hold their own.
+        big = 1e300 * np.eye(3)
+        op = BlockOperator(CsrMatrix([0, 1, 2, 3], [0, 1, 2], np.full(3, 1e300), (3, 3)) if sparse else big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: op.apply(0, np.full(3, 1e300)), lambda: op.apply_adjoint(0, np.full(3, 1e300)),
+                         lambda: op.apply_all(np.full(3, 1e300)), lambda: op.apply(0, [np.inf, 0.0, 0.0]),
+                         lambda: op.apply_all([np.nan, 1.0, 1.0])):
+                with pytest.raises(InvalidInputError, match="not finite"):
+                    call()
+            assert np.array_equal(op.apply(0, np.full(3, 1e-300)), big @ np.full(3, 1e-300))
+
     def test_dimension_errors(self):
         op = BlockOperator(np.ones((2, 3)))
         with pytest.raises(ConfigurationError):
@@ -1158,6 +1172,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "h.csv"
         save_matrix_csv(path, np.array([[0.1, 2.0], [3.0, np.nan]]), "a,b")
         assert path.read_text() == "a,b\n0.10000000000000001,2\n3,nan\n"
+
+    def test_an_array_of_more_than_two_dimensions_is_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match=r"shape \(2, 2, 2\)"):
+                save_matrix_csv(path, np.ones((2, 2, 2)))
+        assert path.read_text() == "1,2\n"
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -223,7 +223,7 @@ class TestBregmanDistance:
     def test_zero_at_equal_points(self):
         z = np.array([0.3, -0.7])
         for desc in descriptor_grid():
-            assert abs(bregman_distance(z, z, desc)) < 1e-13
+            assert bregman_distance(z, z, desc) == 0.0
 
     def test_r3_p3_example(self):
         # Direct evaluation oracle: (1/p*)*1 + (1/p)*1 - 0 with p = 3, p* = 3/2.
@@ -282,7 +282,7 @@ class TestBregmanDistance:
 
 class TestBregmanRows:
     """The snapshots take the Bregman distances of all iterates as the rows of one batch; each row must be the
-    first formula's distance of that row alone, bit for bit, and the batch raises without a warning where a row's
+    difference form's distance of that row alone, bit for bit, and the batch raises without a warning where a row's
     distance overflows."""
 
     @pytest.mark.parametrize("desc", [SpaceDescriptor(2.0, 2.0), SpaceDescriptor(1.5, 2.0), SpaceDescriptor(1.1, 1.1),
@@ -319,9 +319,10 @@ def _oracle_lr_norm(v, r):
 
 
 def _oracle_bregman(z, w, desc):
-    """The distance as first written: the two norm terms minus the pairing of duality_map(z) with w."""
-    return lr_norm(z, desc.r) ** desc.p / desc.p_conj + lr_norm(w, desc.r) ** desc.p / desc.p \
-        - dual_pairing(duality_map(z, desc), w)
+    """The distance in difference form: the norm terms' difference over p minus the pairing of duality_map(z)
+    with w - z."""
+    return (lr_norm(w, desc.r) ** desc.p - lr_norm(z, desc.r) ** desc.p) / desc.p \
+        - dual_pairing(duality_map(z, desc), w - z)
 
 
 def _oracle_duality_map(v, r, p):
@@ -442,6 +443,18 @@ class TestProperties:
             return
         # Each of the three terms is rounded at the scale max(||z||, ||w||)^p.
         assert d >= -1e-12 * top ** p
+
+    @_PROPERTY
+    @given(x=_VECTOR, r=_R, p=_P)
+    def test_the_distance_of_a_point_to_itself_is_zero(self, x, r, p):
+        # The difference form pairs J_p(x) with w - x = 0 and subtracts ||x||^p from itself: exactly 0.0, or the
+        # typed overflow error where ||x||^p or the map's scale leaves the float range.
+        try:
+            d = bregman_distance(x, x.copy(), SpaceDescriptor(r, p))
+        except InvalidInputError as exc:
+            assert "overflows" in str(exc) and p * math.log10(lr_norm(x, r)) > 307.0
+            return
+        assert d == 0.0
 
     @_PROPERTY
     @given(entries=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-6.0, 0.0)),
